@@ -149,7 +149,12 @@ def _merge_options(ns: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
         path = Path(ns.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        config = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            config = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:
+            raise UsageError(f"config file {path} is not valid JSON: {e}") from e
+        if not isinstance(config, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
         unknown = set(config) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -166,6 +171,14 @@ def _merge_options(ns: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
         else:
             merged[key] = default
     return merged, explicit
+
+
+def _option(opts: dict, key: str, parse):
+    """``parse(opts[key])``, with a malformed value reported as a usage error."""
+    try:
+        return parse(opts[key])
+    except (TypeError, ValueError):
+        raise UsageError(f"invalid value for {key}: {opts[key]!r}") from None
 
 
 def _float_list(value) -> list[float]:
@@ -244,6 +257,17 @@ def cmd_tune(ns: argparse.Namespace) -> int:
             raise UsageError("unsupervised mode does not accept lambda_fluency")
     if opts["data"] is None:
         raise UsageError("tune requires --data")
+    seeds = _option(opts, "seeds", _parse_seeds)
+    ms = _option(opts, "m", _int_list)
+    etas = _option(opts, "eta", _float_list)
+    lams = _option(opts, "lambda_fluency" if mode == "supervised"
+                   else "lambda_domain", _float_list)
+    steps = _option(opts, "steps", int)
+    batch_size = _option(opts, "batch_size", int)
+    n_jobs = _option(opts, "jobs", int)
+    schedule = NoiseSchedule(beta_start=_option(opts, "beta_start", float),
+                             beta_end=_option(opts, "beta_end", float),
+                             steps=steps)
 
     task = _resolve_task(opts)
     model = load_adapter(opts["model"])
@@ -256,30 +280,20 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         val = load_dataset(opts["val_data"], task)
         _require_labeled(val, "validation")
 
-    seeds = _parse_seeds(opts["seeds"])
-    ms = _int_list(opts["m"])
-    etas = _float_list(opts["eta"])
-    lams = _float_list(opts["lambda_fluency"] if mode == "supervised"
-                       else opts["lambda_domain"])
-    schedule = NoiseSchedule(beta_start=float(opts["beta_start"]),
-                             beta_end=float(opts["beta_end"]),
-                             steps=int(opts["steps"]))
-
     jobs_spec: list[tuple[str, SamplerConfig]] = []
     for gi, (m, eta, lam) in enumerate(itertools.product(ms, etas, lams)):
         energy = (EnergyConfig.supervised(lam) if mode == "supervised"
                   else EnergyConfig.unsupervised(lam, sign=opts["energy_sign"]))
         for seed in seeds:
             cfg = SamplerConfig(
-                eta=eta, schedule=schedule, steps=int(opts["steps"]),
-                batch_size=int(opts["batch_size"]), seed=seed, energy=energy,
+                eta=eta, schedule=schedule, steps=steps,
+                batch_size=batch_size, seed=seed, energy=energy,
                 optimizer=opts["optimizer"], prompt_length=m,
                 init_text=opts["init_text"], allowed_vocab=opts["allowed_vocab"],
                 model_spec=opts["model"],
             )
             jobs_spec.append((f"chain_{gi:03d}_seed{seed}.json", cfg))
 
-    n_jobs = int(opts["jobs"])
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [pool.submit(_tune_worker, task, opts["model"],
@@ -326,7 +340,10 @@ def _chain_files(chains_dir: str) -> list[Path]:
 
 
 def _read_prompt_file(path: str) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as e:
+        raise UsageError(f"cannot read prompt file {path}: {e.strerror or e}") from e
     return [ln.strip() for ln in lines if ln.strip()]
 
 
@@ -407,6 +424,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     opts, _ = _merge_options(ns, _ANALYZE_DEFAULTS)
     if opts["chains"] is None:
         raise UsageError("analyze requires --chains")
+    k = _option(opts, "continuations", int)
+    quantile = _option(opts, "effective_quantile", float)
+    nucleus_p = _option(opts, "nucleus_p", float)
+    length = _option(opts, "continuation_length", int)
+    continuation_seed = _option(opts, "continuation_seed", int)
     task = _resolve_task(opts)
     model = load_adapter(opts["model"])
     val = None
@@ -418,18 +440,15 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     rand = _read_prompt_file(opts["random_prompts"]) if opts["random_prompts"] else ()
 
     generator = None
-    k = int(opts["continuations"])
     if k > 0:
         generator = LocalContinuationGenerator(model, record_trace=False)
 
     report = diagnostics_report(
         chains, task, model, val_data=val, human_prompts=human,
         random_prompts=rand, include_empty=bool(opts["include_empty"]),
-        effective_quantile=float(opts["effective_quantile"]),
-        generator=generator, continuations_per_prompt=k,
-        nucleus_p=float(opts["nucleus_p"]),
-        continuation_length=int(opts["continuation_length"]),
-        seed=int(opts["continuation_seed"]),
+        effective_quantile=quantile, generator=generator,
+        continuations_per_prompt=k, nucleus_p=nucleus_p,
+        continuation_length=length, seed=continuation_seed,
     )
     out = Path(opts["report"]) if opts["report"] else Path(opts["chains"]) / "report.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",

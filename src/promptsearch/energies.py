@@ -11,6 +11,16 @@ also get the ``(M, d)`` gradient.  Batch reduction is the arithmetic mean,
 accumulated with compensated summation so values are invariant under batch
 permutation.
 
+One pass per example: each example gets one ``model.forward`` on ``prompt +
+render(task, text)`` and, for gradients, one ``model.backward_input``.
+``task_nll`` and ``entropy_loss`` read the verbalizer-restricted softmax at
+the last position; ``domain_nll`` reads a row-wise log-softmax over the body
+positions ``m-1 .. L-2``; the prompt fluency reads the causal prefix
+``0 .. m-2``, which is the same in every example and so is read once per
+batch.  A combined energy sums the weighted hidden-state gradients of its
+terms into the one backward (exact by linearity) and adds the direct fluency
+gradient once.  ``fluency_nll`` alone runs one pass over the prompt rows.
+
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
 domain_nll``, i.e. it pushes the group-level label distribution toward
@@ -30,7 +40,7 @@ from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError, UsageError
 from .model import SoftPrompt
-from .tasks import Example, TaskSpec, render, render_parts, verbalizer_token_ids
+from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = [
     "EnergyConfig",
@@ -123,44 +133,119 @@ def _check_batch(batch, task: TaskSpec, need_labels: bool):
                 )
 
 
-def _restricted_forward(prompt: SoftPrompt, text: str, task: TaskSpec, model,
-                        vids: list[int]):
-    """Forward pass on prompt + rendered input; returns label probs and cache."""
-    table = model.embedding_table()
-    body = render(task, text, model)
-    X = np.concatenate([prompt.entries, table.entries[body]], axis=0)
-    fw = model.forward(X)
-    logits_y = fw.logits[-1, vids]
-    shifted = logits_y - logits_y.max()
-    e = np.exp(shifted)
-    return e / e.sum(), fw
+def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
+    """Fluency NLLs at positions ``0 .. m-2`` of a pass (needs ``m >= 2``).
+
+    Returns the per-position terms, their gradient w.r.t. ``hidden[:m-1]``,
+    and the direct gradient w.r.t. the prompt rows they predict.
+    """
+    k = prompt.length - 1
+    rows, targets = fw.logits[:k], prompt.entries[1:]
+    lse = logsumexp(rows, axis=-1)
+    terms = lse - np.einsum("id,id->i", fw.hidden[:k], targets)
+    direct = np.zeros_like(prompt.entries)
+    direct[1:] = -fw.hidden[:k]
+    return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
+
+
+def _token_readout(fw, seq: list[int], table: np.ndarray):
+    """NLLs of the last ``len(seq)`` tokens of a pass, and their gradient
+    w.r.t. the hidden rows that predict them."""
+    rows = fw.logits[-len(seq) - 1:-1]
+    lse = logsumexp(rows, axis=-1)
+    at = (np.arange(len(seq)), seq)
+    p = np.exp(rows - lse[:, None])
+    p[at] -= 1.0
+    return lse - rows[at], p @ table
+
+
+def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
+                 weights: dict[str, float], grad: bool):
+    """Raw values of the terms named in ``weights``, from one pass per example.
+
+    Returns ``(values, gradient)``, where ``gradient`` is that of
+    ``sum(weights[t] * values[t])`` with ``grad`` and None without.
+    """
+    _check_batch(batch, task, need_labels="task" in weights)
+    table = model.embedding_table().entries
+    m, b = prompt.length, len(batch)
+    w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
+    read_labels = "task" in weights or "entropy" in weights
+    if read_labels:
+        vids = verbalizer_token_ids(task, model)
+        label_rows = table[vids]
+    read_prefix = m > 1 and ("fluency" in weights or "domain" in weights)
+    prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
+
+    passes, probs, task_terms, domain_terms = [], [], [], []
+    for ex in batch:
+        seq = render(task, ex.text, model)
+        fw = model.forward(np.concatenate([prompt.entries, table[seq]], axis=0))
+        d_hidden = np.zeros_like(fw.hidden)
+        if read_prefix and not passes:  # the causal prefix: once per batch
+            prefix_terms, d_prefix, direct = _prefix_readout(prompt, fw, table)
+            d_hidden[:m - 1] += (w["fluency"] + w["domain"]) * d_prefix
+        if read_labels:
+            logits_y = fw.logits[-1, vids]
+            e = np.exp(logits_y - logits_y.max())
+            probs.append(e / e.sum())
+        if "task" in weights:
+            yi = task.labels.index(ex.label)
+            task_terms.append(-math.log(probs[-1][yi]))
+            d_label = probs[-1].copy()
+            d_label[yi] -= 1.0
+            d_hidden[-1] += (w["task"] / b) * (d_label @ label_rows)
+        if "domain" in weights:
+            tok_terms = np.zeros(0)
+            if seq:
+                tok_terms, d_tok = _token_readout(fw, seq, table)
+                d_hidden[m - 1:-1] += (w["domain"] / b) * d_tok
+            domain_terms.append(math.fsum(np.concatenate([prefix_terms, tok_terms])))
+        passes.append((fw, d_hidden))
+
+    values = {}
+    if "task" in weights:
+        values["task"] = math.fsum(task_terms) / b
+    if "fluency" in weights:
+        values["fluency"] = math.fsum(prefix_terms)
+    if "entropy" in weights:
+        pbar = np.array([math.fsum(p[y] for p in probs) / b
+                         for y in range(len(vids))])
+        values["entropy"] = math.fsum(float(py * math.log(py))
+                                      for py in pbar if py > 0.0)
+        if grad:
+            # d value / d logit_y' through each example's restricted softmax
+            log_pbar = np.log(pbar)
+            for (_, d_hidden), p in zip(passes, probs):
+                coeff = p * (log_pbar - float(p @ log_pbar)) / b
+                d_hidden[-1] += w["entropy"] * (coeff @ label_rows)
+    if "domain" in weights:
+        values["domain"] = math.fsum(domain_terms) / b
+    if not grad:
+        return values, None
+    total_grad = (w["fluency"] + w["domain"]) * direct
+    for fw, d_hidden in passes:
+        total_grad += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
+    return values, total_grad
+
+
+def _term(prompt, batch, task, model, term: str, grad: bool):
+    values, g = _shared_pass(prompt, batch, task, model, {term: 1.0}, grad)
+    return (values[term], g) if grad else values[term]
+
+
+def _combined(prompt, batch, task, model, cfg: EnergyConfig, grad: bool):
+    weights = term_weights(cfg)
+    values, g = _shared_pass(prompt, batch, task, model, weights, grad)
+    breakdown = EnergyBreakdown(total=sum(weights[t] * values[t] for t in weights),
+                                per_term=values)
+    return (breakdown, g) if grad else breakdown
 
 
 def task_nll(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
              *, grad: bool = False):
     """Mean NLL of the gold label word under the restricted label softmax."""
-    _check_batch(batch, task, need_labels=True)
-    vids = verbalizer_token_ids(task, model)
-    label_index = {lab: i for i, lab in enumerate(task.labels)}
-    table = model.embedding_table()
-    m = prompt.length
-
-    values = []
-    total_grad = np.zeros_like(prompt.entries) if grad else None
-    for ex in batch:
-        p, fw = _restricted_forward(prompt, ex.text, task, model, vids)
-        yi = label_index[ex.label]
-        values.append(-math.log(p[yi]))
-        if grad:
-            dlab = p.copy()
-            dlab[yi] -= 1.0
-            d_hidden = np.zeros_like(fw.hidden)
-            d_hidden[-1] = dlab @ table.entries[vids]
-            total_grad += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
-    value = math.fsum(values) / len(batch)
-    if not grad:
-        return value
-    return value, total_grad / len(batch)
+    return _term(prompt, batch, task, model, "task", grad)
 
 
 def fluency_nll(prompt: SoftPrompt, model, *, grad: bool = False):
@@ -176,25 +261,14 @@ def fluency_nll(prompt: SoftPrompt, model, *, grad: bool = False):
     m = prompt.length
     if m == 1:
         return (0.0, np.zeros_like(prompt.entries)) if grad else 0.0
-    table = model.embedding_table()
     fw = model.forward(prompt.entries)
-    hidden = fw.hidden
-
-    terms = []
-    for i in range(1, m):
-        num = float(hidden[i - 1] @ prompt.entries[i])
-        terms.append(float(logsumexp(fw.logits[i - 1])) - num)
+    terms, d_prefix, direct = _prefix_readout(prompt, fw,
+                                              model.embedding_table().entries)
     value = math.fsum(terms)
     if not grad:
         return value
-
-    d_hidden = np.zeros_like(hidden)
-    direct = np.zeros_like(prompt.entries)
-    for i in range(1, m):
-        row = fw.logits[i - 1]
-        p = np.exp(row - logsumexp(row))
-        d_hidden[i - 1] += p @ table.entries - prompt.entries[i]
-        direct[i] -= hidden[i - 1]
+    d_hidden = np.zeros_like(fw.hidden)
+    d_hidden[:m - 1] = d_prefix
     return value, model.backward_input(fw.cache, d_hidden=d_hidden) + direct
 
 
@@ -203,19 +277,7 @@ def supervised_energy(prompt: SoftPrompt, batch: list[Example], task: TaskSpec,
     """Weighted combination ``lambda_task * task_nll + lambda_fluency * fluency_nll``."""
     if cfg.mode != "supervised":
         raise ConfigurationError(f"supervised_energy called with mode {cfg.mode!r}")
-    if grad:
-        t, gt = task_nll(prompt, batch, task, model, grad=True)
-        f, gf = fluency_nll(prompt, model, grad=True)
-    else:
-        t = task_nll(prompt, batch, task, model)
-        f = fluency_nll(prompt, model)
-    breakdown = EnergyBreakdown(
-        total=cfg.lambda_task * t + cfg.lambda_fluency * f,
-        per_term={"task": t, "fluency": f},
-    )
-    if not grad:
-        return breakdown
-    return breakdown, cfg.lambda_task * gt + cfg.lambda_fluency * gf
+    return _combined(prompt, batch, task, model, cfg, grad)
 
 
 def entropy_loss(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
@@ -227,33 +289,7 @@ def entropy_loss(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     ``[-ln |Y|, 0]``, hitting the lower end iff the mean is uniform and 0 iff
     it is one-hot.  Labels on the examples, if any, are ignored.
     """
-    _check_batch(batch, task, need_labels=False)
-    vids = verbalizer_token_ids(task, model)
-    table = model.embedding_table()
-    b = len(batch)
-    m = prompt.length
-
-    per_example = []
-    for ex in batch:
-        p, fw = _restricted_forward(prompt, ex.text, task, model, vids)
-        per_example.append((p, fw))
-    pbar = np.array([
-        math.fsum(p[y] for p, _ in per_example) / b
-        for y in range(len(vids))
-    ])
-    value = math.fsum(float(py * math.log(py)) for py in pbar if py > 0.0)
-    if not grad:
-        return value
-
-    log_pbar = np.log(pbar)
-    total_grad = np.zeros_like(prompt.entries)
-    for p, fw in per_example:
-        # d value / d logit_y' through the restricted softmax of this example
-        coeff = p * (log_pbar - float(p @ log_pbar)) / b
-        d_hidden = np.zeros_like(fw.hidden)
-        d_hidden[-1] = coeff @ table.entries[vids]
-        total_grad += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
-    return value, total_grad
+    return _term(prompt, batch, task, model, "entropy", grad)
 
 
 def domain_nll(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
@@ -266,74 +302,20 @@ def domain_nll(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
     token segments).  The batch value is the mean.  With an empty input and
     an empty cue it degenerates to exactly ``fluency_nll``.
     """
-    _check_batch(batch, task, need_labels=False)
-    table = model.embedding_table()
-    m = prompt.length
-
-    values = []
-    total_grad = np.zeros_like(prompt.entries) if grad else None
-    for ex in batch:
-        input_ids, cue_ids = render_parts(task, ex.text, model)
-        seq = input_ids + cue_ids
-        X = np.concatenate([prompt.entries, table.entries[seq]], axis=0) \
-            if seq else prompt.entries
-        fw = model.forward(X)
-        hidden, logits = fw.hidden, fw.logits
-
-        terms = []
-        for i in range(1, m):  # causality: positions < m ignore the body
-            num = float(hidden[i - 1] @ prompt.entries[i])
-            terms.append(float(logsumexp(logits[i - 1])) - num)
-        for j, tok in enumerate(seq):
-            pos = m + j
-            terms.append(float(logsumexp(logits[pos - 1])) - float(logits[pos - 1, tok]))
-        values.append(math.fsum(terms))
-
-        if grad:
-            d_hidden = np.zeros_like(hidden)
-            direct = np.zeros_like(prompt.entries)
-            for i in range(1, m):
-                row = logits[i - 1]
-                p = np.exp(row - logsumexp(row))
-                d_hidden[i - 1] += p @ table.entries - prompt.entries[i]
-                direct[i] -= hidden[i - 1]
-            for j, tok in enumerate(seq):
-                pos = m + j
-                row = logits[pos - 1]
-                p = np.exp(row - logsumexp(row))
-                p[tok] -= 1.0
-                d_hidden[pos - 1] += p @ table.entries
-            total_grad += model.backward_input(fw.cache, d_hidden=d_hidden)[:m] + direct
-
-    value = math.fsum(values) / len(batch)
-    if not grad:
-        return value
-    return value, total_grad / len(batch)
+    return _term(prompt, batch, task, model, "domain", grad)
 
 
 def unsupervised_energy(prompt: SoftPrompt, batch: list[Example], task: TaskSpec,
                         model, cfg: EnergyConfig, *, grad: bool = False):
     """Weighted combination of the calibration and domain-relevance terms.
 
-    See the module docstring for the ``intent`` / ``literal`` sign modes; the
-    raw term values in the breakdown are unsigned either way.
+    The signed weights come from :func:`term_weights` (see the module
+    docstring for the ``intent`` / ``literal`` modes); the raw term values in
+    the breakdown are unsigned either way.
     """
     if cfg.mode != "unsupervised":
         raise ConfigurationError(f"unsupervised_energy called with mode {cfg.mode!r}")
-    if grad:
-        e, ge = entropy_loss(prompt, batch, task, model, grad=True)
-        d, gd = domain_nll(prompt, batch, task, model, grad=True)
-    else:
-        e = entropy_loss(prompt, batch, task, model)
-        d = domain_nll(prompt, batch, task, model)
-    s = 1.0 if cfg.sign == "intent" else -1.0
-    breakdown = EnergyBreakdown(
-        total=s * (cfg.lambda_calibration * e + cfg.lambda_domain * d),
-        per_term={"entropy": e, "domain": d},
-    )
-    if not grad:
-        return breakdown
-    return breakdown, s * (cfg.lambda_calibration * ge + cfg.lambda_domain * gd)
+    return _combined(prompt, batch, task, model, cfg, grad)
 
 
 def energy_and_grad(prompt: SoftPrompt, batch: list[Example], task: TaskSpec,

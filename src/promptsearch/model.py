@@ -194,10 +194,15 @@ def _layernorm_backward(dy, cache, gamma):
 
 
 def _softmax_rows(scores):
-    # rows may contain -inf from the causal mask; every row keeps >= 1 finite entry
+    # rows may contain -inf from the causal mask; every row keeps >= 1 finite entry.
+    # The normalizer is summed key by key in order (over a transposed copy), so
+    # the masked zeros after a query never regroup the sum: a causal prefix gets
+    # bitwise the same states whatever follows it, which lets energies read the
+    # prompt segment of any example's pass as the prompt's own pass.
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    total = np.ascontiguousarray(np.swapaxes(e, -1, -2)).sum(axis=-2)
+    return e / total[..., None]
 
 
 class TinyCausalLM:

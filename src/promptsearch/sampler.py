@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energies import EnergyBreakdown, EnergyConfig, energy_and_grad
-from .errors import ConfigurationError, NumericalFault, UsageError
+from .errors import ConfigurationError, ModelFault, NumericalFault, UsageError
 from .model import SoftPrompt
 from .projection import allowed_token_ids, project_subset
 from .tasks import Example, TaskSpec
@@ -314,9 +314,10 @@ def run_chain(task: TaskSpec, model, cfg: SamplerConfig,
     """Run one full chain; see the module docstring for the exact contract.
 
     ``data_stream`` is a finite sequence of examples (labeled for supervised
-    energies); it is shuffled and cycled internally.  A non-finite energy or
-    gradient aborts the chain and returns the partial record with ``fault``
-    set; on a clean run ``per_step`` has exactly ``cfg.steps`` entries.
+    energies); it is shuffled and cycled internally.  A non-finite energy,
+    gradient or Adam moment, or a model fault, aborts the chain and returns
+    the partial record with ``fault`` set; on a clean run ``per_step`` has
+    exactly ``cfg.steps`` entries.
     """
     if not data_stream:
         raise UsageError("data_stream must be nonempty")
@@ -335,24 +336,28 @@ def run_chain(task: TaskSpec, model, cfg: SamplerConfig,
     fault = None
     for i in range(cfg.steps):
         batch = next(batches)
-        breakdown, grad = energy_and_grad(prompt, batch, task, model, cfg.energy)
-        if not math.isfinite(breakdown.total):
-            fault = f"non-finite energy at step {i}"
-            break
-        if cfg.optimizer == "adaptive":
-            t = i + 1
-            adam_m = _ADAM_BETA1 * adam_m + (1.0 - _ADAM_BETA1) * grad
-            adam_v = _ADAM_BETA2 * adam_v + (1.0 - _ADAM_BETA2) * grad * grad
-            m_hat = adam_m / (1.0 - _ADAM_BETA1 ** t)
-            v_hat = adam_v / (1.0 - _ADAM_BETA2 ** t)
-            step_grad = m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        else:
-            step_grad = grad
         try:
+            breakdown, grad = energy_and_grad(prompt, batch, task, model, cfg.energy)
+            if not math.isfinite(breakdown.total):
+                raise NumericalFault(f"non-finite energy at step {i}")
+            if not np.all(np.isfinite(grad)):
+                raise NumericalFault(f"non-finite gradient at step {i}")
+            if cfg.optimizer == "adaptive":
+                t = i + 1
+                adam_m = _ADAM_BETA1 * adam_m + (1.0 - _ADAM_BETA1) * grad
+                adam_v = _ADAM_BETA2 * adam_v + (1.0 - _ADAM_BETA2) * grad * grad
+                if not np.all(np.isfinite(adam_v)):
+                    # an overflowed v would zero the step and freeze the prompt
+                    raise NumericalFault(f"non-finite gradient moment at step {i}")
+                m_hat = adam_m / (1.0 - _ADAM_BETA1 ** t)
+                v_hat = adam_v / (1.0 - _ADAM_BETA2 ** t)
+                step_grad = m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            else:
+                step_grad = grad
             prompt = langevin_step(prompt, step_grad, cfg.eta,
                                    beta_at(cfg.schedule, i), noise_rng, table,
                                    allowed_ids=allowed, step_index=i)
-        except NumericalFault as exc:
+        except (ModelFault, NumericalFault) as exc:
             fault = str(exc)
             break
         steps.append(StepLog(index=i, energy=breakdown, token_ids=prompt.token_ids))

@@ -126,8 +126,12 @@ def load_dataset(path: str | Path, task: TaskSpec | None = None,
     """
     if format != "jsonl":
         raise DataError(f"unsupported dataset format {format!r}")
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read dataset {path}: {e.strerror or e}") from e
     examples = []
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -195,8 +199,13 @@ def builtin_task(name: str) -> TaskSpec:
 
 def task_from_file(path: str | Path) -> TaskSpec:
     """Load a task from a JSON document mirroring the TaskSpec fields."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        raise TaskSpecError(f"cannot read task file {path}: {e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise TaskSpecError(f"{path}: invalid JSON: {e}") from e
     try:
         return TaskSpec(
             id=obj["id"],

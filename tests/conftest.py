@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from promptsearch.errors import ModelFault
 from promptsearch.model import EmbeddingTable, ForwardPass, make_reference_model
 from promptsearch.synthetic import synthetic_dataset, synthetic_task
 from promptsearch.tasks import Example, TaskSpec
@@ -71,6 +72,35 @@ class FixedHeadModel:
 
     def backward_input(self, cache, d_hidden=None, d_logits=None):
         return np.zeros((cache["L"], self.dim))
+
+
+class CountingModel:
+    """Adapter wrapper that counts ``forward`` and ``backward_input`` calls.
+
+    Everything else is delegated to the wrapped adapter.  With
+    ``fail_on_forward=k`` the k-th ``forward`` call (1-based) raises
+    ``ModelFault`` instead of running.
+    """
+
+    def __init__(self, inner, fail_on_forward=None):
+        self._inner = inner
+        self.fail_on_forward = fail_on_forward
+        self.forwards = 0
+        self.backwards = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def forward(self, X):
+        self.forwards += 1
+        if self.forwards == self.fail_on_forward:
+            raise ModelFault("model produced non-finite logits")
+        return self._inner.forward(X)
+
+    def backward_input(self, cache, d_hidden=None, d_logits=None):
+        self.backwards += 1
+        return self._inner.backward_input(cache, d_hidden=d_hidden,
+                                          d_logits=d_logits)
 
 
 @pytest.fixture

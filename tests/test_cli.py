@@ -145,6 +145,26 @@ def test_tune_usage_errors(data_files, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_bad_inputs_exit_2_with_one_line_message(data_files, tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(tune_args(data_files, tmp_path / "a", data=str(missing))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.jsonl" in err
+    assert err.count("\n") == 1
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": "abc"}))
+    assert main(tune_args(data_files, tmp_path / "b", steps=None)
+                + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid value for steps: 'abc'\n"
+
+    assert main(["eval", "--task", "synthetic-2label", "--prompts",
+                 str(tmp_path / "missing.txt"), "--data", data_files["val"]]) == 2
+    assert "missing.txt" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_tune_rejects_unlabeled_supervised(data_files, tmp_path):
     assert main(tune_args(data_files, tmp_path / "x",
                           data=data_files["unlabeled"])) == 2

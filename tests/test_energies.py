@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stub_model_with_label_probs
+from conftest import CountingModel, stub_model_with_label_probs
 from oracles import fd_grad, max_rel_err
 from promptsearch.energies import (
     EnergyConfig,
@@ -338,3 +338,43 @@ def test_task_nll_agrees_with_distribution_recount(model, task, small_data):
         for ex in batch
     ) / len(batch)
     assert abs(task_nll(prompt, batch, task, model) - expected) < 1e-12
+
+
+# -- one shared pass per example ------------------------------------------------------
+
+COMBINED_CONFIGS = [EnergyConfig.supervised(0.25),
+                    EnergyConfig.unsupervised(0.25),
+                    EnergyConfig.unsupervised(0.25, sign="literal")]
+
+
+@pytest.mark.parametrize("cfg", COMBINED_CONFIGS, ids=lambda c: f"{c.mode}-{c.sign}")
+def test_energy_and_grad_equals_weighted_standalone_terms(model, task, small_data,
+                                                          cfg):
+    prompt = soft(model, 18, m=4)
+    batch = small_data[:5]
+    standalone = {
+        "task": lambda: task_nll(prompt, batch, task, model, grad=True),
+        "fluency": lambda: fluency_nll(prompt, model, grad=True),
+        "entropy": lambda: entropy_loss(prompt, batch, task, model, grad=True),
+        "domain": lambda: domain_nll(prompt, batch, task, model, grad=True),
+    }
+    bd, g = energy_and_grad(prompt, batch, task, model, cfg)
+    weights = term_weights(cfg)
+    assert set(bd.per_term) == set(weights)
+    expected_total, expected_grad = 0.0, np.zeros_like(prompt.entries)
+    for name, w in weights.items():
+        value, grad = standalone[name]()
+        assert math.isclose(bd.per_term[name], value, rel_tol=1e-12), name
+        expected_total += w * value
+        expected_grad += w * grad
+    assert math.isclose(bd.total, expected_total, rel_tol=1e-12)
+    np.testing.assert_allclose(g, expected_grad, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", COMBINED_CONFIGS, ids=lambda c: f"{c.mode}-{c.sign}")
+def test_energy_and_grad_runs_one_pass_per_example(model, task, small_data, cfg):
+    counting = CountingModel(model)
+    batch = small_data[:6]
+    energy_and_grad(soft(model, 19, m=5), batch, task, counting, cfg)
+    assert counting.forwards == len(batch)
+    assert counting.backwards == len(batch)

@@ -44,6 +44,20 @@ def test_forward_matches_oracle_on_token_rows(model):
     np.testing.assert_allclose(fw.logits, logits, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_causal_prefix_is_bitwise_independent_of_what_follows(model, m):
+    """Energies read a prompt's own pass off the prefix of any longer pass."""
+    rng = np.random.default_rng(m)
+    prompt = rng.normal(size=(m, model.dim))
+    alone = model.forward(prompt)
+    for body_len in (1, 3, 9, 30, model.max_len - m):
+        body = model.embedding_table().entries[rng.integers(0, model.vocab_size,
+                                                            size=body_len)]
+        fw = model.forward(np.concatenate([prompt, body]))
+        np.testing.assert_array_equal(fw.hidden[:m], alone.hidden)
+        np.testing.assert_array_equal(fw.logits[:m], alone.logits)
+
+
 def test_forward_at_max_length(model):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(model.max_len, model.dim))

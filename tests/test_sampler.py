@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingModel
 from promptsearch.energies import EnergyBreakdown, EnergyConfig, energy_and_grad
 from promptsearch.errors import ConfigurationError, NumericalFault, UsageError
 from promptsearch.model import SoftPrompt, prompt_from_ids
@@ -370,6 +371,31 @@ def test_chain_nonfinite_gradient_aborts(model, task, small_data, monkeypatch):
     rec = run_chain(task, model, small_cfg(), small_data)
     assert rec.fault == "non-finite gradient at step 1"
     assert len(rec.per_step) == 1
+
+
+def test_chain_model_fault_yields_partial_record(model, task, small_data):
+    # supervised energies run one forward per example: batch_size per step
+    cfg = small_cfg()
+    faulty = CountingModel(model, fail_on_forward=3 * cfg.batch_size + 2)
+    rec = run_chain(task, faulty, cfg, small_data)
+    assert rec.fault is not None and "non-finite logits" in rec.fault
+    assert [s.index for s in rec.per_step] == [0, 1, 2]
+    clean = run_chain(task, model, cfg, small_data)
+    assert rec.per_step == clean.per_step[:3]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_chain_adam_overflow_faults_instead_of_freezing(model, task, small_data,
+                                                        monkeypatch):
+    def huge(prompt, batch, t, m, cfg):
+        # finite, but its square overflows the second-moment estimate
+        return EnergyBreakdown(total=1.0, per_term={}), \
+            np.full_like(prompt.entries, 1e200)
+
+    monkeypatch.setattr("promptsearch.sampler.energy_and_grad", huge)
+    rec = run_chain(task, model, small_cfg(optimizer="adaptive"), small_data)
+    assert rec.fault == "non-finite gradient moment at step 0"
+    assert rec.per_step == ()
 
 
 # -- records ------------------------------------------------------------------------------
