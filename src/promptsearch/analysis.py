@@ -23,7 +23,7 @@ from scipy.stats import t as t_dist
 from .errors import ModelFault, UsageError
 from .metrics import accuracy as _accuracy
 from .metrics import prompt_perplexity
-from .model import SoftPrompt, as_soft_prompt, label_word_distribution
+from .model import SoftPrompt, _read_pass, as_soft_prompt, label_word_distribution
 from .sampler import ChainRecord
 from .tasks import Example, TaskSpec
 
@@ -139,6 +139,11 @@ class LocalContinuationGenerator:
     so tests can replay the nucleus filter.  The kept set is the smallest
     prefix of the probability-sorted vocabulary (stable sort, ties toward
     lower ids) whose mass reaches ``p``, renormalized before drawing.
+
+    The context is run once, then extended one token per step through the
+    adapter's ``past`` cache when it has one.  Once the context fills
+    ``max_len`` the window slides, which moves every position, so each such
+    step runs the truncated window in full.
     """
 
     def __init__(self, model, record_trace: bool = True):
@@ -155,10 +160,12 @@ class LocalContinuationGenerator:
         context = list(ids)
         generated: list[int] = []
         trace: list[tuple[np.ndarray, int]] = []
+        fw = None
         for _ in range(length):
             if len(context) >= self.model.max_len:
                 context = context[-(self.model.max_len - 1):]
-            fw = self.model.forward(table.entries[context])
+                fw = None
+            fw = _read_pass(self.model, table.entries[context], fw)
             row = fw.logits[-1]
             probs = np.exp(row - row.max())
             probs /= probs.sum()

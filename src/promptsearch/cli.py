@@ -43,6 +43,7 @@ from .sampler import (
     ChainRecord,
     NoiseSchedule,
     SamplerConfig,
+    _write_text_atomic,
     load_record,
     record_to_json,
     run_chain,
@@ -323,8 +324,8 @@ def cmd_tune(ns: argparse.Namespace) -> int:
 
     manifest = {"created": _now(), "task_id": task.id, "model": opts["model"],
                 "chains": manifest_chains}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text_atomic(out_dir / "manifest.json",
+                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(records)} chains + manifest to {out_dir}")
     return 1 if any_fault else 0
 
@@ -357,8 +358,7 @@ def _refresh_manifest(chains_dir: Path):
         if fpath.is_file():
             entry["sha256"] = _sha256(fpath)
     manifest["updated"] = _now()
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8")
+    _write_text_atomic(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -451,8 +451,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         continuation_length=length, seed=continuation_seed,
     )
     out = Path(opts["report"]) if opts["report"] else Path(opts["chains"]) / "report.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    _write_text_atomic(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     print(f"report written to {out} ({len(report['prompts'])} prompt rows)")
     if report["spearman"] is not None:

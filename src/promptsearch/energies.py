@@ -15,9 +15,9 @@ One pass per example: each example gets one ``model.forward`` on ``prompt +
 render(task, text)`` and, for gradients, one ``model.backward_input``.
 ``task_nll`` and ``entropy_loss`` read the verbalizer-restricted softmax at
 the last position; ``domain_nll`` reads a row-wise log-softmax over the body
-positions ``m-1 .. L-2``; the prompt fluency reads the causal prefix
-``0 .. m-2``, which is the same in every example and so is read once per
-batch.  A combined energy sums the weighted hidden-state gradients of its
+positions ``m-1 .. L-2``, with the rows of the whole batch in one call; the
+prompt fluency reads the causal prefix ``0 .. m-2``, which is the same in
+every example and so is read once per batch.  A combined energy sums the weighted hidden-state gradients of its
 terms into the one backward (exact by linearity) and adds the direct fluency
 gradient once.  ``fluency_nll`` alone runs one pass over the prompt rows.
 
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError, UsageError
-from .model import SoftPrompt
+from .model import SoftPrompt, _restricted_softmax
 from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = [
@@ -148,15 +148,21 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
 
 
-def _token_readout(fw, seq: list[int], table: np.ndarray):
-    """NLLs of the last ``len(seq)`` tokens of a pass, and their gradient
-    w.r.t. the hidden rows that predict them."""
-    rows = fw.logits[-len(seq) - 1:-1]
+def _token_readout(fws, seqs: list[list[int]], m: int, table: np.ndarray):
+    """NLLs of each example's body tokens, and their gradient w.r.t. the
+    hidden rows ``m-1 .. L-2`` that predict them, one pair per example.
+
+    The rows of the whole batch share one ``logsumexp`` call.
+    """
+    rows = np.concatenate([fw.logits[m - 1:-1] for fw in fws])
     lse = logsumexp(rows, axis=-1)
-    at = (np.arange(len(seq)), seq)
+    at = (np.arange(rows.shape[0]), np.concatenate(seqs).astype(np.intp))
+    terms = lse - rows[at]
     p = np.exp(rows - lse[:, None])
     p[at] -= 1.0
-    return lse - rows[at], p @ table
+    ends = np.cumsum([len(seq) for seq in seqs])
+    return [(terms[end - len(seq):end], p[end - len(seq):end] @ table)
+            for seq, end in zip(seqs, ends)]
 
 
 def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
@@ -177,30 +183,23 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     read_prefix = m > 1 and ("fluency" in weights or "domain" in weights)
     prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
 
-    passes, probs, task_terms, domain_terms = [], [], [], []
+    passes, probs, task_terms, seqs = [], [], [], []
     for ex in batch:
         seq = render(task, ex.text, model)
+        seqs.append(seq)
         fw = model.forward(np.concatenate([prompt.entries, table[seq]], axis=0))
         d_hidden = np.zeros_like(fw.hidden)
         if read_prefix and not passes:  # the causal prefix: once per batch
             prefix_terms, d_prefix, direct = _prefix_readout(prompt, fw, table)
             d_hidden[:m - 1] += (w["fluency"] + w["domain"]) * d_prefix
         if read_labels:
-            logits_y = fw.logits[-1, vids]
-            e = np.exp(logits_y - logits_y.max())
-            probs.append(e / e.sum())
+            probs.append(_restricted_softmax(fw.logits[-1], vids))
         if "task" in weights:
             yi = task.labels.index(ex.label)
             task_terms.append(-math.log(probs[-1][yi]))
             d_label = probs[-1].copy()
             d_label[yi] -= 1.0
             d_hidden[-1] += (w["task"] / b) * (d_label @ label_rows)
-        if "domain" in weights:
-            tok_terms = np.zeros(0)
-            if seq:
-                tok_terms, d_tok = _token_readout(fw, seq, table)
-                d_hidden[m - 1:-1] += (w["domain"] / b) * d_tok
-            domain_terms.append(math.fsum(np.concatenate([prefix_terms, tok_terms])))
         passes.append((fw, d_hidden))
 
     values = {}
@@ -220,6 +219,11 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
                 coeff = p * (log_pbar - float(p @ log_pbar)) / b
                 d_hidden[-1] += w["entropy"] * (coeff @ label_rows)
     if "domain" in weights:
+        domain_terms = []
+        readouts = _token_readout([fw for fw, _ in passes], seqs, m, table)
+        for (_, d_hidden), (tok_terms, d_tok) in zip(passes, readouts):
+            d_hidden[m - 1:-1] += (w["domain"] / b) * d_tok
+            domain_terms.append(math.fsum(np.concatenate([prefix_terms, tok_terms])))
         values["domain"] = math.fsum(domain_terms) / b
     if not grad:
         return values, None

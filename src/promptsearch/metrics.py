@@ -9,8 +9,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import UsageError
-from .model import SoftPrompt, as_soft_prompt, label_word_distribution
-from .tasks import Example, TaskSpec
+from .model import (SoftPrompt, _input_matrix, _prefix_pass, _read_pass,
+                    _restricted_softmax, as_soft_prompt)
+from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = ["accuracy", "log_perplexity", "prompt_perplexity", "dist1"]
 
@@ -21,19 +22,24 @@ def accuracy(prompt: SoftPrompt | str | None, dataset: Sequence[Example],
 
     Argmax ties break toward the earliest label in the verbalizer order.
     ``prompt`` may be a soft prompt, a string (tokenized), or None (no
-    prepended tokens).
+    prepended tokens).  Each example reads the same distribution as
+    :func:`~promptsearch.model.label_word_distribution`; the prompt's own
+    pass is run once and extended by each example's rendered body when the
+    adapter accepts a ``past`` cache.
     """
     if not dataset:
         raise UsageError("accuracy needs a nonempty dataset")
     soft = as_soft_prompt(prompt, model)
     labels = task.labels
+    vids = verbalizer_token_ids(task, model)
+    prefix = _prefix_pass(soft, model)
     hits = 0
     for ex in dataset:
         if ex.label is None:
             raise UsageError(f"unlabeled example in accuracy dataset: {ex.text!r}")
-        dist = label_word_distribution(soft, ex.text, task, model)
-        predicted = labels[int(np.argmax(dist.probs))]
-        hits += predicted == ex.label
+        X = _input_matrix(soft, render(task, ex.text, model), model)
+        probs = _restricted_softmax(_read_pass(model, X, prefix).logits[-1], vids)
+        hits += labels[int(np.argmax(probs))] == ex.label
     return hits / len(dataset)
 
 

@@ -18,6 +18,8 @@ models is out of scope here; third parties can plug one in through
 
 from __future__ import annotations
 
+import functools
+import inspect
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -130,7 +132,9 @@ class ForwardPass:
     at position ``m - 1`` is the conditioning vector for predicting position
     ``m``.  ``logits`` are next-token scores over the full vocabulary at each
     position.  ``cache`` carries the intermediates needed by
-    ``backward_input`` and is opaque to callers.
+    ``backward_input`` and is opaque to callers, except that the reference
+    model accepts it as ``past`` to extend the pass (and stores the number of
+    positions it covers under ``"L"``).
     """
 
     hidden: np.ndarray  # (L, d)
@@ -175,21 +179,26 @@ def _gelu_prime(z):
     return 0.5 * (1.0 + erf(z * _GELU_C)) + z * _PHI_C * np.exp(-0.5 * z * z)
 
 
+# Row means are written ``sum / d``: bitwise what ``ndarray.mean`` computes
+# (an add-reduce, then a true divide by the count) without its Python wrapper.
+
 def _layernorm_forward(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv)
 
 
 def _layernorm_backward(dy, cache, gamma):
     xhat, inv = cache
+    d = xhat.shape[-1]
     dxhat = dy * gamma
     return inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
     )
 
 
@@ -273,35 +282,49 @@ class TinyCausalLM:
 
     # -- numeric interface ------------------------------------------------
 
-    def forward(self, X: np.ndarray) -> ForwardPass:
+    def forward(self, X: np.ndarray, past: dict | None = None) -> ForwardPass:
         """Run the model on a matrix of input embeddings.
 
         ``X`` has one row per position; prompt rows may be arbitrary soft
         vectors while body rows are usually copies of embedding-table rows.
+
+        ``past`` is the ``cache`` of an earlier pass over the positions that
+        precede ``X``.  Only the rows of ``X`` are then run: they sit at
+        positions ``past["L"]`` onwards and attend over the cached keys and
+        values.  The result holds hidden states and logits for those rows
+        only, and a cache covering every position, so passes chain.  A cache
+        built with ``past`` serves further reads, not ``backward_input``.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ConfigurationError(
                 f"input must be L x {self.dim}, got shape {X.shape}"
             )
-        L = X.shape[0]
-        if L < 1 or L > self.max_len:
+        n = X.shape[0]
+        start = 0 if past is None else past["L"]
+        L = start + n
+        if n < 1 or L > self.max_len:
             raise ConfigurationError(f"sequence length {L} outside [1, {self.max_len}]")
 
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
-        mask = np.triu(np.full((L, L), -np.inf), k=1)
+        # row i is position start + i: it sees keys 0 .. start + i
+        mask = np.triu(np.full((n, L), -np.inf), k=start + 1)
+        past_layers = past["layers"] if past is not None else [None] * self.n_layers
 
-        x = X + self._pos[:L]
+        x = X + self._pos[start:L]
         layer_caches = []
-        for lw in self._layers:
+        for lw, pc in zip(self._layers, past_layers):
             a, ln1 = _layernorm_forward(x, lw["g1"], lw["b1"])
-            q = (a @ lw["Wq"]).reshape(L, H, dh).transpose(1, 0, 2)
-            k = (a @ lw["Wk"]).reshape(L, H, dh).transpose(1, 0, 2)
-            v = (a @ lw["Wv"]).reshape(L, H, dh).transpose(1, 0, 2)
+            q = (a @ lw["Wq"]).reshape(n, H, dh).transpose(1, 0, 2)
+            k = (a @ lw["Wk"]).reshape(n, H, dh).transpose(1, 0, 2)
+            v = (a @ lw["Wv"]).reshape(n, H, dh).transpose(1, 0, 2)
+            if pc is not None:
+                k = np.concatenate([pc["k"], k], axis=1)
+                v = np.concatenate([pc["v"], v], axis=1)
             scores = q @ k.transpose(0, 2, 1) * scale + mask
             A = _softmax_rows(scores)
-            o = (A @ v).transpose(1, 0, 2).reshape(L, self.dim)
+            o = (A @ v).transpose(1, 0, 2).reshape(n, self.dim)
             x = x + o @ lw["Wo"]
 
             f, ln2 = _layernorm_forward(x, lw["g2"], lw["b2"])
@@ -316,15 +339,21 @@ class TinyCausalLM:
         if not np.all(np.isfinite(logits)):
             raise ModelFault("model produced non-finite logits")
         return ForwardPass(hidden=hidden, logits=logits,
-                           cache={"layers": layer_caches, "lnf": lnf, "L": L})
+                           cache={"layers": layer_caches, "lnf": lnf, "L": L,
+                                  "start": start})
 
     def backward_input(self, cache: dict, d_hidden: np.ndarray | None = None,
                        d_logits: np.ndarray | None = None) -> np.ndarray:
         """Vector-Jacobian product from output gradients back to the input rows.
 
         Accepts a gradient w.r.t. ``hidden``, w.r.t. ``logits`` (folded
-        through the tied output layer), or both summed.
+        through the tied output layer), or both summed.  The cache must come
+        from a pass run without ``past``.
         """
+        if cache["start"]:
+            raise ConfigurationError(
+                "backward_input needs the cache of a full pass, not one extended with past"
+            )
         L = cache["L"]
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
@@ -429,6 +458,13 @@ def last_hidden_states(embeddings: np.ndarray, model) -> np.ndarray:
     return model.forward(embeddings).hidden
 
 
+def _restricted_softmax(logits_row: np.ndarray, vids) -> np.ndarray:
+    """Softmax of one logit row restricted to the verbalizer token ids."""
+    logits = logits_row[vids]
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 def label_word_distribution(prompt: SoftPrompt | None, text: str, task, model) -> LabelDistribution:
     """Label probabilities read from the position after the rendered template.
 
@@ -439,10 +475,55 @@ def label_word_distribution(prompt: SoftPrompt | None, text: str, task, model) -
 
     body = render(task, text, model)
     vids = verbalizer_token_ids(task, model)
-    logits = forward_logits(prompt, body, model)[-1, vids]
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return LabelDistribution(labels=task.labels, probs=e / e.sum())
+    probs = _restricted_softmax(forward_logits(prompt, body, model)[-1], vids)
+    return LabelDistribution(labels=task.labels, probs=probs)
+
+
+# -- incremental read passes ----------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _takes_past(forward) -> bool:
+    try:
+        return "past" in inspect.signature(forward).parameters
+    except (TypeError, ValueError):
+        return False
+
+
+def _reads_incrementally(model) -> bool:
+    """Whether the adapter's own ``forward`` accepts a ``past`` cache.
+
+    Looked up on the class, never the instance: a wrapper that overrides
+    ``forward(self, X)`` and delegates everything else through
+    ``__getattr__`` keeps its override, and so runs full passes.
+    ``inspect.signature`` follows ``functools.wraps`` wrappers.
+    """
+    return _takes_past(getattr(type(model), "forward", None))
+
+
+def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> ForwardPass:
+    """A forward-only pass whose last row reads out ``X``'s last position.
+
+    ``past`` is a pass returned by this helper (or a prompt pass from
+    :func:`_prefix_pass`) over the leading rows of ``X``.  When the adapter
+    accepts ``past``, only the rows after it are run; otherwise, and
+    without ``past``, the whole of ``X`` is.  Either way the result's rows
+    end at ``X``'s last position and it can serve as the next ``past``.
+    """
+    if past is None or not _reads_incrementally(model):
+        return model.forward(X)
+    start = past.cache["L"]
+    if start == X.shape[0]:
+        return past
+    return model.forward(X[start:], past=past.cache)
+
+
+def _prefix_pass(prompt: SoftPrompt | None, model) -> ForwardPass | None:
+    """The prompt's own pass, to share across inputs through :func:`_read_pass`;
+    None without a prompt or when the adapter cannot extend a pass."""
+    if prompt is None or not _reads_incrementally(model):
+        return None
+    return model.forward(prompt.entries)
 
 
 def as_soft_prompt(prompt: SoftPrompt | str | None, model) -> SoftPrompt | None:

@@ -33,12 +33,7 @@ def project(prompt: SoftPrompt, table: EmbeddingTable) -> SoftPrompt:
 
     Output rows are exact copies of table rows and ``token_ids`` is filled in.
     """
-    if prompt.dim != table.dim:
-        raise ConfigurationError(
-            f"prompt dim {prompt.dim} does not match table dim {table.dim}"
-        )
-    ids = _nearest_rows(prompt.entries, table, np.arange(table.rows))
-    return SoftPrompt(entries=table.entries[ids].copy(), token_ids=tuple(ids))
+    return project_subset(prompt, table, range(table.rows))
 
 
 def project_subset(prompt: SoftPrompt, table: EmbeddingTable,

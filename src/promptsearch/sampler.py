@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -244,9 +245,26 @@ def record_from_json(text: str) -> ChainRecord:
     return ChainRecord.from_dict(json.loads(text))
 
 
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by a file holding ``text``, never leaving it half-written.
+
+    The text goes to a temp file in the same directory, which ``os.replace``
+    then moves over ``path`` in one step; if writing fails, ``path`` keeps
+    its old content and the temp file is removed.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_record(record: ChainRecord, path: str | Path) -> Path:
+    """Write the record's canonical JSON to ``path`` atomically; returns the path."""
     path = Path(path)
-    path.write_text(record_to_json(record), encoding="utf-8")
+    _write_text_atomic(path, record_to_json(record))
     return path
 
 

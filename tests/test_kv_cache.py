@@ -1,0 +1,187 @@
+"""KV-cached read path: ``forward(X, past=...)`` and the callers that use it."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from conftest import CountingModel
+from oracles import scratch_forward
+from promptsearch.analysis import LocalContinuationGenerator
+from promptsearch.errors import ConfigurationError
+from promptsearch.metrics import accuracy
+from promptsearch.model import (
+    TinyCausalLM,
+    as_soft_prompt,
+    label_word_distribution,
+    make_reference_model,
+)
+from promptsearch.synthetic import synthetic_dataset
+from promptsearch.tasks import Example, TaskSpec, render, verbalizer_token_ids
+
+
+def _chained(model, X, cuts):
+    """Run ``X`` as a full pass up to ``cuts[0]``, then one extension per cut."""
+    bounds = [0, *cuts, len(X)]
+    fw, hidden, logits = None, [], []
+    for a, b in zip(bounds, bounds[1:]):
+        fw = model.forward(X[a:b], past=None if fw is None else fw.cache)
+        assert fw.hidden.shape == (b - a, model.dim)
+        assert fw.cache["L"] == b
+        hidden.append(fw.hidden)
+        logits.append(fw.logits)
+    return np.concatenate(hidden), np.concatenate(logits), fw
+
+
+@pytest.mark.parametrize("cuts", [[1], [5, 6, 7, 8], [3, 11], [9, 10, 20, 21]])
+def test_chained_cached_forward_matches_full_and_oracle(model, cuts):
+    rng = np.random.default_rng(len(cuts))
+    X = rng.normal(size=(24, model.dim))
+    hidden, logits, _ = _chained(model, X, cuts)
+    full = model.forward(X)
+    np.testing.assert_allclose(hidden, full.hidden, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits, full.logits, rtol=0, atol=1e-12)
+    ref_hidden, ref_logits = scratch_forward(model, X)
+    np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+
+
+def test_cached_forward_respects_max_len():
+    small = make_reference_model(0, max_len=8)
+    X = np.random.default_rng(0).normal(size=(9, small.dim))
+    fw = small.forward(X[:6])
+    small.forward(X[6:8], past=fw.cache)  # exactly max_len positions
+    with pytest.raises(ConfigurationError):
+        small.forward(X[6:9], past=fw.cache)
+
+
+def test_backward_input_rejects_extended_cache(model):
+    X = np.random.default_rng(1).normal(size=(6, model.dim))
+    fw = model.forward(X[4:], past=model.forward(X[:4]).cache)
+    with pytest.raises(ConfigurationError):
+        model.backward_input(fw.cache, d_hidden=np.ones_like(fw.hidden))
+
+
+# -- generation ------------------------------------------------------------
+
+def _generate(adapter, text, length, seed):
+    gen = LocalContinuationGenerator(adapter)
+    out = gen(text, p=0.9, length=length, rng=np.random.default_rng(seed))
+    return out, gen.traces[0]
+
+
+@pytest.mark.parametrize("max_len, length", [(160, 30), (12, 20)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cached_generation_matches_full_passes(max_len, length, seed):
+    """``CountingModel`` overrides ``forward(self, X)``, so it re-runs every
+    context in full; the bare model extends its cache.  With ``max_len=12``
+    the window slides after a few tokens."""
+    lm = make_reference_model(0, max_len=max_len)
+    text = "the movie was great and the plot"
+    cached, cached_trace = _generate(lm, text, length, seed)
+    full, full_trace = _generate(CountingModel(lm), text, length, seed)
+    assert cached == full
+    assert [c for _, c in cached_trace] == [c for _, c in full_trace]
+    for (p_cached, _), (p_full, _) in zip(cached_trace, full_trace):
+        np.testing.assert_allclose(p_cached, p_full, rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def row_log(monkeypatch):
+    """Replace ``TinyCausalLM.forward`` by a ``functools.wraps`` wrapper, as a
+    tracer would, that logs how many rows each call runs."""
+    rows = []
+    original = TinyCausalLM.forward
+
+    @functools.wraps(original)
+    def logged(*args, **kwargs):
+        rows.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(TinyCausalLM, "forward", logged)
+    return rows
+
+
+def test_generation_extends_one_row_per_token_through_wrapped_forward(row_log):
+    lm = make_reference_model(0)
+    LocalContinuationGenerator(lm)("the movie was great", p=0.9, length=10,
+                                   rng=np.random.default_rng(0))
+    assert row_log == [4] + [1] * 9
+
+
+def test_generation_slides_window_with_full_passes(row_log):
+    small = make_reference_model(0, max_len=8)
+    LocalContinuationGenerator(small)("the movie was great", p=0.9, length=8,
+                                      rng=np.random.default_rng(0))
+    # contexts 4..7 grow by one row; from then on every step slides the window
+    assert row_log == [4, 1, 1, 1, 7, 7, 7, 7]
+
+
+# -- accuracy --------------------------------------------------------------
+
+@pytest.mark.parametrize("prompt", [None, "the", "movie review about fun"])
+def test_prefix_cached_accuracy_matches_per_example_readout(model, task, prompt):
+    data = synthetic_dataset(40, seed=9)
+    soft = as_soft_prompt(prompt, model)
+    hits = sum(
+        task.labels[int(np.argmax(label_word_distribution(soft, ex.text, task,
+                                                          model).probs))] == ex.label
+        for ex in data
+    )
+    assert accuracy(prompt, data, task, model) == hits / len(data)
+    assert accuracy(prompt, data, task, CountingModel(model)) == hits / len(data)
+
+
+def test_accuracy_runs_prompt_once_then_bodies(row_log, model, task):
+    data = synthetic_dataset(5, seed=2)
+    accuracy("the movie review", data, task, model)
+    body_rows = [len(render(task, ex.text, model)) for ex in data]
+    assert row_log == [3] + body_rows
+    row_log.clear()
+    accuracy(None, data, task, model)
+    assert row_log == body_rows
+
+
+class _BoostToken:
+    """Gate-10-style wrapper: overrides ``forward(self, X)`` to add a large
+    constant to one token's logit and delegates the rest."""
+
+    def __init__(self, inner, token_id):
+        self._inner = inner
+        self._token_id = token_id
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def forward(self, X):
+        fw = self._inner.forward(X)
+        fw.logits = fw.logits.copy()
+        fw.logits[:, self._token_id] += 1e3
+        return fw
+
+
+def test_forward_override_takes_effect_in_accuracy_with_prompt(model, task):
+    data = synthetic_dataset(30, seed=4)
+    first = verbalizer_token_ids(task, model)[0]
+    wrapped = _BoostToken(model, first)
+    expected = sum(ex.label == task.labels[0] for ex in data) / len(data)
+    assert accuracy("the movie review", data, task, wrapped) == expected
+
+
+def test_forward_override_takes_effect_in_generation(model):
+    target = model.tokenize("cinema")[0]
+    gen = LocalContinuationGenerator(_BoostToken(model, target))
+    out = gen("the movie", p=0.9, length=6, rng=np.random.default_rng(0))
+    assert out == " ".join(["cinema"] * 6)
+
+
+def test_prefix_cached_accuracy_with_empty_body(model):
+    """Template ``{x}`` and an empty input: the prompt's own pass is the readout."""
+    bare = TaskSpec(id="bare", template="{x}",
+                    verbalizer={"good": "good", "bad": "bad"},
+                    domain_string="review")
+    soft = as_soft_prompt("the movie was", model)
+    probs = label_word_distribution(soft, "", bare, model).probs
+    for label in bare.labels:
+        expected = float(bare.labels[int(np.argmax(probs))] == label)
+        assert accuracy(soft, [Example("", label)], bare, model) == expected

@@ -489,3 +489,37 @@ def test_beta_between_endpoints_property(start_scale, ratio, steps, i):
     i = i % steps
     val = beta_at(s, i)
     assert end * (1 - 1e-12) <= val <= start * (1 + 1e-12)
+
+
+# -- crash-safe writes ------------------------------------------------------------------
+
+def _fail_encoding(monkeypatch):
+    # a lone surrogate cannot be encoded: the write fails once the temp file exists
+    monkeypatch.setattr("promptsearch.sampler.record_to_json",
+                        lambda rec: '{"steps": "\ud800"}\n')
+
+
+def _fail_replace(monkeypatch):
+    # the temp file is complete, but moving it into place fails
+    def refuse(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr("promptsearch.sampler.os.replace", refuse)
+
+
+@pytest.mark.parametrize("fail", [_fail_encoding, _fail_replace])
+def test_failed_save_keeps_previous_record_and_no_temp_file(monkeypatch, tmp_path,
+                                                            fail):
+    path = save_record(make_record(0, 0.5), tmp_path / "chain.json")
+    before = path.read_bytes()
+    fail(monkeypatch)
+    with pytest.raises((UnicodeEncodeError, OSError)):
+        save_record(make_record(1, 0.9), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
+def test_save_record_replaces_existing_file(tmp_path):
+    path = save_record(make_record(0, 0.5), tmp_path / "chain.json")
+    assert save_record(make_record(1, 0.9), path) == path
+    assert load_record(path) == make_record(1, 0.9)
+    assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
