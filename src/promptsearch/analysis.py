@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,12 +66,7 @@ class PromptDiagnostics:
             raise UsageError(f"label_entropy out of range: {self.label_entropy}")
 
     def to_dict(self) -> dict:
-        return {"prompt_text": self.prompt_text,
-                "accuracy": self.accuracy,
-                "perplexity": self.perplexity,
-                "label_entropy": self.label_entropy,
-                "domain_word_count": self.domain_word_count,
-                "source": self.source}
+        return asdict(self)
 
 
 def label_entropy(prompt: SoftPrompt | str | None, task: TaskSpec, model) -> float:

@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -32,25 +33,25 @@ from pathlib import Path
 from .analysis import LocalContinuationGenerator, diagnostics_report
 from .energies import EnergyConfig
 from .errors import (
+    DataError,
     ModelFault,
     NumericalFault,
     PromptSearchError,
     UsageError,
 )
-from .metrics import accuracy, dist1, log_perplexity, prompt_perplexity
+from .metrics import accuracy, dist1, log_perplexity
 from .model import load_adapter
 from .sampler import (
     ChainRecord,
     NoiseSchedule,
     SamplerConfig,
-    _write_text_atomic,
+    _write_json_atomic,
     load_record,
-    record_to_json,
     run_chain,
     save_record,
 )
 from .synthetic import synthetic_task
-from .tasks import builtin_tasks, load_dataset, task_from_file, validate_task
+from .tasks import builtin_tasks, load_dataset, render, task_from_file, validate_task
 
 __all__ = ["main", "cmd_tune", "cmd_eval", "cmd_analyze"]
 
@@ -75,6 +76,17 @@ _ANALYZE_DEFAULTS = {
     "include_empty": False, "report": None, "effective_quantile": 0.9,
     "continuations": 0, "nucleus_p": 0.95, "continuation_length": 100,
     "continuation_seed": 0,
+}
+
+# Allowed ranges of numeric options, checked as they are parsed.
+_RANGES = {
+    "seeds": (lambda seeds: all(seed >= 0 for seed in seeds), ">= 0"),
+    "jobs": (lambda n: n >= 1, ">= 1"),
+    "effective_quantile": (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
+    "continuations": (lambda k: k >= 0, ">= 0"),
+    "nucleus_p": (lambda p: 0.0 < p <= 1.0, "in (0, 1]"),
+    "continuation_length": (lambda n: n >= 1, ">= 1"),
+    "continuation_seed": (lambda seed: seed >= 0, ">= 0"),
 }
 
 
@@ -175,11 +187,15 @@ def _merge_options(ns: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
 
 
 def _option(opts: dict, key: str, parse):
-    """``parse(opts[key])``, with a malformed value reported as a usage error."""
+    """``parse(opts[key])``, with a malformed value, or one outside the key's
+    range in ``_RANGES``, reported as a usage error."""
     try:
-        return parse(opts[key])
+        value = parse(opts[key])
     except (TypeError, ValueError):
         raise UsageError(f"invalid value for {key}: {opts[key]!r}") from None
+    if key in _RANGES and not _RANGES[key][0](value):
+        raise UsageError(f"{key} must be {_RANGES[key][1]}, got {opts[key]!r}")
+    return value
 
 
 def _float_list(value) -> list[float]:
@@ -239,9 +255,8 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _tune_worker(task, model_spec: str, cfg_dict: dict, data) -> ChainRecord:
-    model = load_adapter(model_spec)
-    return run_chain(task, model, SamplerConfig.from_dict(cfg_dict), data)
+def _tune_worker(task, model_spec: str, cfg: SamplerConfig, data) -> ChainRecord:
+    return run_chain(task, load_adapter(model_spec), cfg, data)
 
 
 def cmd_tune(ns: argparse.Namespace) -> int:
@@ -280,6 +295,15 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     if opts["val_data"] is not None:
         val = load_dataset(opts["val_data"], task)
         _require_labeled(val, "validation")
+    max_len = getattr(model, "max_len", None)
+    if max_len is not None:
+        longest = max((len(render(task, ex.text, model)) for ex in data + (val or [])),
+                      default=0)
+        if max(ms, default=0) + longest > max_len:
+            raise UsageError(
+                f"prompt length {max(ms)} plus the longest rendered example "
+                f"({longest} tokens) exceeds the model's max_len {max_len}"
+            )
 
     jobs_spec: list[tuple[str, SamplerConfig]] = []
     for gi, (m, eta, lam) in enumerate(itertools.product(ms, etas, lams)):
@@ -297,8 +321,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
 
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_tune_worker, task, opts["model"],
-                                   cfg.to_dict(), data)
+            futures = [pool.submit(_tune_worker, task, opts["model"], cfg, data)
                        for _, cfg in jobs_spec]
             records = [f.result() for f in futures]
     else:
@@ -324,8 +347,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
 
     manifest = {"created": _now(), "task_id": task.id, "model": opts["model"],
                 "chains": manifest_chains}
-    _write_text_atomic(out_dir / "manifest.json",
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json_atomic(out_dir / "manifest.json", manifest)
     print(f"wrote {len(records)} chains + manifest to {out_dir}")
     return 1 if any_fault else 0
 
@@ -348,17 +370,29 @@ def _read_prompt_file(path: str) -> list[str]:
     return [ln.strip() for ln in lines if ln.strip()]
 
 
-def _refresh_manifest(chains_dir: Path):
-    mpath = chains_dir / "manifest.json"
-    if not mpath.is_file():
-        return
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+def _read_manifest(chains_dir: Path) -> dict | None:
+    """The directory's manifest, or None without one; a malformed manifest
+    is a ``DataError``, raised before ``eval`` rewrites any record."""
+    path = chains_dir / "manifest.json"
+    if not path.is_file():
+        return None
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if all(isinstance(entry["file"], str) for entry in manifest.get("chains", [])):
+            return manifest
+    except (ValueError, KeyError, TypeError, AttributeError):
+        pass
+    raise DataError(f"malformed manifest {path}: not a JSON object whose "
+                    "\"chains\" entries each name a \"file\"")
+
+
+def _refresh_manifest(chains_dir: Path, manifest: dict) -> None:
     for entry in manifest.get("chains", []):
         fpath = chains_dir / entry["file"]
         if fpath.is_file():
             entry["sha256"] = _sha256(fpath)
     manifest["updated"] = _now()
-    _write_text_atomic(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json_atomic(chains_dir / "manifest.json", manifest)
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -374,11 +408,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
     rows = []  # (name, prompt_text or None)
     records = {}
+    manifest = None
     if opts["chains"] is not None:
         for path in _chain_files(opts["chains"]):
             record = load_record(path)
             records[path] = record
             rows.append((path.name, record.final_prompt_text))
+        manifest = _read_manifest(Path(opts["chains"]))
     else:
         for i, text in enumerate(_read_prompt_file(opts["prompts"])):
             rows.append((f"prompt[{i}]", text))
@@ -389,34 +425,30 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     set_dist1 = dist1(texts) if texts else None
 
     print(f"{'prompt':<44} {'accuracy':>8} {'ppl':>10} {'log_ppl':>8}")
-    results = []
+    scores = {}  # row name -> metrics
     for name, text in rows:
         acc = accuracy(text, data, task, model)
         try:
             lp = log_perplexity(text, model) if text is not None else None
         except UsageError:
             lp = None
-        ppl = None if lp is None else prompt_perplexity(text, model)
-        results.append((name, text, acc, ppl, lp))
+        row = scores[name] = {"accuracy": acc}
+        columns = f"{'-':>10} {'-':>8}"
+        if lp is not None:
+            row.update(perplexity=math.exp(lp), log_perplexity=lp)
+            columns = f"{row['perplexity']:>10.3f} {lp:>8.3f}"
         shown = text if text is not None else "(empty)"
-        print(f"{shown[:44]:<44} {acc:>8.3f} "
-              + (f"{ppl:>10.3f} {lp:>8.3f}" if lp is not None
-                 else f"{'-':>10} {'-':>8}"))
+        print(f"{shown[:44]:<44} {acc:>8.3f} {columns}")
     if set_dist1 is not None:
         print(f"dist1 over {len(texts)} prompts: {set_dist1:.4f}")
 
     for path, record in records.items():
-        for name, text, acc, ppl, lp in results:
-            if name == path.name:
-                record.metrics["accuracy"] = acc
-                if ppl is not None:
-                    record.metrics["perplexity"] = ppl
-                    record.metrics["log_perplexity"] = lp
-                if set_dist1 is not None:
-                    record.metrics["dist1"] = set_dist1
+        record.metrics.update(scores[path.name])
+        if set_dist1 is not None:
+            record.metrics["dist1"] = set_dist1
         save_record(record, path)
-    if records:
-        _refresh_manifest(Path(opts["chains"]))
+    if manifest is not None:
+        _refresh_manifest(Path(opts["chains"]), manifest)
     return 0
 
 
@@ -451,7 +483,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         continuation_length=length, seed=continuation_seed,
     )
     out = Path(opts["report"]) if opts["report"] else Path(opts["chains"]) / "report.json"
-    _write_text_atomic(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json_atomic(out, report)
 
     print(f"report written to {out} ({len(report['prompts'])} prompt rows)")
     if report["spearman"] is not None:

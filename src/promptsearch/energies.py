@@ -17,9 +17,10 @@ render(task, text)`` and, for gradients, one ``model.backward_input``.
 the last position; ``domain_nll`` reads a row-wise log-softmax over the body
 positions ``m-1 .. L-2``, with the rows of the whole batch in one call; the
 prompt fluency reads the causal prefix ``0 .. m-2``, which is the same in
-every example and so is read once per batch.  A combined energy sums the weighted hidden-state gradients of its
-terms into the one backward (exact by linearity) and adds the direct fluency
-gradient once.  ``fluency_nll`` alone runs one pass over the prompt rows.
+every example and so is read once per batch.  A combined energy sums the
+weighted hidden-state gradients of its terms into the one backward (exact by
+linearity) and adds the direct fluency gradient once.  ``fluency_nll`` alone
+runs one pass over the prompt rows.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError, UsageError
-from .model import SoftPrompt, _restricted_softmax
+from .model import SoftPrompt, _input_matrix, _restricted_softmax
 from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = [
@@ -187,7 +188,7 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     for ex in batch:
         seq = render(task, ex.text, model)
         seqs.append(seq)
-        fw = model.forward(np.concatenate([prompt.entries, table[seq]], axis=0))
+        fw = model.forward(_input_matrix(prompt, seq, model))
         d_hidden = np.zeros_like(fw.hidden)
         if read_prefix and not passes:  # the causal prefix: once per batch
             prefix_terms, d_prefix, direct = _prefix_readout(prompt, fw, table)

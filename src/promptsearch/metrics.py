@@ -9,9 +9,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import UsageError
-from .model import (SoftPrompt, _input_matrix, _prefix_pass, _read_pass,
-                    _restricted_softmax, as_soft_prompt)
-from .tasks import Example, TaskSpec, render, verbalizer_token_ids
+from .model import SoftPrompt, _label_probs, as_soft_prompt
+from .tasks import Example, TaskSpec
 
 __all__ = ["accuracy", "log_perplexity", "prompt_perplexity", "dist1"]
 
@@ -23,23 +22,18 @@ def accuracy(prompt: SoftPrompt | str | None, dataset: Sequence[Example],
     Argmax ties break toward the earliest label in the verbalizer order.
     ``prompt`` may be a soft prompt, a string (tokenized), or None (no
     prepended tokens).  Each example reads the same distribution as
-    :func:`~promptsearch.model.label_word_distribution`; the prompt's own
-    pass is run once and extended by each example's rendered body when the
-    adapter accepts a ``past`` cache.
+    :func:`~promptsearch.model.label_word_distribution`, with the prompt's
+    own pass shared across examples.
     """
     if not dataset:
         raise UsageError("accuracy needs a nonempty dataset")
-    soft = as_soft_prompt(prompt, model)
-    labels = task.labels
-    vids = verbalizer_token_ids(task, model)
-    prefix = _prefix_pass(soft, model)
-    hits = 0
     for ex in dataset:
         if ex.label is None:
             raise UsageError(f"unlabeled example in accuracy dataset: {ex.text!r}")
-        X = _input_matrix(soft, render(task, ex.text, model), model)
-        probs = _restricted_softmax(_read_pass(model, X, prefix).logits[-1], vids)
-        hits += labels[int(np.argmax(probs))] == ex.label
+    probs = _label_probs(as_soft_prompt(prompt, model), [ex.text for ex in dataset],
+                         task, model)
+    hits = sum(task.labels[y] == ex.label
+               for y, ex in zip(np.argmax(probs, axis=1), dataset))
     return hits / len(dataset)
 
 
@@ -57,11 +51,8 @@ def log_perplexity(prompt_text: str, model) -> float:
             f"perplexity needs >= 2 tokens, got {len(ids)} from {prompt_text!r}"
         )
     table = model.embedding_table()
-    fw = model.forward(table.entries[ids])
-    nlls = [
-        float(logsumexp(fw.logits[j - 1])) - float(fw.logits[j - 1, ids[j]])
-        for j in range(1, len(ids))
-    ]
+    rows = model.forward(table.entries[ids]).logits[:-1]
+    nlls = logsumexp(rows, axis=-1) - rows[np.arange(len(rows)), ids[1:]]
     return math.fsum(nlls) / len(nlls)
 
 

@@ -18,8 +18,6 @@ models is out of scope here; third parties can plug one in through
 
 from __future__ import annotations
 
-import functools
-import inspect
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -40,7 +38,6 @@ __all__ = [
     "register_adapter",
     "load_adapter",
     "forward_logits",
-    "last_hidden_states",
     "label_word_distribution",
     "as_soft_prompt",
     "prompt_from_ids",
@@ -453,16 +450,53 @@ def forward_logits(prefix: SoftPrompt | None, body_ids: Sequence[int], model) ->
     return model.forward(_input_matrix(prefix, body_ids, model)).logits
 
 
-def last_hidden_states(embeddings: np.ndarray, model) -> np.ndarray:
-    """Final hidden state at each position of an embedding-level input."""
-    return model.forward(embeddings).hidden
-
-
 def _restricted_softmax(logits_row: np.ndarray, vids) -> np.ndarray:
     """Softmax of one logit row restricted to the verbalizer token ids."""
     logits = logits_row[vids]
     e = np.exp(logits - logits.max())
     return e / e.sum()
+
+
+def _extends(model) -> bool:
+    """Whether the adapter's ``forward`` is the reference model's, which takes
+    ``past``.  Looked up on the class: an override of ``forward(self, X)``
+    (delegating the rest through ``__getattr__``) keeps full passes."""
+    return getattr(type(model), "forward", None) is TinyCausalLM.forward
+
+
+def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> ForwardPass:
+    """A forward-only pass whose last row reads out ``X``'s last position.
+
+    ``past`` is a pass over the leading rows of ``X``.  When the adapter
+    extends passes, only the rows after it are run; otherwise, and without
+    ``past``, the whole of ``X`` is.  Either way the result's rows end at
+    ``X``'s last position and it can serve as the next ``past``.
+    """
+    if past is None or not _extends(model):
+        return model.forward(X)
+    start = past.cache["L"]
+    if start == X.shape[0]:
+        return past
+    return model.forward(X[start:], past=past.cache)
+
+
+def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -> np.ndarray:
+    """Restricted label softmax after prompt + each rendered text, ``(len(texts), |Y|)``.
+
+    The prompt's own pass is run once and extended by each rendered body
+    when the adapter extends passes.
+    """
+    from .tasks import render, verbalizer_token_ids
+
+    vids = verbalizer_token_ids(task, model)
+    prefix = None
+    if prompt is not None and _extends(model):
+        prefix = model.forward(prompt.entries)
+    probs = np.empty((len(texts), len(vids)))
+    for i, text in enumerate(texts):
+        X = _input_matrix(prompt, render(task, text, model), model)
+        probs[i] = _restricted_softmax(_read_pass(model, X, prefix).logits[-1], vids)
+    return probs
 
 
 def label_word_distribution(prompt: SoftPrompt | None, text: str, task, model) -> LabelDistribution:
@@ -471,59 +505,8 @@ def label_word_distribution(prompt: SoftPrompt | None, text: str, task, model) -
     The softmax is restricted to the verbalizer-token logits: the
     normalization runs over the label set only, not the full vocabulary.
     """
-    from .tasks import render, verbalizer_token_ids
-
-    body = render(task, text, model)
-    vids = verbalizer_token_ids(task, model)
-    probs = _restricted_softmax(forward_logits(prompt, body, model)[-1], vids)
-    return LabelDistribution(labels=task.labels, probs=probs)
-
-
-# -- incremental read passes ----------------------------------------------
-
-
-@functools.lru_cache(maxsize=64)
-def _takes_past(forward) -> bool:
-    try:
-        return "past" in inspect.signature(forward).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def _reads_incrementally(model) -> bool:
-    """Whether the adapter's own ``forward`` accepts a ``past`` cache.
-
-    Looked up on the class, never the instance: a wrapper that overrides
-    ``forward(self, X)`` and delegates everything else through
-    ``__getattr__`` keeps its override, and so runs full passes.
-    ``inspect.signature`` follows ``functools.wraps`` wrappers.
-    """
-    return _takes_past(getattr(type(model), "forward", None))
-
-
-def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> ForwardPass:
-    """A forward-only pass whose last row reads out ``X``'s last position.
-
-    ``past`` is a pass returned by this helper (or a prompt pass from
-    :func:`_prefix_pass`) over the leading rows of ``X``.  When the adapter
-    accepts ``past``, only the rows after it are run; otherwise, and
-    without ``past``, the whole of ``X`` is.  Either way the result's rows
-    end at ``X``'s last position and it can serve as the next ``past``.
-    """
-    if past is None or not _reads_incrementally(model):
-        return model.forward(X)
-    start = past.cache["L"]
-    if start == X.shape[0]:
-        return past
-    return model.forward(X[start:], past=past.cache)
-
-
-def _prefix_pass(prompt: SoftPrompt | None, model) -> ForwardPass | None:
-    """The prompt's own pass, to share across inputs through :func:`_read_pass`;
-    None without a prompt or when the adapter cannot extend a pass."""
-    if prompt is None or not _reads_incrementally(model):
-        return None
-    return model.forward(prompt.entries)
+    return LabelDistribution(labels=task.labels,
+                             probs=_label_probs(prompt, [text], task, model)[0])
 
 
 def as_soft_prompt(prompt: SoftPrompt | str | None, model) -> SoftPrompt | None:

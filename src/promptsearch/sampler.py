@@ -32,15 +32,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .energies import EnergyBreakdown, EnergyConfig, energy_and_grad
-from .errors import ConfigurationError, ModelFault, NumericalFault, UsageError
-from .model import SoftPrompt
+from .errors import ConfigurationError, DataError, ModelFault, NumericalFault, UsageError
+from .model import SoftPrompt, prompt_from_ids
 from .projection import allowed_token_ids, project_subset
 from .tasks import Example, TaskSpec
 
@@ -134,42 +134,12 @@ class SamplerConfig:
             raise ConfigurationError(f"unknown allowed_vocab {self.allowed_vocab!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "schedule": {"beta_start": self.schedule.beta_start,
-                         "beta_end": self.schedule.beta_end,
-                         "steps": self.schedule.steps},
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "energy": {"mode": self.energy.mode,
-                       "lambda_task": self.energy.lambda_task,
-                       "lambda_fluency": self.energy.lambda_fluency,
-                       "lambda_calibration": self.energy.lambda_calibration,
-                       "lambda_domain": self.energy.lambda_domain,
-                       "sign": self.energy.sign},
-            "optimizer": self.optimizer,
-            "prompt_length": self.prompt_length,
-            "init_text": self.init_text,
-            "allowed_vocab": self.allowed_vocab,
-            "model_spec": self.model_spec,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplerConfig":
-        return cls(
-            eta=d["eta"],
-            schedule=NoiseSchedule(**d["schedule"]),
-            steps=d["steps"],
-            batch_size=d["batch_size"],
-            seed=d["seed"],
-            energy=EnergyConfig(**d["energy"]),
-            optimizer=d["optimizer"],
-            prompt_length=d["prompt_length"],
-            init_text=d.get("init_text"),
-            allowed_vocab=d.get("allowed_vocab", "no-special"),
-            model_spec=d.get("model_spec"),
-        )
+        return cls(**{**d, "schedule": NoiseSchedule(**d["schedule"]),
+                      "energy": EnergyConfig(**d["energy"])})
 
 
 @dataclass(frozen=True)
@@ -261,6 +231,11 @@ def _write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _write_json_atomic(path: Path, obj) -> None:
+    """Write ``obj`` as JSON in the records' canonical form, atomically."""
+    _write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def save_record(record: ChainRecord, path: str | Path) -> Path:
     """Write the record's canonical JSON to ``path`` atomically; returns the path."""
     path = Path(path)
@@ -269,7 +244,14 @@ def save_record(record: ChainRecord, path: str | Path) -> Path:
 
 
 def load_record(path: str | Path) -> ChainRecord:
-    return record_from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a record; invalid JSON or a missing or rejected field is a
+    ``DataError`` naming the file."""
+    try:
+        return record_from_json(Path(path).read_text(encoding="utf-8"))
+    except KeyError as e:
+        raise DataError(f"chain record {path} lacks field {e}") from None
+    except (ValueError, TypeError, ConfigurationError) as e:
+        raise DataError(f"malformed chain record {path}: {e}") from None
 
 
 def langevin_step(prompt: SoftPrompt, grad: np.ndarray, eta: float, beta: float,
@@ -318,13 +300,12 @@ def _epoch_batches(data: Sequence[Example], batch_size: int,
 
 
 def _initial_prompt(cfg: SamplerConfig, model) -> SoftPrompt:
-    table = model.embedding_table()
     if cfg.init_text is None:
         ids = [model.neutral_token_id] * cfg.prompt_length
     else:
         ids = model.tokenize(cfg.init_text)[: cfg.prompt_length]
         ids += [model.neutral_token_id] * (cfg.prompt_length - len(ids))
-    return SoftPrompt(entries=table.entries[ids].copy(), token_ids=tuple(ids))
+    return prompt_from_ids(ids, model)
 
 
 def run_chain(task: TaskSpec, model, cfg: SamplerConfig,

@@ -349,3 +349,111 @@ def test_exit_code_one_on_model_fault(monkeypatch, data_files, tmp_path):
     monkeypatch.setitem(cli.main.__globals__, "cmd_tune", boom)
     # the handlers dict is rebuilt per call from module globals
     assert cli.main(tune_args(data_files, tmp_path / "x")) == 1
+
+
+def test_tune_chain_fault_keeps_partial_record_and_manifest(monkeypatch, data_files,
+                                                            tmp_path, capsys):
+    from conftest import CountingModel
+    from promptsearch import cli
+    from promptsearch.model import load_adapter
+
+    # batch size 4: the 10th forward is in step 2, so seed 0 keeps steps 0-1
+    monkeypatch.setattr(cli, "load_adapter",
+                        lambda spec: CountingModel(load_adapter(spec), fail_on_forward=10))
+    out = tmp_path / "faulty"
+    assert main(tune_args(data_files, out)) == 1
+    assert "fault in chain_000_seed0.json: " in capsys.readouterr().err
+    partial = load_record(out / "chain_000_seed0.json")
+    assert partial.fault is not None and len(partial.per_step) == 2
+    assert load_record(out / "chain_000_seed1.json").fault is None
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["file"] for e in manifest["chains"]] == ["chain_000_seed0.json",
+                                                      "chain_000_seed1.json"]
+
+
+# -- corrupt artifacts and out-of-range options -------------------------------------
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+def _eval_chains(tuned_dir, data_files):
+    return ["eval", "--task", "synthetic-2label", "--chains", str(tuned_dir),
+            "--data", data_files["val"], "--model", "reference:1"]
+
+
+def _record_bytes(tuned_dir):
+    return {p.name: p.read_bytes() for p in sorted(tuned_dir.glob("*.json"))}
+
+
+def test_eval_truncated_record_exits_2_naming_it(data_files, tuned_dir, capsys):
+    path = tuned_dir / "chain_000_seed1.json"
+    path.write_text(path.read_text()[:40])
+    before = _record_bytes(tuned_dir)
+    assert main(_eval_chains(tuned_dir, data_files)) == 2
+    _one_error_line(capsys, "chain_000_seed1.json")
+    assert _record_bytes(tuned_dir) == before
+
+
+def test_analyze_record_missing_fields_exits_2_naming_it(data_files, tuned_dir, capsys):
+    (tuned_dir / "chain_000_seed0.json").write_text('{"steps": []}')
+    assert main(["analyze", "--task", "synthetic-2label", "--chains", str(tuned_dir),
+                 "--data", data_files["val"], "--model", "reference:1"]) == 2
+    _one_error_line(capsys, "chain_000_seed0.json")
+    assert not (tuned_dir / "report.json").exists()
+
+
+def test_record_with_rejected_config_value_exits_2(data_files, tuned_dir, capsys):
+    path = tuned_dir / "chain_000_seed0.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["eta"] = -1.0
+    path.write_text(json.dumps(doc))
+    assert main(_eval_chains(tuned_dir, data_files)) == 2
+    _one_error_line(capsys, "chain_000_seed0.json", "eta")
+
+
+@pytest.mark.parametrize("manifest", ['{"chains": [', "[]",
+                                      '{"chains": [{"sha256": "0"}]}'])
+def test_eval_checks_manifest_before_rewriting_records(data_files, tuned_dir, capsys,
+                                                       manifest):
+    (tuned_dir / "manifest.json").write_text(manifest)
+    before = _record_bytes(tuned_dir)
+    assert main(_eval_chains(tuned_dir, data_files)) == 2
+    _one_error_line(capsys, "manifest.json")
+    assert _record_bytes(tuned_dir) == before
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--effective-quantile", "1.5"), ("--effective-quantile", "-0.1"),
+    ("--continuations", "-1"), ("--continuation-length", "0"),
+    ("--nucleus-p", "0"), ("--nucleus-p", "1.5"), ("--continuation-seed", "-1"),
+])
+def test_analyze_option_out_of_range_exits_2_before_reading_chains(data_files, capsys,
+                                                                   flag, value):
+    # the directory holds no chain records: reading them would fail differently
+    assert main(["analyze", "--task", "synthetic-2label", "--chains",
+                 str(data_files["root"]), flag, value]) == 2
+    _one_error_line(capsys, flag[2:].replace("-", "_"))
+
+
+@pytest.mark.parametrize("option", ["--jobs=0", "--seeds=-1,"])
+def test_tune_option_out_of_range_exits_2(data_files, tmp_path, capsys, option):
+    out = tmp_path / "opt"
+    assert main(tune_args(data_files, out, seeds=None) + [option]) == 2
+    _one_error_line(capsys, option[2:option.index("=")])
+    assert not out.exists()
+
+
+def test_tune_checks_every_m_against_max_len_before_any_chain(monkeypatch, data_files,
+                                                              tmp_path, capsys):
+    from promptsearch import cli
+
+    chains = []
+    monkeypatch.setattr(cli, "run_chain", lambda *args: chains.append(args))
+    out = tmp_path / "long"
+    assert main(tune_args(data_files, out, m="3,200")) == 2
+    _one_error_line(capsys, "200", "max_len 160")
+    assert chains == [] and not out.exists()

@@ -329,6 +329,12 @@ def test_task_nll_requires_labels(model, task):
         task_nll(prompt, [Example("great fun", "neutral")], task, model)
 
 
+def test_task_nll_rejects_prompt_of_wrong_dim(model, task, small_data):
+    with pytest.raises(ConfigurationError):
+        task_nll(SoftPrompt(entries=np.ones((3, model.dim + 1))), small_data[:2],
+                 task, model)
+
+
 def test_task_nll_agrees_with_distribution_recount(model, task, small_data):
     """Independent recount through the public label-distribution reader."""
     prompt = soft(model, 17)

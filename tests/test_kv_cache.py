@@ -11,6 +11,7 @@ from promptsearch.analysis import LocalContinuationGenerator
 from promptsearch.errors import ConfigurationError
 from promptsearch.metrics import accuracy
 from promptsearch.model import (
+    REFERENCE_VOCAB,
     TinyCausalLM,
     as_soft_prompt,
     label_word_distribution,
@@ -185,3 +186,45 @@ def test_prefix_cached_accuracy_with_empty_body(model):
     for label in bare.labels:
         expected = float(bare.labels[int(np.argmax(probs))] == label)
         assert accuracy(soft, [Example("", label)], bare, model) == expected
+
+
+# -- who extends a pass ------------------------------------------------------
+
+class _LoggedLM(TinyCausalLM):
+    """A subclass overriding ``forward(self, X)`` without ``past``: it must get
+    full passes, and logs how many rows each runs."""
+
+    def __init__(self):
+        super().__init__(seed=0, vocab=REFERENCE_VOCAB, dim=24, n_layers=2,
+                         n_heads=4, max_len=160)
+        self.rows = []
+
+    def forward(self, X):
+        self.rows.append(len(X))
+        return super().forward(X)
+
+
+def test_forward_override_in_subclass_gets_full_passes_in_accuracy(model, task):
+    sub = _LoggedLM()
+    data = synthetic_dataset(6, seed=3)
+    assert accuracy("the movie review", data, task, sub) == \
+        accuracy("the movie review", data, task, model)
+    assert sub.rows == [3 + len(render(task, ex.text, model)) for ex in data]
+
+
+def test_forward_override_in_subclass_gets_full_passes_in_generation(model):
+    sub = _LoggedLM()
+    out, _ = _generate(sub, "the movie was great", 5, 0)
+    assert out == _generate(model, "the movie was great", 5, 0)[0]
+    assert sub.rows == [4, 5, 6, 7, 8]
+
+
+def test_label_word_distribution_extends_the_prompt_pass(row_log, model, task):
+    soft = as_soft_prompt("the movie review", model)
+    dist = label_word_distribution(soft, "great fun", task, model)
+    assert row_log == [3, len(render(task, "great fun", model))]
+    X = np.concatenate([soft.entries,
+                        model.embedding_table().entries[render(task, "great fun", model)]])
+    full = model.forward(X).logits[-1, verbalizer_token_ids(task, model)]
+    expected = np.exp(full - full.max())
+    np.testing.assert_allclose(dist.probs, expected / expected.sum(), rtol=0, atol=1e-12)

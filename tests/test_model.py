@@ -15,7 +15,6 @@ from promptsearch.model import (
     as_soft_prompt,
     forward_logits,
     label_word_distribution,
-    last_hidden_states,
     load_adapter,
     make_reference_model,
     prompt_from_ids,
@@ -245,12 +244,6 @@ def test_forward_logits_rejects_empty_everything(model):
         forward_logits(None, [], model)
     with pytest.raises(ConfigurationError):
         forward_logits(None, [model.vocab_size], model)
-
-
-def test_last_hidden_states_matches_forward(model):
-    X = np.random.default_rng(2).normal(size=(4, model.dim))
-    np.testing.assert_array_equal(last_hidden_states(X, model),
-                                  model.forward(X).hidden)
 
 
 def test_label_word_distribution_restricted_normalization(model, task):

@@ -124,6 +124,14 @@ def test_config_dict_round_trip():
     assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
 
+def test_config_from_dict_fills_fields_old_records_lack():
+    d = small_cfg(init_text="the movie", allowed_vocab="all",
+                  model_spec="reference:3").to_dict()
+    for key in ("init_text", "allowed_vocab", "model_spec"):
+        del d[key]
+    assert SamplerConfig.from_dict(d) == small_cfg()
+
+
 # -- langevin_step ---------------------------------------------------------------
 
 def test_step_beta_zero_equals_projected_descent(model):
