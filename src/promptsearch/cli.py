@@ -1,18 +1,22 @@
 """Command-line entry point: ``tune``, ``eval``, and ``analyze``.
 
 ``tune`` runs the seed x hyperparameter grid and writes one chain record
-JSON per run plus a manifest with a content hash of each record (the
-manifest is the only artifact carrying timestamps, so reruns with identical
-flags and data produce byte-identical records).  ``eval`` scores chain
-records or a plain prompt file on a labeled dataset and appends metrics into
-the records.  ``analyze`` assembles the diagnostics report JSON.
+JSON per run, each as its chain returns, then a manifest with a content
+hash of each record (the manifest is the only artifact carrying timestamps,
+so reruns with identical flags and data produce byte-identical records).
+``eval`` scores chain records or a plain prompt file on a labeled dataset
+and appends metrics into the records.  ``analyze`` assembles the
+diagnostics report JSON.
 
-Flags override the optional ``--config`` JSON file, which in turn overrides
-built-in defaults; config keys are the flag names with underscores
-(``{"lambda_fluency": [0.0, 0.1], "steps": 200}``).  The grid flags
-``--m``, ``--eta``, ``--lambda-fluency`` and ``--lambda-domain`` accept
-comma-separated lists; ``--seeds`` accepts either a count N (seeds 0..N-1)
-or an explicit comma-separated list.
+Each option is declared once, as a row of its command's table: the flag is
+``--key`` with dashes and the key in the optional ``--config`` JSON file is
+``key`` (``{"lambda_fluency": [0.0, 0.1], "steps": 200}``).  A flag
+overrides the config file, which overrides the row's default, and a value
+from either is parsed and checked by the same row, so a malformed or
+out-of-range value exits 2 with one ``error:`` line naming the key.  The
+grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
+comma-separated (or JSON) lists; ``seeds`` takes either a count N (seeds
+0..N-1) or an explicit list; an empty grid is an error.
 
 Exit codes: 0 success, 1 runtime fault (partial artifacts are kept),
 2 usage/configuration error.
@@ -55,38 +59,96 @@ from .tasks import builtin_tasks, load_dataset, render, task_from_file, validate
 
 __all__ = ["main", "cmd_tune", "cmd_eval", "cmd_analyze"]
 
-_TUNE_DEFAULTS = {
-    "task": None, "task_file": None, "data": None, "val_data": None,
-    "out_dir": "runs", "mode": "supervised", "m": "10", "steps": 5000,
-    "batch_size": 16, "eta": "1.0", "beta_start": 1.0, "beta_end": 1e-4,
-    "lambda_fluency": "0.003", "lambda_domain": "0.003",
-    "energy_sign": "intent", "optimizer": "adaptive", "seeds": "5",
-    "model": "reference:0", "allowed_vocab": "no-special", "init_text": None,
-    "jobs": 1,
-}
 
-_EVAL_DEFAULTS = {
-    "task": None, "task_file": None, "chains": None, "prompts": None,
-    "data": None, "model": "reference:0", "include_empty": False,
-}
+def _boolean(value) -> bool:
+    """A flag's ``True`` or a JSON boolean; anything else (``"no"``) is invalid."""
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
 
-_ANALYZE_DEFAULTS = {
-    "task": None, "task_file": None, "chains": None, "data": None,
-    "model": "reference:0", "human_prompts": None, "random_prompts": None,
-    "include_empty": False, "report": None, "effective_quantile": 0.9,
-    "continuations": 0, "nucleus_p": 0.95, "continuation_length": 100,
-    "continuation_seed": 0,
-}
 
-# Allowed ranges of numeric options, checked as they are parsed.
-_RANGES = {
-    "seeds": (lambda seeds: all(seed >= 0 for seed in seeds), ">= 0"),
-    "jobs": (lambda n: n >= 1, ">= 1"),
-    "effective_quantile": (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
-    "continuations": (lambda k: k >= 0, ">= 0"),
-    "nucleus_p": (lambda p: 0.0 < p <= 1.0, "in (0, 1]"),
-    "continuation_length": (lambda n: n >= 1, ">= 1"),
-    "continuation_seed": (lambda seed: seed >= 0, ">= 0"),
+def _list(parse):
+    """Parser of a comma-separated string, a JSON list or a single JSON value."""
+    def parse_list(value) -> list:
+        if isinstance(value, list):
+            return [parse(v) for v in value]
+        return [parse(v) for v in str(value).split(",") if v.strip()]
+    return parse_list
+
+
+def _seeds(value) -> list[int]:
+    """A count N (seeds 0..N-1), or an explicit comma-separated or JSON list."""
+    if isinstance(value, list) or "," in str(value):
+        return _list(int)(value)
+    return list(range(int(value)))
+
+
+_NON_EMPTY = (bool, "non-empty")
+
+# One row per option: (key, parse, default, check, help).  The flag is
+# ``--key`` with dashes and the config-file key is ``key``; a value from
+# either is parsed with ``parse`` and tested with ``check``, a (predicate,
+# description) pair or None.  A None default marks an option that may stay
+# unset.  Values only the sampler's and energy's configs interpret
+# (``energy_sign``, ``optimizer``, ``allowed_vocab``) are checked there.
+_COMMON = (
+    ("task", str, None, None, "built-in task name"),
+    ("task_file", str, None, None, "JSON task definition file"),
+    ("model", str, "reference:0", None, "adapter locator, e.g. reference:0"),
+)
+
+_COMMANDS = {
+    "tune": ("run the sampler grid and persist chains", _COMMON + (
+        ("data", str, None, None, "training examples (JSONL)"),
+        ("val_data", str, None, None, "validation examples (JSONL)"),
+        ("out_dir", str, "runs", None, "directory for chain records + manifest"),
+        ("mode", str, "supervised", (lambda mode: mode in ("supervised", "unsupervised"),
+                                     "supervised or unsupervised"),
+         "supervised or unsupervised"),
+        ("m", _list(int), 10, _NON_EMPTY, "prompt length(s), comma-separated"),
+        ("steps", int, 5000, None, "sampler steps per chain"),
+        ("batch_size", int, 16, None, "examples per energy evaluation"),
+        ("eta", _list(float), 1.0, _NON_EMPTY, "step size(s), comma-separated"),
+        ("beta_start", float, 1.0, None, "noise variance at the first step"),
+        ("beta_end", float, 1e-4, None, "noise variance at the last step"),
+        ("lambda_fluency", _list(float), 0.003, _NON_EMPTY,
+         "fluency weight(s), supervised mode"),
+        ("lambda_domain", _list(float), 0.003, _NON_EMPTY,
+         "domain weight(s), unsupervised mode"),
+        ("energy_sign", str, "intent", None,
+         "intent or literal: unsupervised combination sign (see energies docs)"),
+        ("optimizer", str, "adaptive", None, "plain or adaptive"),
+        ("seeds", _seeds, 5,
+         (lambda seeds: seeds and min(seeds) >= 0, "non-empty and each >= 0"),
+         "count N (0..N-1) or comma-separated list"),
+        ("allowed_vocab", str, "no-special", None, "all or no-special"),
+        ("init_text", str, None, None, "seed string for prompt initialization"),
+        ("jobs", int, 1, (lambda n: n >= 1, ">= 1"), "parallel chain workers"),
+    )),
+    "eval": ("score chains or a prompt file", _COMMON + (
+        ("chains", str, None, None, "directory of chain record JSON files"),
+        ("prompts", str, None, None, "text file, one prompt per line"),
+        ("data", str, None, None, "labeled eval examples (JSONL)"),
+        ("include_empty", _boolean, False, None, "add the no-prompt baseline row"),
+    )),
+    "analyze": ("write the diagnostics report JSON", _COMMON + (
+        ("chains", str, None, None, "directory of chain record JSON files"),
+        ("data", str, None, None, "labeled examples for baseline accuracy (JSONL)"),
+        ("human_prompts", str, None, None, "text file of human-written prompts"),
+        ("random_prompts", str, None, None, "text file of random baseline prompts"),
+        ("include_empty", _boolean, False, None, "add the no-prompt baseline row"),
+        ("report", str, None, None, "output report path (default: <chains>/report.json)"),
+        ("effective_quantile", float, 0.9, (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
+         "accuracy quantile defining 'effective' prompts"),
+        ("continuations", int, 0, (lambda k: k >= 0, ">= 0"),
+         "sampled continuations per prompt for word counts (0 = off)"),
+        ("nucleus_p", float, 0.95, (lambda p: 0.0 < p <= 1.0, "in (0, 1]"),
+         "nucleus sampling mass for continuations"),
+        ("continuation_length", int, 100, (lambda n: n >= 1, ">= 1"),
+         "tokens per sampled continuation"),
+        ("continuation_seed", int, 0, (lambda seed: seed >= 0, ">= 0"),
+         "seed of the continuation sampler"),
+    )),
 }
 
 
@@ -96,69 +158,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gradient-guided search for discrete, readable prompts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--task", help="built-in task name")
-        p.add_argument("--task-file", help="JSON task definition file")
-        p.add_argument("--model", help="adapter locator, e.g. reference:0")
+    for command, (about, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="JSON config file; flags take precedence")
-
-    tune = sub.add_parser("tune", help="run the sampler grid and persist chains")
-    common(tune)
-    tune.add_argument("--data", help="training examples (JSONL)")
-    tune.add_argument("--val-data", help="validation examples (JSONL)")
-    tune.add_argument("--out-dir", help="directory for chain records + manifest")
-    tune.add_argument("--mode", choices=["supervised", "unsupervised"])
-    tune.add_argument("--m", help="prompt length(s), comma-separated")
-    tune.add_argument("--steps", type=int)
-    tune.add_argument("--batch-size", type=int)
-    tune.add_argument("--eta", help="step size(s), comma-separated")
-    tune.add_argument("--beta-start", type=float)
-    tune.add_argument("--beta-end", type=float)
-    tune.add_argument("--lambda-fluency", help="fluency weight(s), supervised mode")
-    tune.add_argument("--lambda-domain", help="domain weight(s), unsupervised mode")
-    tune.add_argument("--energy-sign", choices=["literal", "intent"],
-                      help="unsupervised combination sign (see energies docs)")
-    tune.add_argument("--optimizer", choices=["plain", "adaptive"])
-    tune.add_argument("--seeds", help="count N (0..N-1) or comma-separated list")
-    tune.add_argument("--allowed-vocab", choices=["all", "no-special"])
-    tune.add_argument("--init-text", help="seed string for prompt initialization")
-    tune.add_argument("--jobs", type=int, help="parallel chain workers")
-
-    ev = sub.add_parser("eval", help="score chains or a prompt file")
-    common(ev)
-    ev.add_argument("--chains", help="directory of chain record JSON files")
-    ev.add_argument("--prompts", help="text file, one prompt per line")
-    ev.add_argument("--data", help="labeled eval examples (JSONL)")
-    ev.add_argument("--include-empty", action="store_true", default=None,
-                    help="add the no-prompt baseline row")
-
-    an = sub.add_parser("analyze", help="write the diagnostics report JSON")
-    common(an)
-    an.add_argument("--chains", help="directory of chain record JSON files")
-    an.add_argument("--data", help="labeled examples for baseline accuracy (JSONL)")
-    an.add_argument("--human-prompts", help="text file of human-written prompts")
-    an.add_argument("--random-prompts", help="text file of random baseline prompts")
-    an.add_argument("--include-empty", action="store_true", default=None)
-    an.add_argument("--report", help="output report path (default: <chains>/report.json)")
-    an.add_argument("--effective-quantile", type=float,
-                    help="accuracy quantile defining 'effective' prompts")
-    an.add_argument("--continuations", type=int,
-                    help="sampled continuations per prompt for word counts (0 = off)")
-    an.add_argument("--nucleus-p", type=float)
-    an.add_argument("--continuation-length", type=int)
-    an.add_argument("--continuation-seed", type=int)
+        for key, parse, _, _, text in table:
+            flag = "--" + key.replace("_", "-")
+            if parse is _boolean:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, help=text)
     return parser
 
 
-def _merge_options(ns: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
-    """Apply precedence flags > config file > defaults.
+def _options(ns: argparse.Namespace) -> tuple[dict, set]:
+    """The command's options, each from its flag, else the ``--config`` file,
+    else the table's default, parsed and checked by its row.
 
-    Returns the merged options and the set of keys set explicitly (by flag
-    or config), which mode validation needs.
+    Returns the options and the set of keys set explicitly (by flag or
+    config), which mode validation needs.  A malformed value, or one its
+    row's check rejects, is a ``UsageError`` naming the key.
     """
+    table = _COMMANDS[ns.command][1]
     config = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         path = Path(ns.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
@@ -168,59 +190,25 @@ def _merge_options(ns: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
             raise UsageError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(config, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
-        unknown = set(config) - set(defaults)
+        unknown = set(config) - {row[0] for row in table}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    merged = {}
-    explicit = set()
-    for key, default in defaults.items():
-        flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    opts, explicit = {}, set()
+    for key, parse, default, check, _ in table:
+        flag = getattr(ns, key)
+        if flag is not None or key in config:
             explicit.add(key)
-        elif key in config:
-            merged[key] = config[key]
-            explicit.add(key)
-        else:
-            merged[key] = default
-    return merged, explicit
-
-
-def _option(opts: dict, key: str, parse):
-    """``parse(opts[key])``, with a malformed value, or one outside the key's
-    range in ``_RANGES``, reported as a usage error."""
-    try:
-        value = parse(opts[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid value for {key}: {opts[key]!r}") from None
-    if key in _RANGES and not _RANGES[key][0](value):
-        raise UsageError(f"{key} must be {_RANGES[key][1]}, got {opts[key]!r}")
-    return value
-
-
-def _float_list(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v.strip()]
-
-
-def _int_list(value) -> list[int]:
-    if isinstance(value, int):
-        return [value]
-    if isinstance(value, list):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v.strip()]
-
-
-def _parse_seeds(value) -> list[int]:
-    if isinstance(value, list):
-        return [int(v) for v in value]
-    text = str(value)
-    if "," in text:
-        return [int(v) for v in text.split(",") if v.strip()]
-    return list(range(int(text)))
+        value = flag if flag is not None else config.get(key, default)
+        if value is None and default is None:
+            opts[key] = None
+            continue
+        try:
+            opts[key] = parse(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"invalid value for {key}: {value!r}") from None
+        if check is not None and not check[0](opts[key]):
+            raise UsageError(f"{key} must be {check[1]}, got {value!r}")
+    return opts, explicit
 
 
 def _resolve_task(opts: dict):
@@ -259,8 +247,20 @@ def _tune_worker(task, model_spec: str, cfg: SamplerConfig, data) -> ChainRecord
     return run_chain(task, load_adapter(model_spec), cfg, data)
 
 
+def _chain_records(task, model, cfgs: list[SamplerConfig], data, n_jobs: int):
+    """Each configuration's chain record in grid order, yielded as it returns."""
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            yield from pool.map(_tune_worker, itertools.repeat(task),
+                                [cfg.model_spec for cfg in cfgs], cfgs,
+                                itertools.repeat(data))
+    else:
+        for cfg in cfgs:
+            yield run_chain(task, model, cfg, data)
+
+
 def cmd_tune(ns: argparse.Namespace) -> int:
-    opts, explicit = _merge_options(ns, _TUNE_DEFAULTS)
+    opts, explicit = _options(ns)
     mode = opts["mode"]
     if mode == "supervised":
         offending = {"lambda_domain", "energy_sign"} & explicit
@@ -273,17 +273,9 @@ def cmd_tune(ns: argparse.Namespace) -> int:
             raise UsageError("unsupervised mode does not accept lambda_fluency")
     if opts["data"] is None:
         raise UsageError("tune requires --data")
-    seeds = _option(opts, "seeds", _parse_seeds)
-    ms = _option(opts, "m", _int_list)
-    etas = _option(opts, "eta", _float_list)
-    lams = _option(opts, "lambda_fluency" if mode == "supervised"
-                   else "lambda_domain", _float_list)
-    steps = _option(opts, "steps", int)
-    batch_size = _option(opts, "batch_size", int)
-    n_jobs = _option(opts, "jobs", int)
-    schedule = NoiseSchedule(beta_start=_option(opts, "beta_start", float),
-                             beta_end=_option(opts, "beta_end", float),
-                             steps=steps)
+    lams = opts["lambda_fluency" if mode == "supervised" else "lambda_domain"]
+    schedule = NoiseSchedule(beta_start=opts["beta_start"], beta_end=opts["beta_end"],
+                             steps=opts["steps"])
 
     task = _resolve_task(opts)
     model = load_adapter(opts["model"])
@@ -299,36 +291,30 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     if max_len is not None:
         longest = max((len(render(task, ex.text, model)) for ex in data + (val or [])),
                       default=0)
-        if max(ms, default=0) + longest > max_len:
+        if max(opts["m"]) + longest > max_len:
             raise UsageError(
-                f"prompt length {max(ms)} plus the longest rendered example "
+                f"prompt length {max(opts['m'])} plus the longest rendered example "
                 f"({longest} tokens) exceeds the model's max_len {max_len}"
             )
 
     jobs_spec: list[tuple[str, SamplerConfig]] = []
-    for gi, (m, eta, lam) in enumerate(itertools.product(ms, etas, lams)):
+    for gi, (m, eta, lam) in enumerate(itertools.product(opts["m"], opts["eta"], lams)):
         energy = (EnergyConfig.supervised(lam) if mode == "supervised"
                   else EnergyConfig.unsupervised(lam, sign=opts["energy_sign"]))
-        for seed in seeds:
+        for seed in opts["seeds"]:
             cfg = SamplerConfig(
-                eta=eta, schedule=schedule, steps=steps,
-                batch_size=batch_size, seed=seed, energy=energy,
+                eta=eta, schedule=schedule, steps=opts["steps"],
+                batch_size=opts["batch_size"], seed=seed, energy=energy,
                 optimizer=opts["optimizer"], prompt_length=m,
                 init_text=opts["init_text"], allowed_vocab=opts["allowed_vocab"],
                 model_spec=opts["model"],
             )
             jobs_spec.append((f"chain_{gi:03d}_seed{seed}.json", cfg))
 
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_tune_worker, task, opts["model"], cfg, data)
-                       for _, cfg in jobs_spec]
-            records = [f.result() for f in futures]
-    else:
-        records = [run_chain(task, model, cfg, data) for _, cfg in jobs_spec]
-
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    records = _chain_records(task, model, [cfg for _, cfg in jobs_spec], data,
+                             opts["jobs"])
     manifest_chains = []
     any_fault = False
     for (fname, cfg), record in zip(jobs_spec, records):
@@ -348,7 +334,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     manifest = {"created": _now(), "task_id": task.id, "model": opts["model"],
                 "chains": manifest_chains}
     _write_json_atomic(out_dir / "manifest.json", manifest)
-    print(f"wrote {len(records)} chains + manifest to {out_dir}")
+    print(f"wrote {len(manifest_chains)} chains + manifest to {out_dir}")
     return 1 if any_fault else 0
 
 
@@ -396,7 +382,7 @@ def _refresh_manifest(chains_dir: Path, manifest: dict) -> None:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    opts, _ = _merge_options(ns, _EVAL_DEFAULTS)
+    opts, _ = _options(ns)
     if (opts["chains"] is None) == (opts["prompts"] is None):
         raise UsageError("exactly one of --chains / --prompts is required")
     if opts["data"] is None:
@@ -453,14 +439,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
-    opts, _ = _merge_options(ns, _ANALYZE_DEFAULTS)
+    opts, _ = _options(ns)
     if opts["chains"] is None:
         raise UsageError("analyze requires --chains")
-    k = _option(opts, "continuations", int)
-    quantile = _option(opts, "effective_quantile", float)
-    nucleus_p = _option(opts, "nucleus_p", float)
-    length = _option(opts, "continuation_length", int)
-    continuation_seed = _option(opts, "continuation_seed", int)
     task = _resolve_task(opts)
     model = load_adapter(opts["model"])
     val = None
@@ -472,15 +453,15 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     rand = _read_prompt_file(opts["random_prompts"]) if opts["random_prompts"] else ()
 
     generator = None
-    if k > 0:
+    if opts["continuations"] > 0:
         generator = LocalContinuationGenerator(model, record_trace=False)
 
     report = diagnostics_report(
         chains, task, model, val_data=val, human_prompts=human,
-        random_prompts=rand, include_empty=bool(opts["include_empty"]),
-        effective_quantile=quantile, generator=generator,
-        continuations_per_prompt=k, nucleus_p=nucleus_p,
-        continuation_length=length, seed=continuation_seed,
+        random_prompts=rand, include_empty=opts["include_empty"],
+        effective_quantile=opts["effective_quantile"], generator=generator,
+        continuations_per_prompt=opts["continuations"], nucleus_p=opts["nucleus_p"],
+        continuation_length=opts["continuation_length"], seed=opts["continuation_seed"],
     )
     out = Path(opts["report"]) if opts["report"] else Path(opts["chains"]) / "report.json"
     _write_json_atomic(out, report)

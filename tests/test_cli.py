@@ -457,3 +457,78 @@ def test_tune_checks_every_m_against_max_len_before_any_chain(monkeypatch, data_
     assert main(tune_args(data_files, out, m="3,200")) == 2
     _one_error_line(capsys, "200", "max_len 160")
     assert chains == [] and not out.exists()
+
+
+# -- one option table: flags and config values read and checked alike ----------------
+
+@pytest.mark.parametrize("option, value", [
+    ("seeds", "0"), ("m", ""), ("eta", ""), ("lambda_fluency", ""),
+])
+def test_tune_empty_grid_exits_2_before_writing(data_files, tmp_path, capsys,
+                                                option, value):
+    out = tmp_path / "empty_grid"
+    assert main(tune_args(data_files, out, **{option: value})) == 2
+    _one_error_line(capsys, option)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, flags, key", [
+    ({"mode": "supervisd"}, {}, "mode"),
+    (None, {"mode": "x"}, "mode"),
+    (None, {"steps": "abc"}, "steps"),
+    (None, {"jobs": "two"}, "jobs"),
+    ({"m": []}, {"m": None}, "m"),
+])
+def test_tune_bad_flag_or_config_value_exits_2_before_writing(data_files, tmp_path,
+                                                              capsys, config, flags, key):
+    out = tmp_path / "bad"
+    args = tune_args(data_files, out, **flags)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert main(args) == 2  # returned, not argparse's SystemExit
+    _one_error_line(capsys, key)
+    assert not out.exists()
+
+
+def test_eval_rejects_non_boolean_include_empty_in_config(data_files, tuned_dir,
+                                                          tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"include_empty": "no"}))
+    before = _record_bytes(tuned_dir)
+    assert main(_eval_chains(tuned_dir, data_files) + ["--config", str(path)]) == 2
+    _one_error_line(capsys, "include_empty")
+    assert _record_bytes(tuned_dir) == before
+
+
+def test_tune_saves_each_record_as_its_chain_returns(monkeypatch, data_files, tmp_path):
+    from promptsearch import cli
+
+    out = tmp_path / "incremental"
+    on_disk = {}
+    real_run_chain = cli.run_chain
+
+    def spy(task, model, cfg, data):
+        on_disk[cfg.seed] = sorted(p.name for p in out.glob("*.json"))
+        return real_run_chain(task, model, cfg, data)
+
+    monkeypatch.setattr(cli, "run_chain", spy)
+    assert main(tune_args(data_files, out)) == 0
+    assert on_disk == {0: [], 1: ["chain_000_seed0.json"]}  # manifest comes last
+    assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["tune", "eval", "analyze"])
+def test_help_lists_every_option_of_the_table(command):
+    import re
+
+    from promptsearch.cli import _COMMANDS
+
+    proc = subprocess.run([sys.executable, "-m", "promptsearch.cli", command, "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    flags = set(re.findall(r"--[a-z-]+", proc.stdout))
+    for key, *_ in _COMMANDS[command][1]:
+        assert "--" + key.replace("_", "-") in flags
+    assert "--config" in flags
