@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .errors import ModelFault, UsageError
 from .metrics import accuracy as _accuracy
@@ -82,6 +81,23 @@ def label_entropy(prompt: SoftPrompt | str | None, task: TaskSpec, model) -> flo
     return -math.fsum(float(p * math.log(p)) for p in dist.probs if p > 0.0)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span.
+
+    A stable sort plus tie-group means, exact in float64; any NaN makes
+    every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Spearman rank correlation with a t-approximation p-value.
 
@@ -98,14 +114,14 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         raise UsageError(f"spearman needs length >= 3, got {n}")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise UsageError("spearman undefined for a constant input vector")
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     rho = float(np.corrcoef(rx, ry)[0, 1])
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         return rho, 0.0
     t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(t_dist.sf(abs(t_stat), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return rho, p
 
 
@@ -248,7 +264,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     if sd == 0.0:
         return 1.0 if mean == 0.0 else 0.0
     t_stat = mean / (sd / math.sqrt(n))
-    return 2.0 * float(t_dist.sf(abs(t_stat), n - 1))
+    return 2.0 * float(stdtr(n - 1, -abs(t_stat)))
 
 
 def _diagnose(prompt_text: str, source: str, acc: float, task: TaskSpec, model,

@@ -13,7 +13,9 @@ Each option is declared once, as a row of its command's table: the flag is
 ``key`` (``{"lambda_fluency": [0.0, 0.1], "steps": 200}``).  A flag
 overrides the config file, which overrides the row's default, and a value
 from either is parsed and checked by the same row, so a malformed or
-out-of-range value exits 2 with one ``error:`` line naming the key.  The
+out-of-range value exits 2 with one ``error:`` line naming the key.  A
+config value is parsed as the text its flag would carry: ``{"steps": 2.7}``
+fails as ``--steps 2.7`` does instead of truncating.  The
 grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
 comma-separated (or JSON) lists; ``seeds`` takes either a count N (seeds
 0..N-1) or an explicit list; an empty grid is an error.
@@ -76,6 +78,21 @@ def _list(parse):
     return parse_list
 
 
+def _flag_text(value):
+    """A config value spelled as its flag would be: a JSON scalar becomes its
+    text (so ``2.7`` fails an integer option as ``--steps 2.7`` does, rather
+    than truncating), and a list its elements' texts."""
+    if isinstance(value, list):
+        return [str(v) for v in value]
+    return str(value)
+
+
+def _may_be_directory(value) -> bool:
+    """Whether ``value`` and each of its parents is a directory or absent."""
+    path = Path(value)
+    return all(p.is_dir() or not p.exists() for p in (path, *path.parents))
+
+
 def _seeds(value) -> list[int]:
     """A count N (seeds 0..N-1), or an explicit comma-separated or JSON list."""
     if isinstance(value, list) or "," in str(value):
@@ -101,7 +118,8 @@ _COMMANDS = {
     "tune": ("run the sampler grid and persist chains", _COMMON + (
         ("data", str, None, None, "training examples (JSONL)"),
         ("val_data", str, None, None, "validation examples (JSONL)"),
-        ("out_dir", str, "runs", None, "directory for chain records + manifest"),
+        ("out_dir", str, "runs", (_may_be_directory, "a directory or a new path"),
+         "directory for chain records + manifest"),
         ("mode", str, "supervised", (lambda mode: mode in ("supervised", "unsupervised"),
                                      "supervised or unsupervised"),
          "supervised or unsupervised"),
@@ -202,6 +220,8 @@ def _options(ns: argparse.Namespace) -> tuple[dict, set]:
         if value is None and default is None:
             opts[key] = None
             continue
+        if flag is None and key in config and parse is not _boolean:
+            value = _flag_text(value)
         try:
             opts[key] = parse(value)
         except (TypeError, ValueError):

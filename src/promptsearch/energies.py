@@ -11,16 +11,26 @@ also get the ``(M, d)`` gradient.  Batch reduction is the arithmetic mean,
 accumulated with compensated summation so values are invariant under batch
 permutation.
 
-One pass per example: each example gets one ``model.forward`` on ``prompt +
-render(task, text)`` and, for gradients, one ``model.backward_input``.
-``task_nll`` and ``entropy_loss`` read the verbalizer-restricted softmax at
-the last position; ``domain_nll`` reads a row-wise log-softmax over the body
-positions ``m-1 .. L-2``, with the rows of the whole batch in one call; the
-prompt fluency reads the causal prefix ``0 .. m-2``, which is the same in
-every example and so is read once per batch.  A combined energy sums the
-weighted hidden-state gradients of its terms into the one backward (exact by
-linearity) and adds the direct fluency gradient once.  ``fluency_nll`` alone
-runs one pass over the prompt rows.
+Prompt once, bodies stacked: on an adapter that extends passes (the
+reference model), each evaluation runs the prompt's own pass once, then one
+stacked ``model.forward`` per distinct rendered body length, each stack
+extending the prompt's pass (grouping by length needs no padding).  The
+gradient takes one ``model.backward_input`` per stack, which also returns
+the gradient w.r.t. the prompt's cached keys and values summed over the
+stack, and one over the prompt's pass with those added (exact by
+linearity).  Other adapters (wrappers overriding ``forward(self, X)``,
+registered adapters) run one full pass over ``prompt + render(task, text)``
+per example instead; both read the same rows with the same code, and the
+values agree bitwise.  The prompt fluency reads rows ``0 .. m-2``, the
+causal prefix shared by every example, once per batch; on the stacked path
+row ``m-1``, which predicts each body's first token, is the prompt pass's
+last row too.  ``task_nll`` and ``entropy_loss`` read the
+verbalizer-restricted softmax at each example's last position, and
+``domain_nll`` a row-wise log-softmax over positions ``m-1 .. L-2``, with
+the rows of the whole batch in one call.  A combined energy sums the
+weighted hidden-state gradients of its terms into the same backwards and
+adds the direct fluency gradient once.  ``fluency_nll`` alone runs one pass
+over the prompt rows.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -40,7 +50,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError, UsageError
-from .model import SoftPrompt, _input_matrix, _restricted_softmax
+from .model import SoftPrompt, _extends, _input_matrix, _restricted_softmax
 from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = [
@@ -149,26 +159,107 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
 
 
-def _token_readout(fws, seqs: list[list[int]], m: int, table: np.ndarray):
+def _by_length(seqs: list[list[int]]) -> list[list[int]]:
+    """Example indices grouped by rendered body length, shortest first."""
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(i)
+    return [groups[n] for n in sorted(groups)]
+
+
+def _stacked_passes(prompt: SoftPrompt, seqs, model):
+    """The prompt's own pass, then one stacked extension per body length.
+
+    Returns ``(head, groups, backward)``.  ``head`` is a pass whose first
+    ``m`` rows are the prompt's.  Each group is ``(indices, logits)``, with
+    ``logits`` of shape ``(G, n + 1, V)``: rows ``m-1 .. L-1`` of each of its
+    ``G`` examples, so row 0 predicts the first body token and the last row
+    is the label row (for an empty body, both are the prompt's last row).
+    ``backward(d_head, d_blocks)`` takes gradients w.r.t. ``head``'s first
+    ``m`` hidden rows and, per group, w.r.t. those readout rows, and returns
+    the gradient w.r.t. the prompt rows.
+    """
+    table = model.embedding_table().entries
+    m = prompt.length
+    head = model.forward(prompt.entries)
+    last = head.logits[m - 1:]
+    groups, stacks = [], []
+    for idx in _by_length(seqs):
+        logits = np.broadcast_to(last, (len(idx), *last.shape))
+        fw = None
+        if seqs[idx[0]]:
+            fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache)
+            logits = np.concatenate([logits, fw.logits], axis=1)
+        groups.append((idx, logits))
+        stacks.append(fw)
+
+    def backward(d_head, d_blocks):
+        d_head, d_past = d_head.copy(), None
+        for fw, d_block in zip(stacks, d_blocks):
+            d_head[m - 1] += d_block[:, 0].sum(axis=0)
+            if fw is not None:
+                _, d_kv = model.backward_input(fw.cache, d_hidden=d_block[:, 1:])
+                d_past = d_kv if d_past is None else [
+                    (dk + dk2, dv + dv2) for (dk, dv), (dk2, dv2) in zip(d_past, d_kv)]
+        return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
+
+    return head, groups, backward
+
+
+def _full_passes(prompt: SoftPrompt, seqs, model):
+    """One full pass over ``prompt + body`` per example, for adapters that do
+    not extend passes; same contract as :func:`_stacked_passes`, with the
+    first example's pass as ``head``."""
+    m = prompt.length
+    fws = [model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
+    groups = [(idx, np.stack([fws[i].logits[m - 1:] for i in idx]))
+              for idx in _by_length(seqs)]
+
+    def backward(d_head, d_blocks):
+        rows = {}
+        for (idx, _), d_block in zip(groups, d_blocks):
+            rows.update(zip(idx, d_block))
+        total = np.zeros_like(prompt.entries)
+        for i, fw in enumerate(fws):
+            d_hidden = np.zeros_like(fw.hidden)
+            d_hidden[m - 1:] = rows[i]
+            if i == 0:
+                d_hidden[:m] += d_head
+            total += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
+        return total
+
+    return fws[0], groups, backward
+
+
+def _token_readout(groups, seqs: list[list[int]], table: np.ndarray):
     """NLLs of each example's body tokens, and their gradient w.r.t. the
-    hidden rows ``m-1 .. L-2`` that predict them, one pair per example.
+    readout rows that predict them: per group, ``(G, n)`` and ``(G, n, d)``.
 
     The rows of the whole batch share one ``logsumexp`` call.
     """
-    rows = np.concatenate([fw.logits[m - 1:-1] for fw in fws])
+    rows = np.concatenate([logits[:, :-1].reshape(-1, logits.shape[-1])
+                           for _, logits in groups])
+    targets = np.concatenate([np.array([seqs[i] for i in idx], dtype=np.intp).ravel()
+                              for idx, _ in groups])
     lse = logsumexp(rows, axis=-1)
-    at = (np.arange(rows.shape[0]), np.concatenate(seqs).astype(np.intp))
+    at = (np.arange(rows.shape[0]), targets)
     terms = lse - rows[at]
     p = np.exp(rows - lse[:, None])
     p[at] -= 1.0
-    ends = np.cumsum([len(seq) for seq in seqs])
-    return [(terms[end - len(seq):end], p[end - len(seq):end] @ table)
-            for seq, end in zip(seqs, ends)]
+    d_rows = p @ table
+    out, start = [], 0
+    for idx, logits in groups:
+        g, n = len(idx), logits.shape[1] - 1
+        end = start + g * n
+        out.append((terms[start:end].reshape(g, n),
+                    d_rows[start:end].reshape(g, n, table.shape[1])))
+        start = end
+    return out
 
 
 def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
                  weights: dict[str, float], grad: bool):
-    """Raw values of the terms named in ``weights``, from one pass per example.
+    """Raw values of the terms named in ``weights``, from one set of passes.
 
     Returns ``(values, gradient)``, where ``gradient`` is that of
     ``sum(weights[t] * values[t])`` with ``grad`` and None without.
@@ -177,61 +268,53 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     table = model.embedding_table().entries
     m, b = prompt.length, len(batch)
     w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
-    read_labels = "task" in weights or "entropy" in weights
-    if read_labels:
-        vids = verbalizer_token_ids(task, model)
-        label_rows = table[vids]
-    read_prefix = m > 1 and ("fluency" in weights or "domain" in weights)
-    prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
-
-    passes, probs, task_terms, seqs = [], [], [], []
-    for ex in batch:
-        seq = render(task, ex.text, model)
-        seqs.append(seq)
-        fw = model.forward(_input_matrix(prompt, seq, model))
-        d_hidden = np.zeros_like(fw.hidden)
-        if read_prefix and not passes:  # the causal prefix: once per batch
-            prefix_terms, d_prefix, direct = _prefix_readout(prompt, fw, table)
-            d_hidden[:m - 1] += (w["fluency"] + w["domain"]) * d_prefix
-        if read_labels:
-            probs.append(_restricted_softmax(fw.logits[-1], vids))
-        if "task" in weights:
-            yi = task.labels.index(ex.label)
-            task_terms.append(-math.log(probs[-1][yi]))
-            d_label = probs[-1].copy()
-            d_label[yi] -= 1.0
-            d_hidden[-1] += (w["task"] / b) * (d_label @ label_rows)
-        passes.append((fw, d_hidden))
+    seqs = [render(task, ex.text, model) for ex in batch]
+    run = _stacked_passes if _extends(model) else _full_passes
+    head, groups, backward = run(prompt, seqs, model)
+    d_head = np.zeros_like(prompt.entries)
+    d_blocks = [np.zeros((*logits.shape[:2], prompt.dim)) for _, logits in groups]
 
     values = {}
-    if "task" in weights:
-        values["task"] = math.fsum(task_terms) / b
+    prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
+    if m > 1 and ("fluency" in weights or "domain" in weights):
+        prefix_terms, d_prefix, direct = _prefix_readout(prompt, head, table)
+        d_head[:m - 1] = (w["fluency"] + w["domain"]) * d_prefix
     if "fluency" in weights:
         values["fluency"] = math.fsum(prefix_terms)
+    if "task" in weights or "entropy" in weights:
+        vids = verbalizer_token_ids(task, model)
+        label_rows = table[vids]
+        probs = [_restricted_softmax(logits[:, -1], vids) for _, logits in groups]
+    if "task" in weights:
+        task_terms = []
+        for (idx, _), p, d_block in zip(groups, probs, d_blocks):
+            yi = [task.labels.index(batch[i].label) for i in idx]
+            task_terms += [-math.log(p[g, y]) for g, y in enumerate(yi)]
+            d_label = p.copy()
+            d_label[np.arange(len(idx)), yi] -= 1.0
+            d_block[:, -1] += (w["task"] / b) * (d_label @ label_rows)
+        values["task"] = math.fsum(task_terms) / b
     if "entropy" in weights:
-        pbar = np.array([math.fsum(p[y] for p in probs) / b
-                         for y in range(len(vids))])
+        pbar = np.array([math.fsum(col) / b for col in np.concatenate(probs).T])
         values["entropy"] = math.fsum(float(py * math.log(py))
                                       for py in pbar if py > 0.0)
         if grad:
             # d value / d logit_y' through each example's restricted softmax
             log_pbar = np.log(pbar)
-            for (_, d_hidden), p in zip(passes, probs):
-                coeff = p * (log_pbar - float(p @ log_pbar)) / b
-                d_hidden[-1] += w["entropy"] * (coeff @ label_rows)
+            for p, d_block in zip(probs, d_blocks):
+                coeff = p * (log_pbar - (p @ log_pbar)[:, None]) / b
+                d_block[:, -1] += w["entropy"] * (coeff @ label_rows)
     if "domain" in weights:
         domain_terms = []
-        readouts = _token_readout([fw for fw, _ in passes], seqs, m, table)
-        for (_, d_hidden), (tok_terms, d_tok) in zip(passes, readouts):
-            d_hidden[m - 1:-1] += (w["domain"] / b) * d_tok
-            domain_terms.append(math.fsum(np.concatenate([prefix_terms, tok_terms])))
+        for (tok_terms, d_tok), d_block in zip(_token_readout(groups, seqs, table),
+                                               d_blocks):
+            d_block[:, :-1] += (w["domain"] / b) * d_tok
+            domain_terms += [math.fsum(np.concatenate([prefix_terms, t]))
+                             for t in tok_terms]
         values["domain"] = math.fsum(domain_terms) / b
     if not grad:
         return values, None
-    total_grad = (w["fluency"] + w["domain"]) * direct
-    for fw, d_hidden in passes:
-        total_grad += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
-    return values, total_grad
+    return values, (w["fluency"] + w["domain"]) * direct + backward(d_head, d_blocks)
 
 
 def _term(prompt, batch, task, model, term: str, grad: bool):

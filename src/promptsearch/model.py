@@ -134,8 +134,8 @@ class ForwardPass:
     positions it covers under ``"L"``).
     """
 
-    hidden: np.ndarray  # (L, d)
-    logits: np.ndarray  # (L, V)
+    hidden: np.ndarray  # (L, d); (G, n, d) for a stacked extension
+    logits: np.ndarray  # (L, V); (G, n, V) for a stacked extension
     cache: dict = field(repr=False)
 
 
@@ -168,12 +168,14 @@ _GELU_C = 1.0 / np.sqrt(2.0)
 _PHI_C = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(z):
-    return 0.5 * z * (1.0 + erf(z * _GELU_C))
+# ``erf_z`` is ``erf(z * _GELU_C)``: the forward keeps it for the backward.
+
+def _gelu(z, erf_z):
+    return 0.5 * z * (1.0 + erf_z)
 
 
-def _gelu_prime(z):
-    return 0.5 * (1.0 + erf(z * _GELU_C)) + z * _PHI_C * np.exp(-0.5 * z * z)
+def _gelu_prime(z, erf_z):
+    return 0.5 * (1.0 + erf_z) + z * _PHI_C * np.exp(-0.5 * z * z)
 
 
 # Row means are written ``sum / d``: bitwise what ``ndarray.mean`` computes
@@ -199,7 +201,28 @@ def _layernorm_backward(dy, cache, gamma):
     )
 
 
-def _softmax_rows(scores):
+# Every row of a full pass or of a stack gets bitwise the states the same
+# position gets in any longer full pass, so a stack of bodies can stand in
+# for per-example passes.  numpy sends a product whose left operand has one
+# row to BLAS's matrix-vector routine, which rounds differently from the same
+# row inside a matrix product, so such a product runs on two copies of the
+# row (``_two_rows``); and the transposed copy of a one-query softmax ends in
+# a unit axis, which numpy would sum pairwise, so that normalizer is a
+# running sum.  2-D extensions, the per-token read path, skip both and may
+# differ in the last bits; their products stay plain ``np.matmul`` calls.
+
+def _two_rows(a, b):
+    return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
+
+
+def _flat(matmul):
+    """``matmul(x, W)`` over the last axis of a stack, as one 2-D product."""
+    def dense(x, W):
+        return matmul(x.reshape(-1, x.shape[-1]), W).reshape(*x.shape[:-1], W.shape[1])
+    return dense
+
+
+def _softmax_rows(scores, running_sum):
     # rows may contain -inf from the causal mask; every row keeps >= 1 finite entry.
     # The normalizer is summed key by key in order (over a transposed copy), so
     # the masked zeros after a query never regroup the sum: a causal prefix gets
@@ -207,7 +230,10 @@ def _softmax_rows(scores):
     # prompt segment of any example's pass as the prompt's own pass.
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = np.ascontiguousarray(np.swapaxes(e, -1, -2)).sum(axis=-2)
+    if running_sum:
+        total = np.cumsum(e, axis=-1)[..., -1]
+    else:
+        total = np.ascontiguousarray(np.swapaxes(e, -1, -2)).sum(axis=-2)
     return e / total[..., None]
 
 
@@ -285,19 +311,26 @@ class TinyCausalLM:
         ``X`` has one row per position; prompt rows may be arbitrary soft
         vectors while body rows are usually copies of embedding-table rows.
 
-        ``past`` is the ``cache`` of an earlier pass over the positions that
-        precede ``X``.  Only the rows of ``X`` are then run: they sit at
+        ``past`` is the ``cache`` of an earlier 2-D pass over the positions
+        that precede ``X``.  Only the rows of ``X`` are then run: they sit at
         positions ``past["L"]`` onwards and attend over the cached keys and
         values.  The result holds hidden states and logits for those rows
-        only, and a cache covering every position, so passes chain.  A cache
-        built with ``past`` serves further reads, not ``backward_input``.
+        only, and a cache covering every position, so 2-D passes chain.
+
+        With ``past``, ``X`` may also be a stack ``(G, n, d)`` of ``G``
+        equal-length bodies that each extend the same pass; hidden states
+        and logits are then ``(G, n, d)`` and ``(G, n, V)``.  The cached keys
+        and values are broadcast over the stack only in that case, so a 2-D
+        extension costs no more than it did.
         """
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.dim:
+        stacked = X.ndim == 3 and past is not None
+        if X.ndim != 2 + stacked or X.shape[-1] != self.dim:
             raise ConfigurationError(
-                f"input must be L x {self.dim}, got shape {X.shape}"
+                f"input must be L x {self.dim} (or G x n x {self.dim} with past), "
+                f"got shape {X.shape}"
             )
-        n = X.shape[0]
+        lead, n = X.shape[:-2], X.shape[-2]
         start = 0 if past is None else past["L"]
         L = start + n
         if n < 1 or L > self.max_len:
@@ -308,79 +341,114 @@ class TinyCausalLM:
         # row i is position start + i: it sees keys 0 .. start + i
         mask = np.triu(np.full((n, L), -np.inf), k=start + 1)
         past_layers = past["layers"] if past is not None else [None] * self.n_layers
+        one_exact_row = n == 1 and (stacked or past is None)
+        mm = _two_rows if one_exact_row else np.matmul
+        dense = _flat(_two_rows if len(X) * n == 1 else np.matmul) if stacked else mm
+        per_head = (*lead, n, H, dh)
 
         x = X + self._pos[start:L]
         layer_caches = []
         for lw, pc in zip(self._layers, past_layers):
             a, ln1 = _layernorm_forward(x, lw["g1"], lw["b1"])
-            q = (a @ lw["Wq"]).reshape(n, H, dh).transpose(1, 0, 2)
-            k = (a @ lw["Wk"]).reshape(n, H, dh).transpose(1, 0, 2)
-            v = (a @ lw["Wv"]).reshape(n, H, dh).transpose(1, 0, 2)
+            q = dense(a, lw["Wq"]).reshape(per_head).swapaxes(-2, -3)
+            k = dense(a, lw["Wk"]).reshape(per_head).swapaxes(-2, -3)
+            v = dense(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
             if pc is not None:
-                k = np.concatenate([pc["k"], k], axis=1)
-                v = np.concatenate([pc["v"], v], axis=1)
-            scores = q @ k.transpose(0, 2, 1) * scale + mask
-            A = _softmax_rows(scores)
-            o = (A @ v).transpose(1, 0, 2).reshape(n, self.dim)
-            x = x + o @ lw["Wo"]
+                pk, pv = pc["k"], pc["v"]
+                if stacked:
+                    pk = np.broadcast_to(pk, (*lead, *pk.shape))
+                    pv = np.broadcast_to(pv, (*lead, *pv.shape))
+                k = np.concatenate([pk, k], axis=-2)
+                v = np.concatenate([pv, v], axis=-2)
+            scores = mm(q, k.swapaxes(-1, -2)) * scale + mask
+            A = _softmax_rows(scores, one_exact_row)
+            o = mm(A, v).swapaxes(-2, -3).reshape(*lead, n, self.dim)
+            x = x + dense(o, lw["Wo"])
 
             f, ln2 = _layernorm_forward(x, lw["g2"], lw["b2"])
-            z1 = f @ lw["W1"]
-            g1v = _gelu(z1)
-            x = x + g1v @ lw["W2"]
+            z1 = dense(f, lw["W1"])
+            erf_z1 = erf(z1 * _GELU_C)
+            x = x + dense(_gelu(z1, erf_z1), lw["W2"])
             layer_caches.append({"ln1": ln1, "ln2": ln2, "q": q, "k": k, "v": v,
-                                 "A": A, "z1": z1})
+                                 "A": A, "z1": z1, "erf_z1": erf_z1})
 
         hidden, lnf = _layernorm_forward(x, self._gf, self._bf)
-        logits = hidden @ self._E.T
+        logits = dense(hidden, self._E.T)
         if not np.all(np.isfinite(logits)):
             raise ModelFault("model produced non-finite logits")
         return ForwardPass(hidden=hidden, logits=logits,
                            cache={"layers": layer_caches, "lnf": lnf, "L": L,
-                                  "start": start})
+                                  "start": start, "stacked": stacked})
 
     def backward_input(self, cache: dict, d_hidden: np.ndarray | None = None,
-                       d_logits: np.ndarray | None = None) -> np.ndarray:
+                       d_logits: np.ndarray | None = None,
+                       d_past: list | None = None):
         """Vector-Jacobian product from output gradients back to the input rows.
 
         Accepts a gradient w.r.t. ``hidden``, w.r.t. ``logits`` (folded
-        through the tied output layer), or both summed.  The cache must come
-        from a pass run without ``past``.
+        through the tied output layer), or both summed.
+
+        On the cache of a full pass it returns the gradient w.r.t. the input
+        rows.  ``d_past`` then adds, per layer, gradients ``(dk, dv)`` w.r.t.
+        the pass's own attention keys and values, ``(H, L, dh)`` each: the
+        ones a stacked extension of this pass returns.
+
+        On the cache of a stacked extension it returns ``(d_rows, d_past)``:
+        the gradient w.r.t. the stacked rows, and per layer the gradients
+        w.r.t. the keys and values of the extended pass, summed over the
+        stack.  Passing that ``d_past`` to the extended pass's own backward
+        completes the gradient (exact by linearity).  A 2-D extension is a
+        read: its cache is refused.
         """
-        if cache["start"]:
+        start, L = cache["start"], cache["L"]
+        if start and not cache["stacked"]:
             raise ConfigurationError(
-                "backward_input needs the cache of a full pass, not one extended with past"
+                "backward_input needs the cache of a full pass or of a stacked "
+                "extension, not a 2-D extension"
             )
-        L = cache["L"]
+        lead, n = cache["lnf"][0].shape[:-2], L - start
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        dh_total = np.zeros((L, self.dim))
+        dense = _flat(np.matmul) if lead else np.matmul
+
+        def rows(y):  # (..., H, n, dh) -> (..., n, d)
+            return y.swapaxes(-2, -3).reshape(*lead, n, self.dim)
+
+        dh_total = np.zeros((*lead, n, self.dim))
         if d_hidden is not None:
             dh_total += d_hidden
         if d_logits is not None:
-            dh_total += d_logits @ self._E
+            dh_total += dense(d_logits, self._E)
         dx = _layernorm_backward(dh_total, cache["lnf"], self._gf)
 
-        for lw, lc in zip(reversed(self._layers), reversed(cache["layers"])):
-            dg1v = dx @ lw["W2"].T
-            dz1 = dg1v * _gelu_prime(lc["z1"])
-            df = dz1 @ lw["W1"].T
+        d_past_in = d_past if d_past is not None else [None] * self.n_layers
+        d_past_out = []
+        for lw, lc, dp in zip(reversed(self._layers), reversed(cache["layers"]),
+                              reversed(d_past_in)):
+            dg1v = dense(dx, lw["W2"].T)
+            dz1 = dg1v * _gelu_prime(lc["z1"], lc["erf_z1"])
+            df = dense(dz1, lw["W1"].T)
             dx = dx + _layernorm_backward(df, lc["ln2"], lw["g2"])
 
-            do = (dx @ lw["Wo"].T).reshape(L, H, dh).transpose(1, 0, 2)
+            do = dense(dx, lw["Wo"].T).reshape(*lead, n, H, dh).swapaxes(-2, -3)
             A, q, k, v = lc["A"], lc["q"], lc["k"], lc["v"]
-            dA = do @ v.transpose(0, 2, 1)
-            dv = A.transpose(0, 2, 1) @ do
+            dA = do @ v.swapaxes(-1, -2)
+            dv = A.swapaxes(-1, -2) @ do
             dscores = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
             dq = dscores @ k * scale
-            dk = dscores.transpose(0, 2, 1) @ q * scale
-            da = (
-                dq.transpose(1, 0, 2).reshape(L, self.dim) @ lw["Wq"].T
-                + dk.transpose(1, 0, 2).reshape(L, self.dim) @ lw["Wk"].T
-                + dv.transpose(1, 0, 2).reshape(L, self.dim) @ lw["Wv"].T
-            )
+            dk = dscores.swapaxes(-1, -2) @ q * scale
+            if dp is not None:
+                dk, dv = dk + dp[0], dv + dp[1]
+            if start:
+                d_past_out.append((dk[..., :start, :].sum(axis=0),
+                                   dv[..., :start, :].sum(axis=0)))
+                dk, dv = dk[..., start:, :], dv[..., start:, :]
+            da = (dense(rows(dq), lw["Wq"].T) + dense(rows(dk), lw["Wk"].T)
+                  + dense(rows(dv), lw["Wv"].T))
             dx = dx + _layernorm_backward(da, lc["ln1"], lw["g1"])
+        if start:
+            return dx, d_past_out[::-1]
         return dx
 
 
@@ -450,11 +518,11 @@ def forward_logits(prefix: SoftPrompt | None, body_ids: Sequence[int], model) ->
     return model.forward(_input_matrix(prefix, body_ids, model)).logits
 
 
-def _restricted_softmax(logits_row: np.ndarray, vids) -> np.ndarray:
-    """Softmax of one logit row restricted to the verbalizer token ids."""
-    logits = logits_row[vids]
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+def _restricted_softmax(logits: np.ndarray, vids) -> np.ndarray:
+    """Softmax of logit rows (the last axis) restricted to the verbalizer token ids."""
+    logits = logits[..., vids]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _extends(model) -> bool:

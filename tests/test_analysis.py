@@ -445,3 +445,36 @@ def test_report_is_json_serializable(model, task, report_inputs):
                              include_empty=True,
                              random_prompts=["old cold the"])
     json.dumps(doc)
+
+
+# -- statistics without scipy.stats ---------------------------------------------------
+
+def test_spearman_and_paired_ttest_bitwise_equal_scipy_stats_forms():
+    """The report's numbers are unchanged: ranks and t tails computed the way
+    ``scipy.stats.rankdata(method="average")`` and ``t.sf`` compute them."""
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(3, 25))
+        xs = rng.integers(0, 6, size=n).astype(float)
+        ys = rng.normal(size=n) if trial % 2 else rng.integers(0, 4, size=n).astype(float)
+        if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+            continue
+        rx = scipy.stats.rankdata(xs, method="average")
+        ry = scipy.stats.rankdata(ys, method="average")
+        rho = max(-1.0, min(1.0, float(np.corrcoef(rx, ry)[0, 1])))
+        p = 0.0 if abs(rho) == 1.0 else 2.0 * float(scipy.stats.t.sf(
+            abs(rho * math.sqrt((n - 2) / (1.0 - rho * rho))), n - 2))
+        assert spearman(xs, ys) == (rho, p), trial
+        d = xs - ys
+        t_stat = float(d.mean()) / (float(d.std(ddof=1)) / math.sqrt(n))
+        assert paired_ttest(xs, ys) == 2.0 * float(scipy.stats.t.sf(abs(t_stat), n - 1))
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, promptsearch.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

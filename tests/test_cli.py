@@ -532,3 +532,39 @@ def test_help_lists_every_option_of_the_table(command):
     for key, *_ in _COMMANDS[command][1]:
         assert "--" + key.replace("_", "-") in flags
     assert "--config" in flags
+
+
+# -- out-dir and config scalars ----------------------------------------------------------
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_tune_out_dir_naming_a_file_exits_2_before_loading_a_model(
+        monkeypatch, data_files, tmp_path, capsys, under):
+    from promptsearch import cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: loaded.append(spec))
+    existing = tmp_path / "taken"
+    existing.write_text("not a directory")
+    assert main(tune_args(data_files, existing / under)) == 2
+    _one_error_line(capsys, "out_dir")
+    assert loaded == [] and existing.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("steps", 2.7), ("seeds", 2.5), ("m", [2.5]), ("batch_size", True), ("jobs", 1.0),
+    ("eta", "abc"), ("steps", None), ("beta_start", "x"),
+])
+def test_tune_flag_and_config_forms_get_the_same_exit_code(monkeypatch, data_files,
+                                                           tmp_path, key, value):
+    """A config value is parsed as its flag text would be: ``2.7`` fails an
+    integer option either way instead of truncating to 2."""
+    from promptsearch import cli
+
+    monkeypatch.setattr(cli, "run_chain", lambda *args: pytest.fail("chain ran"))
+    flag_text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    by_flag = main(tune_args(data_files, tmp_path / "flag", **{key: flag_text}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    by_config = main(tune_args(data_files, tmp_path / "config", **{key: None})
+                     + ["--config", str(config)])
+    assert by_flag == by_config == 2

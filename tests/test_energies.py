@@ -384,3 +384,103 @@ def test_energy_and_grad_runs_one_pass_per_example(model, task, small_data, cfg)
     energy_and_grad(soft(model, 19, m=5), batch, task, counting, cfg)
     assert counting.forwards == len(batch)
     assert counting.backwards == len(batch)
+
+
+# -- prompt once, bodies stacked ---------------------------------------------------------
+
+class _FullPasses:
+    """Overrides ``forward(self, X)``, so energies run one full pass per example."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def forward(self, X):
+        return self._inner.forward(X)
+
+
+MIXED_TASK = TaskSpec(id="mixed", template="{x}",
+                      verbalizer={"good": "good", "bad": "bad"},
+                      domain_string="review")
+# rendered body lengths 0, 1, 1, 2, 3, 3: four distinct, one of them empty
+MIXED_BATCH = [Example("great fun", "good"), Example("", "bad"), Example("dull", "good"),
+               Example("the plot was", "bad"), Example("fun", "bad"),
+               Example("a slow story", "good")]
+
+
+def _grad_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("cfg", COMBINED_CONFIGS, ids=lambda c: f"{c.mode}-{c.sign}")
+def test_stacked_energy_equals_full_passes(model, m, cfg):
+    prompt = soft(model, 20 + m, m=m)
+    full = _FullPasses(model)
+    assert len({len(model.tokenize(ex.text)) for ex in MIXED_BATCH}) == 4
+    bd, g = energy_and_grad(prompt, MIXED_BATCH, MIXED_TASK, model, cfg)
+    bd_full, g_full = energy_and_grad(prompt, MIXED_BATCH, MIXED_TASK, full, cfg)
+    assert bd.total == bd_full.total and bd.per_term == bd_full.per_term
+    _grad_close(g, g_full)
+    combined = supervised_energy if cfg.mode == "supervised" else unsupervised_energy
+    assert combined(prompt, MIXED_BATCH, MIXED_TASK, model, cfg) == \
+        combined(prompt, MIXED_BATCH, MIXED_TASK, full, cfg)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("term", [task_nll, entropy_loss, domain_nll],
+                         ids=lambda f: f.__name__)
+def test_stacked_single_terms_equal_full_passes(model, m, term):
+    prompt = soft(model, 30 + m, m=m)
+    full = _FullPasses(model)
+    value, g = term(prompt, MIXED_BATCH, MIXED_TASK, model, grad=True)
+    value_full, g_full = term(prompt, MIXED_BATCH, MIXED_TASK, full, grad=True)
+    assert value == value_full
+    _grad_close(g, g_full)
+    assert term(prompt, MIXED_BATCH, MIXED_TASK, model) == value
+    assert term(prompt, MIXED_BATCH, MIXED_TASK, full) == value
+
+
+@pytest.mark.parametrize("batch", [MIXED_BATCH[:1], MIXED_BATCH[1:2], MIXED_BATCH[2:3]],
+                         ids=["two-tokens", "empty", "one-token"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_stacked_single_example_batch_equals_full_pass(model, batch, m):
+    prompt = soft(model, 40 + m, m=m)
+    for cfg in COMBINED_CONFIGS[:2]:
+        bd, g = energy_and_grad(prompt, batch, MIXED_TASK, model, cfg)
+        bd_full, g_full = energy_and_grad(prompt, batch, MIXED_TASK,
+                                          _FullPasses(model), cfg)
+        assert bd == bd_full
+        _grad_close(g, g_full)
+
+
+def test_stacked_domain_gradient_matches_fd(model):
+    prompt = soft(model, 50, m=3)
+    batch = MIXED_BATCH[:4]
+    _, g = domain_nll(prompt, batch, MIXED_TASK, model, grad=True)
+    fd = fd_grad(lambda x: domain_nll(SoftPrompt(entries=x), batch, MIXED_TASK, model),
+                 prompt.entries)
+    assert max_rel_err(g, fd) < 1e-5
+
+
+@pytest.mark.parametrize("cfg", COMBINED_CONFIGS[:2], ids=lambda c: c.mode)
+def test_energy_and_grad_runs_prompt_once_and_one_stack_per_length(monkeypatch, model,
+                                                                   cfg):
+    import functools
+
+    from promptsearch.model import TinyCausalLM
+
+    calls = {"forward": 0, "backward_input": 0}
+    for name in calls:
+        original = getattr(TinyCausalLM, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(TinyCausalLM, name, functools.wraps(original)(counted))
+    energy_and_grad(soft(model, 51, m=4), MIXED_BATCH, MIXED_TASK, model, cfg)
+    k = len({len(model.tokenize(ex.text)) for ex in MIXED_BATCH} - {0})
+    assert calls == {"forward": 1 + k, "backward_input": 1 + k}

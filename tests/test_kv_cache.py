@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CountingModel
-from oracles import scratch_forward
+from oracles import fd_grad, max_rel_err, scratch_forward
 from promptsearch.analysis import LocalContinuationGenerator
 from promptsearch.errors import ConfigurationError
 from promptsearch.metrics import accuracy
@@ -228,3 +228,58 @@ def test_label_word_distribution_extends_the_prompt_pass(row_log, model, task):
     full = model.forward(X).logits[-1, verbalizer_token_ids(task, model)]
     expected = np.exp(full - full.max())
     np.testing.assert_allclose(dist.probs, expected / expected.sum(), rtol=0, atol=1e-12)
+
+
+# -- stacked extensions ------------------------------------------------------
+
+@pytest.mark.parametrize("stack, n", [(1, 1), (5, 1), (3, 4), (1, 6)])
+def test_stacked_extension_matches_per_example_extensions_and_oracle(model, stack, n):
+    rng = np.random.default_rng(10 * stack + n)
+    prompt = rng.normal(size=(5, model.dim))
+    bodies = rng.normal(size=(stack, n, model.dim))
+    head = model.forward(prompt)
+    fw = model.forward(bodies, past=head.cache)
+    assert fw.hidden.shape == (stack, n, model.dim)
+    assert fw.logits.shape == (stack, n, model.vocab_size)
+    for g in range(stack):
+        X = np.concatenate([prompt, bodies[g]])
+        one = model.forward(bodies[g], past=head.cache)
+        np.testing.assert_allclose(fw.hidden[g], one.hidden, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fw.logits[g], one.logits, rtol=0, atol=1e-12)
+        ref_hidden, ref_logits = scratch_forward(model, X)
+        np.testing.assert_allclose(fw.hidden[g], ref_hidden[5:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fw.logits[g], ref_logits[5:], rtol=0, atol=1e-12)
+        # every row of a stack gets the bits of the same row of a full pass
+        full = model.forward(X)
+        np.testing.assert_array_equal(fw.hidden[g], full.hidden[5:])
+        np.testing.assert_array_equal(fw.logits[g], full.logits[5:])
+
+
+def test_stack_needs_past(model):
+    with pytest.raises(ConfigurationError):
+        model.forward(np.zeros((2, 3, model.dim)))
+
+
+def _stacked_objective(model, prompt, bodies, w_head, w_stack):
+    head = model.forward(prompt)
+    fw = model.forward(bodies, past=head.cache)
+    return float(np.sum(w_head * head.hidden) + np.sum(w_stack * fw.hidden))
+
+
+def test_stacked_extension_backward_matches_fd(model):
+    rng = np.random.default_rng(3)
+    prompt = rng.normal(size=(3, model.dim))
+    bodies = rng.normal(size=(2, 2, model.dim))
+    w_head = rng.normal(size=(3, model.dim))
+    w_stack = rng.normal(size=(2, 2, model.dim))
+    head = model.forward(prompt)
+    fw = model.forward(bodies, past=head.cache)
+    d_bodies, d_past = model.backward_input(fw.cache, d_hidden=w_stack)
+    assert len(d_past) == model.n_layers
+    d_prompt = model.backward_input(head.cache, d_hidden=w_head, d_past=d_past)
+    fd_prompt = fd_grad(lambda x: _stacked_objective(model, x, bodies, w_head, w_stack),
+                        prompt)
+    fd_bodies = fd_grad(lambda x: _stacked_objective(model, prompt, x, w_head, w_stack),
+                        bodies)
+    assert max_rel_err(d_prompt, fd_prompt) < 1e-5
+    assert max_rel_err(d_bodies, fd_bodies) < 1e-5
