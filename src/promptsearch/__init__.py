@@ -36,13 +36,10 @@ from .projection import allowed_token_ids, project, project_subset
 from .tasks import (
     Example,
     TaskSpec,
-    builtin_task,
     builtin_tasks,
     load_dataset,
     render,
-    render_parts,
     task_from_file,
-    validate_task,
     verbalizer_token_ids,
 )
 from .energies import (
@@ -65,8 +62,6 @@ from .sampler import (
     beta_at,
     langevin_step,
     load_record,
-    record_from_json,
-    record_to_json,
     run_chain,
     save_record,
     select_best,
@@ -95,15 +90,13 @@ __all__ = [
     "register_adapter", "label_word_distribution", "as_soft_prompt",
     "prompt_from_ids",
     "project", "project_subset", "allowed_token_ids",
-    "TaskSpec", "Example", "render", "render_parts", "verbalizer_token_ids",
-    "validate_task", "load_dataset", "builtin_tasks", "builtin_task",
-    "task_from_file",
+    "TaskSpec", "Example", "render", "verbalizer_token_ids", "load_dataset",
+    "builtin_tasks", "task_from_file",
     "EnergyConfig", "EnergyBreakdown", "term_weights", "task_nll",
     "fluency_nll", "supervised_energy", "entropy_loss", "domain_nll",
     "unsupervised_energy", "energy_and_grad",
     "NoiseSchedule", "beta_at", "SamplerConfig", "StepLog", "ChainRecord",
-    "langevin_step", "run_chain", "select_best", "record_to_json",
-    "record_from_json", "save_record", "load_record",
+    "langevin_step", "run_chain", "select_best", "save_record", "load_record",
     "accuracy", "log_perplexity", "prompt_perplexity", "dist1",
     "PromptDiagnostics", "label_entropy", "spearman", "domain_word_frequency",
     "LocalContinuationGenerator", "generate_continuations", "pmi_dc_predict",

@@ -41,6 +41,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SOURCES = ("tuned", "human", "random", "empty")
+_N_BINS = 20  # equal-width label-entropy histogram bins on [0, ln |Y|]
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,6 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
                        random_prompts: Sequence[str] = (),
                        include_empty: bool = False,
                        effective_quantile: float = 0.9,
-                       n_bins: int = 20,
                        generator: Callable | None = None,
                        continuations_per_prompt: int = 5,
                        nucleus_p: float = 0.95,
@@ -310,8 +310,8 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
     case, and always required for baseline prompts).  The document contains:
 
     * ``prompts``: the diagnostics rows;
-    * ``entropy_hist``: shared bin edges on ``[0, ln |Y|]``, overall counts,
-      and per-source counts;
+    * ``entropy_hist``: the edges of 20 equal bins on ``[0, ln |Y|]``, shared
+      by the overall counts and the per-source counts;
     * ``scatter``: ``[label_entropy, accuracy]`` pairs for the tuned rows;
     * ``spearman``: rho/p over the scatter columns, or null when undefined
       (fewer than 3 tuned rows, or a constant column);
@@ -362,7 +362,7 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
         add("", "empty", baseline_accuracy(None))
 
     max_h = math.log(len(task.labels))
-    edges = np.linspace(0.0, max_h, n_bins + 1)
+    edges = np.linspace(0.0, max_h, _N_BINS + 1)
     entropies = np.array([r.label_entropy for r in rows], dtype=float)
     counts, _ = np.histogram(np.clip(entropies, 0.0, max_h), bins=edges)
     by_source = {}

@@ -6,7 +6,8 @@ hash of each record (the manifest is the only artifact carrying timestamps,
 so reruns with identical flags and data produce byte-identical records).
 ``eval`` scores chain records or a plain prompt file on a labeled dataset
 and appends metrics into the records.  ``analyze`` assembles the
-diagnostics report JSON.
+diagnostics report JSON.  Both refuse a record tuned for another task or
+another ``--model`` before writing anything.
 
 Each option is declared once, as a row of its command's table: the flag is
 ``--key`` with dashes and the key in the optional ``--config`` JSON file is
@@ -18,7 +19,7 @@ config value is parsed as the text its flag would carry: ``{"steps": 2.7}``
 fails as ``--steps 2.7`` does instead of truncating.  The
 grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
 comma-separated (or JSON) lists; ``seeds`` takes either a count N (seeds
-0..N-1) or an explicit list; an empty grid is an error.
+0..N-1) or an explicit list of distinct seeds; an empty grid is an error.
 
 Exit codes: 0 success, 1 runtime fault (partial artifacts are kept),
 2 usage/configuration error.
@@ -57,7 +58,7 @@ from .sampler import (
     save_record,
 )
 from .synthetic import synthetic_task
-from .tasks import builtin_tasks, load_dataset, render, task_from_file, validate_task
+from .tasks import builtin_tasks, load_dataset, render, task_from_file, verbalizer_token_ids
 
 __all__ = ["main", "cmd_tune", "cmd_eval", "cmd_analyze"]
 
@@ -137,7 +138,8 @@ _COMMANDS = {
          "intent or literal: unsupervised combination sign (see energies docs)"),
         ("optimizer", str, "adaptive", None, "plain or adaptive"),
         ("seeds", _seeds, 5,
-         (lambda seeds: seeds and min(seeds) >= 0, "non-empty and each >= 0"),
+         (lambda seeds: seeds and min(seeds) >= 0 and len(set(seeds)) == len(seeds),
+         "non-empty, distinct and each >= 0"),
          "count N (0..N-1) or comma-separated list"),
         ("allowed_vocab", str, "no-special", None, "all or no-special"),
         ("init_text", str, None, None, "seed string for prompt initialization"),
@@ -299,7 +301,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
 
     task = _resolve_task(opts)
     model = load_adapter(opts["model"])
-    validate_task(task, model)
+    verbalizer_token_ids(task, model)  # each label word one token of this model
     data = load_dataset(opts["data"], task if mode == "supervised" else None)
     if mode == "supervised":
         _require_labeled(data, "supervised tuning")
@@ -358,14 +360,26 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     return 1 if any_fault else 0
 
 
-def _chain_files(chains_dir: str) -> list[Path]:
+def _load_chains(chains_dir: str, task, model_spec: str) -> dict[Path, ChainRecord]:
+    """The directory's ``chain_*.json`` records by path.  A record tuned for
+    another task, or with a ``config.model_spec`` other than ``model_spec``,
+    is a ``UsageError`` naming its file, raised before anything is written."""
     root = Path(chains_dir)
     if not root.is_dir():
         raise UsageError(f"not a chain directory: {root}")
     files = sorted(root.glob("chain_*.json"))
     if not files:
         raise UsageError(f"no chain_*.json records under {root}")
-    return files
+    records = {}
+    for path in files:
+        record = records[path] = load_record(path)
+        if record.task_id != task.id:
+            raise UsageError(f"{path} was tuned for task {record.task_id!r}, "
+                             f"not {task.id!r}")
+        if record.config.model_spec not in (None, model_spec):
+            raise UsageError(f"{path} was tuned with model "
+                             f"{record.config.model_spec!r}, not {model_spec!r}")
+    return records
 
 
 def _read_prompt_file(path: str) -> list[str]:
@@ -416,10 +430,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     records = {}
     manifest = None
     if opts["chains"] is not None:
-        for path in _chain_files(opts["chains"]):
-            record = load_record(path)
-            records[path] = record
-            rows.append((path.name, record.final_prompt_text))
+        records = _load_chains(opts["chains"], task, opts["model"])
+        rows += [(path.name, record.final_prompt_text) for path, record in records.items()]
         manifest = _read_manifest(Path(opts["chains"]))
     else:
         for i, text in enumerate(_read_prompt_file(opts["prompts"])):
@@ -468,7 +480,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if opts["data"] is not None:
         val = load_dataset(opts["data"], task)
         _require_labeled(val, "analysis baselines")
-    chains = [load_record(p) for p in _chain_files(opts["chains"])]
+    chains = list(_load_chains(opts["chains"], task, opts["model"]).values())
     human = _read_prompt_file(opts["human_prompts"]) if opts["human_prompts"] else ()
     rand = _read_prompt_file(opts["random_prompts"]) if opts["random_prompts"] else ()
 

@@ -408,7 +408,5 @@ def unsupervised_energy(prompt: SoftPrompt, batch: list[Example], task: TaskSpec
 
 def energy_and_grad(prompt: SoftPrompt, batch: list[Example], task: TaskSpec,
                     model, cfg: EnergyConfig):
-    """Dispatch on ``cfg.mode``; returns ``(EnergyBreakdown, gradient)``."""
-    if cfg.mode == "supervised":
-        return supervised_energy(prompt, batch, task, model, cfg, grad=True)
-    return unsupervised_energy(prompt, batch, task, model, cfg, grad=True)
+    """``(EnergyBreakdown, gradient)`` of the energy ``cfg.mode`` names."""
+    return _combined(prompt, batch, task, model, cfg, grad=True)

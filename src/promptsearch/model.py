@@ -37,7 +37,6 @@ __all__ = [
     "make_reference_model",
     "register_adapter",
     "load_adapter",
-    "forward_logits",
     "label_word_distribution",
     "as_soft_prompt",
     "prompt_from_ids",
@@ -511,11 +510,6 @@ def _input_matrix(prefix: SoftPrompt | None, body_ids: Sequence[int], model) -> 
     if not parts:
         raise ConfigurationError("nothing to run: empty prefix and empty body")
     return np.concatenate(parts, axis=0)
-
-
-def forward_logits(prefix: SoftPrompt | None, body_ids: Sequence[int], model) -> np.ndarray:
-    """Next-token logits at every position of prefix + body."""
-    return model.forward(_input_matrix(prefix, body_ids, model)).logits
 
 
 def _restricted_softmax(logits: np.ndarray, vids) -> np.ndarray:

@@ -53,8 +53,6 @@ __all__ = [
     "langevin_step",
     "run_chain",
     "select_best",
-    "record_to_json",
-    "record_from_json",
     "save_record",
     "load_record",
 ]
@@ -206,15 +204,6 @@ class ChainRecord:
                    fault=d.get("fault"))
 
 
-def record_to_json(record: ChainRecord) -> str:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-    return json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def record_from_json(text: str) -> ChainRecord:
-    return ChainRecord.from_dict(json.loads(text))
-
-
 def _write_text_atomic(path: Path, text: str) -> None:
     """Replace ``path`` by a file holding ``text``, never leaving it half-written.
 
@@ -237,9 +226,10 @@ def _write_json_atomic(path: Path, obj) -> None:
 
 
 def save_record(record: ChainRecord, path: str | Path) -> Path:
-    """Write the record's canonical JSON to ``path`` atomically; returns the path."""
+    """Write the record as canonical JSON (sorted keys, 2-space indent,
+    trailing newline) to ``path`` atomically; returns the path."""
     path = Path(path)
-    _write_text_atomic(path, record_to_json(record))
+    _write_json_atomic(path, record.to_dict())
     return path
 
 
@@ -247,7 +237,7 @@ def load_record(path: str | Path) -> ChainRecord:
     """Read a record; invalid JSON or a missing or rejected field is a
     ``DataError`` naming the file."""
     try:
-        return record_from_json(Path(path).read_text(encoding="utf-8"))
+        return ChainRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except KeyError as e:
         raise DataError(f"chain record {path} lacks field {e}") from None
     except (ValueError, TypeError, ConfigurationError) as e:

@@ -10,7 +10,7 @@ by the diagnostics.  Datasets are JSONL files with one ``{"text": ...,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, TaskSpecError
@@ -19,12 +19,9 @@ __all__ = [
     "TaskSpec",
     "Example",
     "render",
-    "render_parts",
     "verbalizer_token_ids",
-    "validate_task",
     "load_dataset",
     "builtin_tasks",
-    "builtin_task",
     "task_from_file",
 ]
 
@@ -63,26 +60,17 @@ class Example:
     label: str | None = None
 
 
-def render_parts(task: TaskSpec, x: str, model) -> tuple[list[int], list[int]]:
-    """Tokenize input and template cue separately.
-
-    Returns ``(input_ids, cue_ids)`` where the input segment includes any
-    template text before the slot.  The concatenation equals
-    :func:`render`; the split exists so losses can score the two segments
-    independently.
-    """
-    before, after = task.template.split("{x}")
-    return model.tokenize(before + x), model.tokenize(after)
-
-
 def render(task: TaskSpec, x: str, model) -> list[int]:
     """Token sequence of the input with the template applied.
 
-    The next-token position after the final cue token is where label logits
-    are read.  The built-in templates join input and cue with a single space.
+    The input segment (with any template text before the slot) and the cue
+    after it are tokenized separately and concatenated, so no token spans the
+    two.  The next-token position after the final cue token is where label
+    logits are read.  The built-in templates join input and cue with a single
+    space.
     """
-    input_ids, cue_ids = render_parts(task, x, model)
-    return input_ids + cue_ids
+    before, after = task.template.split("{x}")
+    return model.tokenize(before + x) + model.tokenize(after)
 
 
 def verbalizer_token_ids(task: TaskSpec, model) -> list[int]:
@@ -112,20 +100,12 @@ def verbalizer_token_ids(task: TaskSpec, model) -> list[int]:
     return ids
 
 
-def validate_task(task: TaskSpec, model) -> None:
-    """Check the adapter-dependent invariants (single-token label words)."""
-    verbalizer_token_ids(task, model)
-
-
-def load_dataset(path: str | Path, task: TaskSpec | None = None,
-                 format: str = "jsonl") -> list[Example]:
+def load_dataset(path: str | Path, task: TaskSpec | None = None) -> list[Example]:
     """Read examples from a JSONL file, preserving file order.
 
     When ``task`` is given, labels are validated against its label set.
     Malformed lines are reported with their 1-based line number.
     """
-    if format != "jsonl":
-        raise DataError(f"unsupported dataset format {format!r}")
     try:
         fh = open(path, encoding="utf-8")
     except OSError as e:
@@ -187,14 +167,6 @@ def builtin_tasks() -> list[TaskSpec]:
                           "business", "technology"),
         ),
     ]
-
-
-def builtin_task(name: str) -> TaskSpec:
-    for task in builtin_tasks():
-        if task.id == name:
-            return task
-    known = ", ".join(t.id for t in builtin_tasks())
-    raise TaskSpecError(f"unknown builtin task {name!r} (known: {known})")
 
 
 def task_from_file(path: str | Path) -> TaskSpec:

@@ -568,3 +568,54 @@ def test_tune_flag_and_config_forms_get_the_same_exit_code(monkeypatch, data_fil
     by_config = main(tune_args(data_files, tmp_path / "config", **{key: None})
                      + ["--config", str(config)])
     assert by_flag == by_config == 2
+
+
+# -- records checked against --task and --model; distinct seeds -------------------------
+
+def _chains_args(command, tuned_dir, data_files, task_args, model):
+    return [command, *task_args, "--chains", str(tuned_dir), "--data", data_files["val"],
+            "--model", model]
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("mismatch", ["model", "task"])
+def test_chains_tuned_for_another_task_or_model_exit_2_unchanged(
+        data_files, tuned_dir, tmp_path, capsys, command, mismatch):
+    task_args, model = ["--task", "synthetic-2label"], "reference:1"
+    if mismatch == "model":
+        model = "reference:5"
+    else:
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({
+            "id": "other", "template": "{x} it was",
+            "verbalizer": {"good": "good", "bad": "bad"},
+            "domain_string": "this is a review",
+        }))
+        task_args = ["--task-file", str(other)]
+    before = _record_bytes(tuned_dir)
+    assert main(_chains_args(command, tuned_dir, data_files, task_args, model)) == 2
+    tuned_for = "reference:1" if mismatch == "model" else "synthetic-2label"
+    _one_error_line(capsys, "chain_000_seed0.json", tuned_for)
+    assert _record_bytes(tuned_dir) == before  # no record, manifest or report written
+
+
+def test_chains_without_model_spec_are_scored_under_any_model(data_files, tuned_dir):
+    for path in tuned_dir.glob("chain_*.json"):
+        doc = json.loads(path.read_text())
+        doc["config"]["model_spec"] = None
+        path.write_text(json.dumps(doc))
+    assert main(_chains_args("eval", tuned_dir, data_files,
+                             ["--task", "synthetic-2label"], "reference:5")) == 0
+
+
+@pytest.mark.parametrize("in_config", [False, True])
+def test_tune_repeated_seeds_exit_2_before_writing(data_files, tmp_path, capsys, in_config):
+    out = tmp_path / "repeated"
+    args = tune_args(data_files, out, seeds=None if in_config else "1,1")
+    if in_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seeds": [1, 1]}))
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    _one_error_line(capsys, "seeds", "distinct")
+    assert not out.exists()

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import fd_grad, max_rel_err, scratch_forward
 from promptsearch.errors import ConfigurationError, UsageError
+from promptsearch.tasks import TaskSpec
 from promptsearch.model import (
     REFERENCE_VOCAB,
     EmbeddingTable,
     LabelDistribution,
     SoftPrompt,
     as_soft_prompt,
-    forward_logits,
     label_word_distribution,
     load_adapter,
     make_reference_model,
@@ -230,20 +230,16 @@ def test_label_distribution_validation():
 
 # -- adapter-level operations --------------------------------------------------
 
-def test_forward_logits_concatenates_prompt_and_body(model):
-    ids = model.tokenize("great movie")
-    prompt = prompt_from_ids(model.tokenize("the the"), model)
-    via_helper = forward_logits(prompt, ids, model)
-    X = np.concatenate([prompt.entries, model.embedding_table().entries[ids]])
-    np.testing.assert_array_equal(via_helper, model.forward(X).logits)
-    assert via_helper.shape[0] == prompt.length + len(ids)
-
-
-def test_forward_logits_rejects_empty_everything(model):
-    with pytest.raises(ConfigurationError):
-        forward_logits(None, [], model)
-    with pytest.raises(ConfigurationError):
-        forward_logits(None, [model.vocab_size], model)
+def test_label_word_distribution_rejects_empty_everything(model, task):
+    bare = TaskSpec(id="bare", template="{x}", verbalizer=task.verbalizer,
+                    domain_string=task.domain_string)
+    with pytest.raises(ConfigurationError, match="nothing to run"):
+        label_word_distribution(None, "", bare, model)
+    # a body id outside the vocabulary, from an adapter's tokenizer
+    odd = make_reference_model(0)
+    odd.tokenize = lambda text: [odd.vocab_size] if text == "zzz" else model.tokenize(text)
+    with pytest.raises(ConfigurationError, match="outside vocabulary"):
+        label_word_distribution(None, "zzz", task, odd)
 
 
 def test_label_word_distribution_restricted_normalization(model, task):
@@ -254,7 +250,7 @@ def test_label_word_distribution_restricted_normalization(model, task):
     from promptsearch.tasks import render, verbalizer_token_ids
     body = render(task, "great fun", model)
     vids = verbalizer_token_ids(task, model)
-    raw = forward_logits(None, body, model)[-1, vids]
+    raw = model.forward(model.embedding_table().entries[body]).logits[-1, vids]
     manual = np.exp(raw - raw.max())
     manual /= manual.sum()
     np.testing.assert_allclose(dist.probs, manual, rtol=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from promptsearch.sampler import (
     beta_at,
     langevin_step,
     load_record,
-    record_from_json,
-    record_to_json,
     run_chain,
     save_record,
     select_best,
@@ -204,11 +203,11 @@ def test_step_shape_and_beta_guards(model):
 
 # -- run_chain -----------------------------------------------------------------------
 
-def test_chain_bitwise_deterministic(model, task, small_data):
+def test_chain_bitwise_deterministic(model, task, small_data, tmp_path):
     cfg = small_cfg(seed=3)
-    a = run_chain(task, model, cfg, small_data)
-    b = run_chain(task, model, cfg, small_data)
-    assert record_to_json(a) == record_to_json(b)
+    a = save_record(run_chain(task, model, cfg, small_data), tmp_path / "a.json")
+    b = save_record(run_chain(task, model, cfg, small_data), tmp_path / "b.json")
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_chain_records_every_step(model, task, small_data):
@@ -344,7 +343,7 @@ def test_chain_empty_data_rejected(model, task):
 
 def test_chain_nonfinite_energy_aborts_with_partial_record(model, task,
                                                            small_data,
-                                                           monkeypatch):
+                                                           monkeypatch, tmp_path):
     calls = {"n": 0}
     real = energy_and_grad
 
@@ -360,7 +359,7 @@ def test_chain_nonfinite_energy_aborts_with_partial_record(model, task,
     assert rec.fault == "non-finite energy at step 3"
     assert len(rec.per_step) == 3
     # the partial record still serializes and round-trips
-    assert record_from_json(record_to_json(rec)).fault == rec.fault
+    assert load_record(save_record(rec, tmp_path / "chain.json")).fault == rec.fault
 
 
 def test_chain_nonfinite_gradient_aborts(model, task, small_data, monkeypatch):
@@ -414,12 +413,12 @@ def test_record_json_round_trip(model, task, small_data, tmp_path):
     path = save_record(rec, tmp_path / "chain.json")
     loaded = load_record(path)
     assert loaded == rec
-    assert record_to_json(loaded) == record_to_json(rec)
+    assert save_record(loaded, tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_record_json_is_canonical(model, task, small_data):
+def test_record_json_is_canonical(model, task, small_data, tmp_path):
     rec = run_chain(task, model, small_cfg(), small_data)
-    text = record_to_json(rec)
+    text = save_record(rec, tmp_path / "chain.json").read_text(encoding="utf-8")
     assert text.endswith("\n")
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
@@ -503,8 +502,8 @@ def test_beta_between_endpoints_property(start_scale, ratio, steps, i):
 
 def _fail_encoding(monkeypatch):
     # a lone surrogate cannot be encoded: the write fails once the temp file exists
-    monkeypatch.setattr("promptsearch.sampler.record_to_json",
-                        lambda rec: '{"steps": "\ud800"}\n')
+    monkeypatch.setattr("promptsearch.sampler.json",
+                        SimpleNamespace(dumps=lambda *args, **kw: '{"steps": "\ud800"}'))
 
 
 def _fail_replace(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from promptsearch.synthetic import POOL_A, POOL_B, synthetic_dataset, synthetic_task
-from promptsearch.tasks import validate_task
+from promptsearch.tasks import verbalizer_token_ids
 
 
 def test_pools_are_disjoint_ten_word_sets():
@@ -13,7 +13,7 @@ def test_pools_are_disjoint_ten_word_sets():
 
 def test_task_validates_on_reference_model(model):
     task = synthetic_task()
-    validate_task(task, model)
+    assert len(verbalizer_token_ids(task, model)) == 2
     assert task.labels == ("good", "bad")
 
 

@@ -4,17 +4,14 @@ import json
 
 import pytest
 
-from promptsearch.errors import DataError, TaskSpecError
+from promptsearch.errors import DataError, TaskSpecError, UsageError
 from promptsearch.tasks import (
     Example,
     TaskSpec,
-    builtin_task,
     builtin_tasks,
     load_dataset,
     render,
-    render_parts,
     task_from_file,
-    validate_task,
     verbalizer_token_ids,
 )
 
@@ -57,26 +54,28 @@ def test_domain_words_lowercased_and_labels_ordered():
 
 # -- rendering ----------------------------------------------------------------
 
-def test_render_parts_split_and_concat(model):
-    t = make_task()
-    inp, cue = render_parts(t, "great fun", model)
-    assert [model.token_text[i] for i in inp] == ["great", "fun"]
-    assert [model.token_text[i] for i in cue] == ["it", "was"]
-    assert render(t, "great fun", model) == inp + cue
+def words(ids, model):
+    return [model.token_text[i] for i in ids]
+
+
+def test_render_tokenizes_input_and_cue_separately(model):
+    assert words(render(make_task(), "great fun", model), model) == [
+        "great", "fun", "it", "was"]
+    # joined, "itwas" would be one out-of-vocabulary word
+    assert render(make_task(template="{x}was"), "it", model) == (
+        model.tokenize("it") + model.tokenize("was"))
 
 
 def test_render_with_text_before_slot(model):
-    t = make_task(template="the {x} it was")
-    inp, cue = render_parts(t, "movie", model)
-    assert [model.token_text[i] for i in inp] == ["the", "movie"]
-    assert [model.token_text[i] for i in cue] == ["it", "was"]
+    assert words(render(make_task(template="the {x} it was"), "movie", model),
+                 model) == ["the", "movie", "it", "was"]
+    # text before the slot is tokenized together with the input
+    assert words(render(make_task(template="th{x} it was"), "e movie", model),
+                 model) == ["the", "movie", "it", "was"]
 
 
 def test_render_empty_input_keeps_cue(model):
-    t = make_task()
-    inp, cue = render_parts(t, "", model)
-    assert inp == []
-    assert [model.token_text[i] for i in cue] == ["it", "was"]
+    assert words(render(make_task(), "", model), model) == ["it", "was"]
 
 
 # -- verbalizer resolution -------------------------------------------------------
@@ -112,21 +111,27 @@ def test_builtin_tasks_all_validate_on_reference(model):
     tasks = builtin_tasks()
     assert [t.id for t in tasks] == ["sst2", "amazon", "agnews"]
     for t in tasks:
-        validate_task(t, model)
+        assert len(verbalizer_token_ids(t, model)) == len(t.labels)
+
+
+def builtin(name):
+    return {t.id: t for t in builtin_tasks()}[name]
 
 
 def test_sst2_domain_words_carry_both_spellings():
-    words = builtin_task("sst2").domain_words
+    words = builtin("sst2").domain_words
     assert "cinima" in words and "cinema" in words
 
 
 def test_agnews_has_four_labels():
-    assert len(builtin_task("agnews").labels) == 4
+    assert len(builtin("agnews").labels) == 4
 
 
 def test_builtin_task_unknown_name():
-    with pytest.raises(TaskSpecError):
-        builtin_task("imdb")
+    from promptsearch.cli import _resolve_task
+
+    with pytest.raises(UsageError, match="sst2"):
+        _resolve_task({"task": "imdb", "task_file": None})
 
 
 # -- task files -----------------------------------------------------------------------
@@ -201,8 +206,3 @@ def test_load_dataset_requires_text_field(tmp_path):
     write_jsonl(path, [{"label": "pos"}])
     with pytest.raises(DataError):
         load_dataset(path)
-
-
-def test_load_dataset_unknown_format(tmp_path):
-    with pytest.raises(DataError):
-        load_dataset(tmp_path / "d.csv", format="csv")
