@@ -18,8 +18,9 @@ out-of-range value exits 2 with one ``error:`` line naming the key.  A
 config value is parsed as the text its flag would carry: ``{"steps": 2.7}``
 fails as ``--steps 2.7`` does instead of truncating.  The
 grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
-comma-separated (or JSON) lists; ``seeds`` takes either a count N (seeds
-0..N-1) or an explicit list of distinct seeds; an empty grid is an error.
+comma-separated (or JSON) lists of distinct values; ``seeds`` takes either
+a count N (seeds 0..N-1) or an explicit list of distinct seeds; an empty
+grid, or one naming a value twice, is an error.
 
 Exit codes: 0 success, 1 runtime fault (partial artifacts are kept),
 2 usage/configuration error.
@@ -101,7 +102,12 @@ def _seeds(value) -> list[int]:
     return list(range(int(value)))
 
 
-_NON_EMPTY = (bool, "non-empty")
+def _distinct(values) -> bool:
+    """A grid is non-empty and names no value twice (each would rerun a chain)."""
+    return bool(values) and len(set(values)) == len(values)
+
+
+_GRID = (_distinct, "non-empty and distinct")
 
 # One row per option: (key, parse, default, check, help).  The flag is
 # ``--key`` with dashes and the config-file key is ``key``; a value from
@@ -124,22 +130,22 @@ _COMMANDS = {
         ("mode", str, "supervised", (lambda mode: mode in ("supervised", "unsupervised"),
                                      "supervised or unsupervised"),
          "supervised or unsupervised"),
-        ("m", _list(int), 10, _NON_EMPTY, "prompt length(s), comma-separated"),
+        ("m", _list(int), 10, _GRID, "prompt length(s), comma-separated"),
         ("steps", int, 5000, None, "sampler steps per chain"),
         ("batch_size", int, 16, None, "examples per energy evaluation"),
-        ("eta", _list(float), 1.0, _NON_EMPTY, "step size(s), comma-separated"),
+        ("eta", _list(float), 1.0, _GRID, "step size(s), comma-separated"),
         ("beta_start", float, 1.0, None, "noise variance at the first step"),
         ("beta_end", float, 1e-4, None, "noise variance at the last step"),
-        ("lambda_fluency", _list(float), 0.003, _NON_EMPTY,
+        ("lambda_fluency", _list(float), 0.003, _GRID,
          "fluency weight(s), supervised mode"),
-        ("lambda_domain", _list(float), 0.003, _NON_EMPTY,
+        ("lambda_domain", _list(float), 0.003, _GRID,
          "domain weight(s), unsupervised mode"),
         ("energy_sign", str, "intent", None,
          "intent or literal: unsupervised combination sign (see energies docs)"),
         ("optimizer", str, "adaptive", None, "plain or adaptive"),
         ("seeds", _seeds, 5,
-         (lambda seeds: seeds and min(seeds) >= 0 and len(set(seeds)) == len(seeds),
-         "non-empty, distinct and each >= 0"),
+         (lambda seeds: _distinct(seeds) and min(seeds) >= 0,
+          "non-empty, distinct and each >= 0"),
          "count N (0..N-1) or comma-separated list"),
         ("allowed_vocab", str, "no-special", None, "all or no-special"),
         ("init_text", str, None, None, "seed string for prompt initialization"),

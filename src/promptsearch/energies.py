@@ -50,7 +50,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError, UsageError
-from .model import SoftPrompt, _extends, _input_matrix, _restricted_softmax
+from .model import (
+    SoftPrompt,
+    _by_length,
+    _extends,
+    _input_matrix,
+    _restricted_softmax,
+)
 from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = [
@@ -157,14 +163,6 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     direct = np.zeros_like(prompt.entries)
     direct[1:] = -fw.hidden[:k]
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
-
-
-def _by_length(seqs: list[list[int]]) -> list[list[int]]:
-    """Example indices grouped by rendered body length, shortest first."""
-    groups: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault(len(seq), []).append(i)
-    return [groups[n] for n in sorted(groups)]
 
 
 def _stacked_passes(prompt: SoftPrompt, seqs, model):

@@ -22,8 +22,10 @@ def accuracy(prompt: SoftPrompt | str | None, dataset: Sequence[Example],
     Argmax ties break toward the earliest label in the verbalizer order.
     ``prompt`` may be a soft prompt, a string (tokenized), or None (no
     prepended tokens).  Each example reads the same distribution as
-    :func:`~promptsearch.model.label_word_distribution`, with the prompt's
-    own pass shared across examples.
+    :func:`~promptsearch.model.label_word_distribution`, bit for bit.  On
+    the reference model a prompt runs once and the rendered inputs are
+    stacked by length, at most 128 positions per stack; the empty prompt
+    and other adapters run one full pass per example.
     """
     if not dataset:
         raise UsageError("accuracy needs a nonempty dataset")

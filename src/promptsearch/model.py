@@ -493,15 +493,19 @@ def load_adapter(spec: str):
 # -- adapter-level operations --------------------------------------------
 
 
-def _input_matrix(prefix: SoftPrompt | None, body_ids: Sequence[int], model) -> np.ndarray:
-    table = model.embedding_table()
+def _check_input(prefix: SoftPrompt | None, ids: Sequence[int], table: EmbeddingTable):
     if prefix is not None and prefix.dim != table.dim:
         raise ConfigurationError(
             f"prompt dim {prefix.dim} does not match model dim {table.dim}"
         )
-    ids = list(body_ids)
     if any(i < 0 or i >= table.rows for i in ids):
         raise ConfigurationError("body token id outside vocabulary")
+
+
+def _input_matrix(prefix: SoftPrompt | None, body_ids: Sequence[int], model) -> np.ndarray:
+    table = model.embedding_table()
+    ids = list(body_ids)
+    _check_input(prefix, ids, table)
     parts = []
     if prefix is not None:
         parts.append(prefix.entries)
@@ -526,38 +530,68 @@ def _extends(model) -> bool:
     return getattr(type(model), "forward", None) is TinyCausalLM.forward
 
 
+def _by_length(seqs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Example indices grouped by rendered body length, shortest first."""
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(i)
+    return [groups[n] for n in sorted(groups)]
+
+
 def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> ForwardPass:
     """A forward-only pass whose last row reads out ``X``'s last position.
 
-    ``past`` is a pass over the leading rows of ``X``.  When the adapter
-    extends passes, only the rows after it are run; otherwise, and without
-    ``past``, the whole of ``X`` is.  Either way the result's rows end at
-    ``X``'s last position and it can serve as the next ``past``.
+    ``past`` is a pass over the leading rows of ``X``, at least one row
+    short of it.  When the adapter extends passes, only the rows after it
+    are run; otherwise, and without ``past``, the whole of ``X`` is.  Either
+    way the result's rows end at ``X``'s last position and it can serve as
+    the next ``past``.
     """
     if past is None or not _extends(model):
         return model.forward(X)
-    start = past.cache["L"]
-    if start == X.shape[0]:
-        return past
-    return model.forward(X[start:], past=past.cache)
+    return model.forward(X[past.cache["L"]:], past=past.cache)
+
+
+# A stack of bodies on the read path holds at most this many positions,
+# prompt rows included, so scoring a large dataset peaks at the memory of a
+# small one.
+_STACK_POSITIONS = 128
 
 
 def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -> np.ndarray:
     """Restricted label softmax after prompt + each rendered text, ``(len(texts), |Y|)``.
 
-    The prompt's own pass is run once and extended by each rendered body
-    when the adapter extends passes.
+    With a prompt, on an adapter that extends passes, the prompt's own pass
+    is run once; the rendered bodies are grouped by length and each group
+    runs as stacked extensions of it, at most ``_STACK_POSITIONS`` positions
+    (prompt rows included) per stack.  An empty body reads the prompt pass's
+    last row.  Without a prompt, or on other adapters, each example gets one
+    full pass.  Every row is bitwise the one a full pass gives.
     """
     from .tasks import render, verbalizer_token_ids
 
     vids = verbalizer_token_ids(task, model)
-    prefix = None
-    if prompt is not None and _extends(model):
-        prefix = model.forward(prompt.entries)
-    probs = np.empty((len(texts), len(vids)))
-    for i, text in enumerate(texts):
-        X = _input_matrix(prompt, render(task, text, model), model)
-        probs[i] = _restricted_softmax(_read_pass(model, X, prefix).logits[-1], vids)
+    seqs = [render(task, text, model) for text in texts]
+    probs = np.empty((len(seqs), len(vids)))
+    if prompt is None or not _extends(model):
+        for i, seq in enumerate(seqs):
+            fw = model.forward(_input_matrix(prompt, seq, model))
+            probs[i] = _restricted_softmax(fw.logits[-1], vids)
+        return probs
+    table = model.embedding_table()
+    _check_input(prompt, [i for seq in seqs for i in seq], table)
+    head = model.forward(prompt.entries)
+    for idx in _by_length(seqs):
+        n = len(seqs[idx[0]])
+        if n == 0:
+            probs[idx] = _restricted_softmax(head.logits[-1], vids)
+            continue
+        size = max(1, _STACK_POSITIONS // (prompt.length + n))
+        for s in range(0, len(idx), size):
+            stack = idx[s:s + size]
+            fw = model.forward(table.entries[np.array([seqs[i] for i in stack])],
+                               past=head.cache)
+            probs[stack] = _restricted_softmax(fw.logits[:, -1], vids)
     return probs
 
 

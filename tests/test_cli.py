@@ -619,3 +619,27 @@ def test_tune_repeated_seeds_exit_2_before_writing(data_files, tmp_path, capsys,
     assert main(args) == 2
     _one_error_line(capsys, "seeds", "distinct")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", [3, 3]),
+    ("eta", [0.5, 1.0, 0.5]),
+    ("lambda_fluency", [0.0, 0.0]),
+    ("lambda_domain", [0.1, 0.1]),
+])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_tune_repeated_grid_value_exits_2_before_writing(data_files, tmp_path, capsys,
+                                                         in_config, key, value):
+    """A value named twice in a grid would run byte-identical chains under two
+    file names; it is refused like a repeated seed, flag and config alike."""
+    out = tmp_path / "repeated"
+    mode = "unsupervised" if key == "lambda_domain" else "supervised"
+    flag = None if in_config else ",".join(map(str, value))
+    args = tune_args(data_files, out, mode=mode, **{key: flag})
+    if in_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    _one_error_line(capsys, key, "distinct")
+    assert not out.exists()

@@ -1,6 +1,9 @@
 """KV-cached read path: ``forward(X, past=...)`` and the callers that use it."""
 
 import functools
+import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +15,11 @@ from promptsearch.errors import ConfigurationError
 from promptsearch.metrics import accuracy
 from promptsearch.model import (
     REFERENCE_VOCAB,
+    SoftPrompt,
     TinyCausalLM,
+    _input_matrix,
+    _label_probs,
+    _restricted_softmax,
     as_soft_prompt,
     label_word_distribution,
     make_reference_model,
@@ -90,13 +97,15 @@ def test_cached_generation_matches_full_passes(max_len, length, seed):
 @pytest.fixture
 def row_log(monkeypatch):
     """Replace ``TinyCausalLM.forward`` by a ``functools.wraps`` wrapper, as a
-    tracer would, that logs how many rows each call runs."""
+    tracer would, that logs how many rows each call runs, or ``(G, n)`` for a
+    stack of ``G`` bodies of ``n`` rows each."""
     rows = []
     original = TinyCausalLM.forward
 
     @functools.wraps(original)
     def logged(*args, **kwargs):
-        rows.append(len(args[1]))
+        X = args[1]
+        rows.append(X.shape[:2] if X.ndim == 3 else len(X))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(TinyCausalLM, "forward", logged)
@@ -137,7 +146,8 @@ def test_accuracy_runs_prompt_once_then_bodies(row_log, model, task):
     data = synthetic_dataset(5, seed=2)
     accuracy("the movie review", data, task, model)
     body_rows = [len(render(task, ex.text, model)) for ex in data]
-    assert row_log == [3] + body_rows
+    # one stack per body length: five examples fit one stack
+    assert row_log == [3] + [(count, n) for n, count in sorted(Counter(body_rows).items())]
     row_log.clear()
     accuracy(None, data, task, model)
     assert row_log == body_rows
@@ -222,7 +232,7 @@ def test_forward_override_in_subclass_gets_full_passes_in_generation(model):
 def test_label_word_distribution_extends_the_prompt_pass(row_log, model, task):
     soft = as_soft_prompt("the movie review", model)
     dist = label_word_distribution(soft, "great fun", task, model)
-    assert row_log == [3, len(render(task, "great fun", model))]
+    assert row_log == [3, (1, len(render(task, "great fun", model)))]
     X = np.concatenate([soft.entries,
                         model.embedding_table().entries[render(task, "great fun", model)]])
     full = model.forward(X).logits[-1, verbalizer_token_ids(task, model)]
@@ -283,3 +293,110 @@ def test_stacked_extension_backward_matches_fd(model):
                         bodies)
     assert max_rel_err(d_prompt, fd_prompt) < 1e-5
     assert max_rel_err(d_bodies, fd_bodies) < 1e-5
+
+
+# -- stacked reads -----------------------------------------------------------
+
+_BARE = TaskSpec(id="bare", template="{x}", verbalizer={"good": "good", "bad": "bad"},
+                 domain_string="review")  # a text's words are its whole body
+
+# bodies of 0 to 3 words, out of order; with a 3-row prompt at most
+# 128 // (3 + 3) = 21 three-word bodies fit one stack, so that group takes two
+_LENGTHS = [2, 0, 3, 1, 3, 0, 1, 2] + [3] * 30
+
+
+def _texts(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    words = ("great", "fun", "dull", "slow", "movie", "plot", "good", "bad")
+    return [" ".join(rng.choice(words, size=n)) for n in lengths]
+
+
+def _full_pass_probs(prompt, texts, task, model):
+    vids = verbalizer_token_ids(task, model)
+    return np.array([
+        _restricted_softmax(
+            model.forward(_input_matrix(prompt, render(task, t, model), model)).logits[-1],
+            vids)
+        for t in texts])
+
+
+@pytest.mark.parametrize("prompt", ["the", "the movie review", "soft"])
+def test_stacked_read_equals_full_passes_bitwise(model, prompt):
+    if prompt == "soft":
+        soft = SoftPrompt(np.random.default_rng(7).normal(size=(5, model.dim)))
+    else:
+        soft = as_soft_prompt(prompt, model)
+    texts = _texts(_LENGTHS)
+    expected = _full_pass_probs(soft, texts, _BARE, model)
+    np.testing.assert_array_equal(_label_probs(soft, texts, _BARE, model), expected)
+    # an adapter that does not extend passes reads the same bits
+    np.testing.assert_array_equal(_label_probs(soft, texts, _BARE, CountingModel(model)),
+                                  expected)
+
+
+def _stack_sizes(m, lengths):
+    """The expected stacks: per non-empty body length, groups of at most
+    ``max(1, 128 // (m + n))`` bodies."""
+    counts = Counter(n for n in lengths if n)
+    return {n: (count, max(1, 128 // (m + n))) for n, count in counts.items()}
+
+
+@pytest.mark.parametrize("prompt", ["the movie review",
+                                    "the movie review about fun and the plot was great"])
+def test_stacked_read_runs_one_forward_per_stack(row_log, model, prompt):
+    soft = as_soft_prompt(prompt, model)
+    texts = _texts(_LENGTHS + [3] * 60)
+    _label_probs(soft, texts, _BARE, model)
+    sizes = _stack_sizes(soft.length, _LENGTHS + [3] * 60)
+    assert len(row_log) == 1 + sum(math.ceil(count / g) for count, g in sizes.values())
+    assert row_log[0] == soft.length
+    for g, n in row_log[1:]:
+        assert g <= sizes[n][1]
+        assert g == 1 or g * (soft.length + n) <= 128
+    assert sum(g for g, _ in row_log[1:]) == sum(n > 0 for n in _LENGTHS) + 60
+
+
+def test_empty_prompt_and_overrides_keep_one_full_pass_per_example(row_log, model):
+    lengths = [n for n in _LENGTHS if n]
+    _label_probs(None, _texts(lengths), _BARE, model)
+    assert row_log == lengths
+    sub = _LoggedLM()
+    soft = as_soft_prompt("the movie review", model)
+    texts = _texts(_LENGTHS)
+    np.testing.assert_array_equal(_label_probs(soft, texts, _BARE, sub),
+                                  _label_probs(soft, texts, _BARE, model))
+    assert sub.rows == [3 + n for n in _LENGTHS]
+
+
+@pytest.mark.parametrize("bad_id", ["over", "negative"])
+def test_stacked_read_checks_inputs_before_any_pass(row_log, model, bad_id):
+    wide = SoftPrompt(np.zeros((2, model.dim + 1)))
+    with pytest.raises(ConfigurationError, match="prompt dim"):
+        _label_probs(wide, _texts([2, 3]), _BARE, model)
+    odd = make_reference_model(0)
+    wrong = odd.vocab_size if bad_id == "over" else -1
+    odd.tokenize = lambda text: [wrong] if text == "zzz" else model.tokenize(text)
+    with pytest.raises(ConfigurationError, match="outside vocabulary"):
+        _label_probs(as_soft_prompt("the movie", model), ["great fun", "zzz"], _BARE, odd)
+    assert row_log == []
+
+
+def _accuracy_peak(model, task, prompt, data):
+    tracemalloc.start()
+    try:
+        accuracy(prompt, data, task, model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacked_read_memory_does_not_grow_with_the_dataset(model, task):
+    """The stack bound keeps the peak of scoring 400 equal-length examples
+    near that of 100; one stack per length would hold all 400 at once."""
+    texts = _texts([6] * 400, seed=3)
+    data = [Example(t, task.labels[i % 2]) for i, t in enumerate(texts)]
+    prompt = "the movie review about fun and the plot was great"
+    accuracy(prompt, data[:10], task, model)  # warm-up: one-time allocations
+    small = _accuracy_peak(model, task, prompt, data[:100])
+    large = _accuracy_peak(model, task, prompt, data)
+    assert large <= 1.25 * small, (small, large)
