@@ -22,7 +22,8 @@ from scipy.special import stdtr
 from .errors import ModelFault, UsageError
 from .metrics import accuracy as _accuracy
 from .metrics import prompt_perplexity
-from .model import SoftPrompt, _read_pass, as_soft_prompt, label_word_distribution
+from .model import (SoftPrompt, _label_probs, _read_pass, as_soft_prompt,
+                    label_word_distribution)
 from .sampler import ChainRecord
 from .tasks import Example, TaskSpec
 
@@ -241,8 +242,7 @@ def pmi_dc_predict(x: str, task: TaskSpec, model) -> str:
     prepended in either pass); returns the argmax label, ties toward the
     earliest label.
     """
-    p_x = label_word_distribution(None, x, task, model).probs
-    p_d = label_word_distribution(None, task.domain_string, task, model).probs
+    p_x, p_d = _label_probs(None, [x, task.domain_string], task, model)
     return task.labels[int(np.argmax(p_x / p_d))]
 
 

@@ -95,6 +95,12 @@ def _may_be_directory(value) -> bool:
     return all(p.is_dir() or not p.exists() for p in (path, *path.parents))
 
 
+def _file_in_directory(value) -> bool:
+    """Whether ``value`` names a file path (not a directory) in an existing directory."""
+    path = Path(value)
+    return path.parent.is_dir() and not path.is_dir()
+
+
 def _seeds(value) -> list[int]:
     """A count N (seeds 0..N-1), or an explicit comma-separated or JSON list."""
     if isinstance(value, list) or "," in str(value):
@@ -163,7 +169,8 @@ _COMMANDS = {
         ("human_prompts", str, None, None, "text file of human-written prompts"),
         ("random_prompts", str, None, None, "text file of random baseline prompts"),
         ("include_empty", _boolean, False, None, "add the no-prompt baseline row"),
-        ("report", str, None, None, "output report path (default: <chains>/report.json)"),
+        ("report", str, None, (_file_in_directory, "a file path in an existing directory"),
+         "output report path (default: <chains>/report.json)"),
         ("effective_quantile", float, 0.9, (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
          "accuracy quantile defining 'effective' prompts"),
         ("continuations", int, 0, (lambda k: k >= 0, ">= 0"),

@@ -24,8 +24,9 @@ def accuracy(prompt: SoftPrompt | str | None, dataset: Sequence[Example],
     prepended tokens).  Each example reads the same distribution as
     :func:`~promptsearch.model.label_word_distribution`, bit for bit.  On
     the reference model a prompt runs once and the rendered inputs are
-    stacked by length, at most 128 positions per stack; the empty prompt
-    and other adapters run one full pass per example.
+    stacked by length, at most 128 positions per stack, the empty prompt's
+    included; only adapters that do not extend passes run one full pass
+    per example.
     """
     if not dataset:
         raise UsageError("accuracy needs a nonempty dataset")

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigurationError, ModelFault, UsageError
+from .tasks import render, verbalizer_token_ids
 
 __all__ = [
     "EmbeddingTable",
@@ -133,8 +134,8 @@ class ForwardPass:
     positions it covers under ``"L"``).
     """
 
-    hidden: np.ndarray  # (L, d); (G, n, d) for a stacked extension
-    logits: np.ndarray  # (L, V); (G, n, V) for a stacked extension
+    hidden: np.ndarray  # (L, d); (G, n, d) for a stack
+    logits: np.ndarray  # (L, V); (G, n, V) for a stack
     cache: dict = field(repr=False)
 
 
@@ -316,18 +317,17 @@ class TinyCausalLM:
         values.  The result holds hidden states and logits for those rows
         only, and a cache covering every position, so 2-D passes chain.
 
-        With ``past``, ``X`` may also be a stack ``(G, n, d)`` of ``G``
-        equal-length bodies that each extend the same pass; hidden states
-        and logits are then ``(G, n, d)`` and ``(G, n, V)``.  The cached keys
-        and values are broadcast over the stack only in that case, so a 2-D
-        extension costs no more than it did.
+        ``X`` may also be a stack ``(G, n, d)`` of ``G`` equal-length
+        bodies, each run as its own pass, or each extending the same pass
+        when ``past`` is given; hidden states and logits are then
+        ``(G, n, d)`` and ``(G, n, V)``.  Cached keys and values are
+        broadcast over a stack only, so a 2-D extension copies none of them.
         """
         X = np.asarray(X, dtype=np.float64)
-        stacked = X.ndim == 3 and past is not None
-        if X.ndim != 2 + stacked or X.shape[-1] != self.dim:
+        stacked = X.ndim == 3
+        if X.ndim not in (2, 3) or X.shape[-1] != self.dim:
             raise ConfigurationError(
-                f"input must be L x {self.dim} (or G x n x {self.dim} with past), "
-                f"got shape {X.shape}"
+                f"input must be L x {self.dim} or G x n x {self.dim}, got shape {X.shape}"
             )
         lead, n = X.shape[:-2], X.shape[-2]
         start = 0 if past is None else past["L"]
@@ -493,27 +493,24 @@ def load_adapter(spec: str):
 # -- adapter-level operations --------------------------------------------
 
 
-def _check_input(prefix: SoftPrompt | None, ids: Sequence[int], table: EmbeddingTable):
+def _check_input(prefix: SoftPrompt | None, bodies: Sequence[Sequence[int]],
+                 table: EmbeddingTable):
     if prefix is not None and prefix.dim != table.dim:
         raise ConfigurationError(
             f"prompt dim {prefix.dim} does not match model dim {table.dim}"
         )
-    if any(i < 0 or i >= table.rows for i in ids):
+    if any(i < 0 or i >= table.rows for ids in bodies for i in ids):
         raise ConfigurationError("body token id outside vocabulary")
+    if prefix is None and not all(bodies):
+        raise ConfigurationError("nothing to run: empty prefix and empty body")
 
 
 def _input_matrix(prefix: SoftPrompt | None, body_ids: Sequence[int], model) -> np.ndarray:
     table = model.embedding_table()
     ids = list(body_ids)
-    _check_input(prefix, ids, table)
-    parts = []
-    if prefix is not None:
-        parts.append(prefix.entries)
-    if ids:
-        parts.append(table.entries[ids])
-    if not parts:
-        raise ConfigurationError("nothing to run: empty prefix and empty body")
-    return np.concatenate(parts, axis=0)
+    _check_input(prefix, [ids], table)
+    parts = [] if prefix is None else [prefix.entries]
+    return np.concatenate(parts + [table.entries[ids]], axis=0)
 
 
 def _restricted_softmax(logits: np.ndarray, vids) -> np.ndarray:
@@ -561,36 +558,35 @@ _STACK_POSITIONS = 128
 def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -> np.ndarray:
     """Restricted label softmax after prompt + each rendered text, ``(len(texts), |Y|)``.
 
-    With a prompt, on an adapter that extends passes, the prompt's own pass
-    is run once; the rendered bodies are grouped by length and each group
-    runs as stacked extensions of it, at most ``_STACK_POSITIONS`` positions
-    (prompt rows included) per stack.  An empty body reads the prompt pass's
-    last row.  Without a prompt, or on other adapters, each example gets one
-    full pass.  Every row is bitwise the one a full pass gives.
+    On an adapter that extends passes, a prompt's own pass is run once; the
+    rendered bodies are grouped by length and each group runs as stacks of
+    at most ``_STACK_POSITIONS`` positions (prompt rows included), which
+    extend the prompt's pass or, with no prompt, are full passes.  An empty
+    body reads the prompt pass's last row.  Only adapters that do not extend
+    passes get one full pass per example.  Every row is bitwise the one a
+    full pass gives.
     """
-    from .tasks import render, verbalizer_token_ids
-
     vids = verbalizer_token_ids(task, model)
     seqs = [render(task, text, model) for text in texts]
     probs = np.empty((len(seqs), len(vids)))
-    if prompt is None or not _extends(model):
+    table = model.embedding_table()
+    _check_input(prompt, seqs, table)
+    if not _extends(model):
         for i, seq in enumerate(seqs):
             fw = model.forward(_input_matrix(prompt, seq, model))
             probs[i] = _restricted_softmax(fw.logits[-1], vids)
         return probs
-    table = model.embedding_table()
-    _check_input(prompt, [i for seq in seqs for i in seq], table)
-    head = model.forward(prompt.entries)
+    head = None if prompt is None else model.forward(prompt.entries)
+    past, m = (None, 0) if head is None else (head.cache, prompt.length)
     for idx in _by_length(seqs):
         n = len(seqs[idx[0]])
         if n == 0:
             probs[idx] = _restricted_softmax(head.logits[-1], vids)
             continue
-        size = max(1, _STACK_POSITIONS // (prompt.length + n))
+        size = max(1, _STACK_POSITIONS // (m + n))
         for s in range(0, len(idx), size):
             stack = idx[s:s + size]
-            fw = model.forward(table.entries[np.array([seqs[i] for i in stack])],
-                               past=head.cache)
+            fw = model.forward(table.entries[np.array([seqs[i] for i in stack])], past=past)
             probs[stack] = _restricted_softmax(fw.logits[:, -1], vids)
     return probs
 

@@ -66,8 +66,8 @@ _ADAM_EPS = 1e-8
 class NoiseSchedule:
     """Geometric noise-variance schedule over ``steps`` updates.
 
-    Requires ``beta_start >= beta_end > 0``, with the single special case
-    ``beta_start == beta_end == 0`` for the noise-free baseline.
+    Requires finite ``beta_start >= beta_end > 0``, with the single special
+    case ``beta_start == beta_end == 0`` for the noise-free baseline.
     """
 
     beta_start: float = 1.0
@@ -78,9 +78,9 @@ class NoiseSchedule:
         if self.steps < 1:
             raise ConfigurationError(f"schedule needs steps >= 1, got {self.steps}")
         zero = self.beta_start == 0.0 and self.beta_end == 0.0
-        if not zero and not self.beta_start >= self.beta_end > 0.0:
+        if not zero and not math.inf > self.beta_start >= self.beta_end > 0.0:
             raise ConfigurationError(
-                "schedule requires beta_start >= beta_end > 0 "
+                "schedule requires finite beta_start >= beta_end > 0 "
                 f"(or both exactly 0), got {self.beta_start}, {self.beta_end}"
             )
 
@@ -118,8 +118,8 @@ class SamplerConfig:
     model_spec: str | None = None  # informational: adapter locator for the record
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigurationError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 1 or self.batch_size < 1 or self.prompt_length < 1:
             raise ConfigurationError("steps, batch_size and prompt_length must be >= 1")
         if self.steps != self.schedule.steps:

@@ -643,3 +643,47 @@ def test_tune_repeated_grid_value_exits_2_before_writing(data_files, tmp_path, c
     assert main(args) == 2
     _one_error_line(capsys, key, "distinct")
     assert not out.exists()
+
+
+# -- unwritable report paths and infinite step sizes ----------------------------------
+
+@pytest.mark.parametrize("report", ["taken", "missing/report.json"])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_analyze_unwritable_report_exits_2_before_loading_a_model(
+        monkeypatch, data_files, tmp_path, capsys, report, in_config):
+    """A report path naming a directory, or under a missing one, is refused
+    before any scoring or generation runs."""
+    from promptsearch import cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: loaded.append(spec))
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / report)
+    args = ["analyze", "--task", "synthetic-2label", "--chains", str(data_files["root"])]
+    if in_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"report": path}))
+        args += ["--config", str(config)]
+    else:
+        args += ["--report", path]
+    assert main(args) == 2
+    _one_error_line(capsys, "report", path)
+    assert loaded == [] and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("options", [
+    {"eta": "inf"}, {"beta_start": "inf"}, {"beta_start": "inf", "beta_end": "inf"},
+])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_tune_infinite_step_size_exits_2_before_writing(data_files, tmp_path, capsys,
+                                                        options, in_config):
+    out = tmp_path / "inf"
+    args = tune_args(data_files, out, **{k: None if in_config else v
+                                         for k, v in options.items()})
+    if in_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({k: float(v) for k, v in options.items()}))
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    _one_error_line(capsys, "finite", "inf")
+    assert not out.exists()

@@ -149,8 +149,8 @@ def test_accuracy_runs_prompt_once_then_bodies(row_log, model, task):
     # one stack per body length: five examples fit one stack
     assert row_log == [3] + [(count, n) for n, count in sorted(Counter(body_rows).items())]
     row_log.clear()
-    accuracy(None, data, task, model)
-    assert row_log == body_rows
+    accuracy(None, data, task, model)  # no prompt: no head pass, the same stacks
+    assert row_log == [(count, n) for n, count in sorted(Counter(body_rows).items())]
 
 
 class _BoostToken:
@@ -242,11 +242,18 @@ def test_label_word_distribution_extends_the_prompt_pass(row_log, model, task):
 
 # -- stacked extensions ------------------------------------------------------
 
-@pytest.mark.parametrize("stack, n", [(1, 1), (5, 1), (3, 4), (1, 6)])
+@pytest.mark.parametrize("stack, n", [(1, 1), (5, 1), (3, 4), (1, 6), (17, 30)])
 def test_stacked_extension_matches_per_example_extensions_and_oracle(model, stack, n):
     rng = np.random.default_rng(10 * stack + n)
     prompt = rng.normal(size=(5, model.dim))
     bodies = rng.normal(size=(stack, n, model.dim))
+    # without ``past`` each body of a stack is its own full pass
+    alone = model.forward(bodies)
+    assert alone.logits.shape == (stack, n, model.vocab_size)
+    for g in range(stack):
+        full = model.forward(bodies[g])
+        np.testing.assert_array_equal(alone.hidden[g], full.hidden)
+        np.testing.assert_array_equal(alone.logits[g], full.logits)
     head = model.forward(prompt)
     fw = model.forward(bodies, past=head.cache)
     assert fw.hidden.shape == (stack, n, model.dim)
@@ -263,11 +270,6 @@ def test_stacked_extension_matches_per_example_extensions_and_oracle(model, stac
         full = model.forward(X)
         np.testing.assert_array_equal(fw.hidden[g], full.hidden[5:])
         np.testing.assert_array_equal(fw.logits[g], full.logits[5:])
-
-
-def test_stack_needs_past(model):
-    with pytest.raises(ConfigurationError):
-        model.forward(np.zeros((2, 3, model.dim)))
 
 
 def _stacked_objective(model, prompt, bodies, w_head, w_stack):
@@ -320,13 +322,14 @@ def _full_pass_probs(prompt, texts, task, model):
         for t in texts])
 
 
-@pytest.mark.parametrize("prompt", ["the", "the movie review", "soft"])
+@pytest.mark.parametrize("prompt", [None, "the", "the movie review", "soft"])
 def test_stacked_read_equals_full_passes_bitwise(model, prompt):
     if prompt == "soft":
         soft = SoftPrompt(np.random.default_rng(7).normal(size=(5, model.dim)))
     else:
         soft = as_soft_prompt(prompt, model)
-    texts = _texts(_LENGTHS)
+    # the empty prompt needs a body in every example
+    texts = _texts([n for n in _LENGTHS if n or soft is not None])
     expected = _full_pass_probs(soft, texts, _BARE, model)
     np.testing.assert_array_equal(_label_probs(soft, texts, _BARE, model), expected)
     # an adapter that does not extend passes reads the same bits
@@ -341,25 +344,25 @@ def _stack_sizes(m, lengths):
     return {n: (count, max(1, 128 // (m + n))) for n, count in counts.items()}
 
 
-@pytest.mark.parametrize("prompt", ["the movie review",
+@pytest.mark.parametrize("prompt", [None, "the movie review",
                                     "the movie review about fun and the plot was great"])
 def test_stacked_read_runs_one_forward_per_stack(row_log, model, prompt):
     soft = as_soft_prompt(prompt, model)
-    texts = _texts(_LENGTHS + [3] * 60)
-    _label_probs(soft, texts, _BARE, model)
-    sizes = _stack_sizes(soft.length, _LENGTHS + [3] * 60)
-    assert len(row_log) == 1 + sum(math.ceil(count / g) for count, g in sizes.values())
-    assert row_log[0] == soft.length
-    for g, n in row_log[1:]:
+    m = 0 if soft is None else soft.length
+    lengths = [n for n in _LENGTHS if n or soft is not None] + [3] * 60
+    _label_probs(soft, _texts(lengths), _BARE, model)
+    sizes = _stack_sizes(m, lengths)
+    heads = [] if soft is None else [soft.length]  # no prompt: no head pass
+    assert row_log[:len(heads)] == heads
+    stacks = row_log[len(heads):]
+    assert len(stacks) == sum(math.ceil(count / g) for count, g in sizes.values())
+    for g, n in stacks:
         assert g <= sizes[n][1]
-        assert g == 1 or g * (soft.length + n) <= 128
-    assert sum(g for g, _ in row_log[1:]) == sum(n > 0 for n in _LENGTHS) + 60
+        assert g == 1 or g * (m + n) <= 128
+    assert sum(g for g, _ in stacks) == sum(n > 0 for n in lengths)
 
 
-def test_empty_prompt_and_overrides_keep_one_full_pass_per_example(row_log, model):
-    lengths = [n for n in _LENGTHS if n]
-    _label_probs(None, _texts(lengths), _BARE, model)
-    assert row_log == lengths
+def test_forward_overrides_keep_one_full_pass_per_example(model):
     sub = _LoggedLM()
     soft = as_soft_prompt("the movie review", model)
     texts = _texts(_LENGTHS)
@@ -370,6 +373,8 @@ def test_empty_prompt_and_overrides_keep_one_full_pass_per_example(row_log, mode
 
 @pytest.mark.parametrize("bad_id", ["over", "negative"])
 def test_stacked_read_checks_inputs_before_any_pass(row_log, model, bad_id):
+    with pytest.raises(ConfigurationError, match="nothing to run"):
+        _label_probs(None, _texts([2, 3, 0]), _BARE, model)
     wide = SoftPrompt(np.zeros((2, model.dim + 1)))
     with pytest.raises(ConfigurationError, match="prompt dim"):
         _label_probs(wide, _texts([2, 3]), _BARE, model)
@@ -392,11 +397,12 @@ def _accuracy_peak(model, task, prompt, data):
 
 def test_stacked_read_memory_does_not_grow_with_the_dataset(model, task):
     """The stack bound keeps the peak of scoring 400 equal-length examples
-    near that of 100; one stack per length would hold all 400 at once."""
+    near that of 100, with or without a prompt; one stack per length would
+    hold all 400 at once."""
     texts = _texts([6] * 400, seed=3)
     data = [Example(t, task.labels[i % 2]) for i, t in enumerate(texts)]
-    prompt = "the movie review about fun and the plot was great"
-    accuracy(prompt, data[:10], task, model)  # warm-up: one-time allocations
-    small = _accuracy_peak(model, task, prompt, data[:100])
-    large = _accuracy_peak(model, task, prompt, data)
-    assert large <= 1.25 * small, (small, large)
+    for prompt in [None, "the movie review about fun and the plot was great"]:
+        accuracy(prompt, data[:10], task, model)  # warm-up: one-time allocations
+        small = _accuracy_peak(model, task, prompt, data[:100])
+        large = _accuracy_peak(model, task, prompt, data)
+        assert large <= 1.25 * small, (prompt, small, large)

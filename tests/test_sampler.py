@@ -107,6 +107,11 @@ def test_single_step_schedule():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         small_cfg(eta=0.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        small_cfg(eta=math.inf)
+    for betas in [(math.inf, 1e-4), (math.inf, math.inf)]:
+        with pytest.raises(ConfigurationError, match="finite"):
+            NoiseSchedule(*betas, 10)
     with pytest.raises(ConfigurationError):
         small_cfg(steps=10)  # disagrees with schedule.steps
     with pytest.raises(ConfigurationError):
