@@ -114,6 +114,7 @@ def _distinct(values) -> bool:
 
 
 _GRID = (_distinct, "non-empty and distinct")
+_REPORT = (_file_in_directory, "a file path in an existing directory")
 
 # One row per option: (key, parse, default, check, help).  The flag is
 # ``--key`` with dashes and the config-file key is ``key``; a value from
@@ -169,8 +170,7 @@ _COMMANDS = {
         ("human_prompts", str, None, None, "text file of human-written prompts"),
         ("random_prompts", str, None, None, "text file of random baseline prompts"),
         ("include_empty", _boolean, False, None, "add the no-prompt baseline row"),
-        ("report", str, None, (_file_in_directory, "a file path in an existing directory"),
-         "output report path (default: <chains>/report.json)"),
+        ("report", str, None, _REPORT, "output report path (default: <chains>/report.json)"),
         ("effective_quantile", float, 0.9, (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
          "accuracy quantile defining 'effective' prompts"),
         ("continuations", int, 0, (lambda k: k >= 0, ">= 0"),
@@ -252,14 +252,10 @@ def _resolve_task(opts: dict):
         raise UsageError("exactly one of --task / --task-file is required")
     if path is not None:
         return task_from_file(path)
-    known = {t.id: t for t in builtin_tasks()}
-    if name in known:
-        return known[name]
-    if name == "synthetic-2label":
-        return synthetic_task()
-    raise UsageError(
-        f"unknown task {name!r}; built-ins: {sorted(known)} + ['synthetic-2label']"
-    )
+    known = {t.id: t for t in (*builtin_tasks(), synthetic_task())}
+    if name not in known:
+        raise UsageError(f"unknown task {name!r}; known tasks: {sorted(known)}")
+    return known[name]
 
 
 def _require_labeled(data, where: str):
@@ -488,12 +484,15 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if opts["chains"] is None:
         raise UsageError("analyze requires --chains")
     task = _resolve_task(opts)
+    chains = list(_load_chains(opts["chains"], task, opts["model"]).values())
+    out = Path(opts["report"] or Path(opts["chains"]) / "report.json")
+    if not _REPORT[0](out):
+        raise UsageError(f"report must be {_REPORT[1]}, got {str(out)!r}")
     model = load_adapter(opts["model"])
     val = None
     if opts["data"] is not None:
         val = load_dataset(opts["data"], task)
         _require_labeled(val, "analysis baselines")
-    chains = list(_load_chains(opts["chains"], task, opts["model"]).values())
     human = _read_prompt_file(opts["human_prompts"]) if opts["human_prompts"] else ()
     rand = _read_prompt_file(opts["random_prompts"]) if opts["random_prompts"] else ()
 
@@ -508,7 +507,6 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         continuations_per_prompt=opts["continuations"], nucleus_p=opts["nucleus_p"],
         continuation_length=opts["continuation_length"], seed=opts["continuation_seed"],
     )
-    out = Path(opts["report"]) if opts["report"] else Path(opts["chains"]) / "report.json"
     _write_json_atomic(out, report)
 
     print(f"report written to {out} ({len(report['prompts'])} prompt rows)")

@@ -29,8 +29,9 @@ verbalizer-restricted softmax at each example's last position, and
 ``domain_nll`` a row-wise log-softmax over positions ``m-1 .. L-2``, with
 the rows of the whole batch in one call.  A combined energy sums the
 weighted hidden-state gradients of its terms into the same backwards and
-adds the direct fluency gradient once.  ``fluency_nll`` alone runs one pass
-over the prompt rows.
+adds the direct fluency gradient once.  ``fluency_nll`` is the same shared
+pass with no batch: the prompt's own pass and one backward over it, for a
+one-row prompt too.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -151,7 +152,7 @@ def _check_batch(batch, task: TaskSpec, need_labels: bool):
 
 
 def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
-    """Fluency NLLs at positions ``0 .. m-2`` of a pass (needs ``m >= 2``).
+    """Fluency NLLs at positions ``0 .. m-2`` of a pass (none for ``m == 1``).
 
     Returns the per-position terms, their gradient w.r.t. ``hidden[:m-1]``,
     and the direct gradient w.r.t. the prompt rows they predict.
@@ -207,9 +208,11 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model):
 def _full_passes(prompt: SoftPrompt, seqs, model):
     """One full pass over ``prompt + body`` per example, for adapters that do
     not extend passes; same contract as :func:`_stacked_passes`, with the
-    first example's pass as ``head``."""
+    first example's pass as ``head`` (the prompt's own pass without
+    examples)."""
     m = prompt.length
-    fws = [model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
+    fws = ([model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
+           or [model.forward(prompt.entries)])
     groups = [(idx, np.stack([fws[i].logits[m - 1:] for i in idx]))
               for idx in _by_length(seqs)]
 
@@ -220,7 +223,7 @@ def _full_passes(prompt: SoftPrompt, seqs, model):
         total = np.zeros_like(prompt.entries)
         for i, fw in enumerate(fws):
             d_hidden = np.zeros_like(fw.hidden)
-            d_hidden[m - 1:] = rows[i]
+            d_hidden[m - 1:] = rows.get(i, 0.0)
             if i == 0:
                 d_hidden[:m] += d_head
             total += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
@@ -262,7 +265,8 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     Returns ``(values, gradient)``, where ``gradient`` is that of
     ``sum(weights[t] * values[t])`` with ``grad`` and None without.
     """
-    _check_batch(batch, task, need_labels="task" in weights)
+    if weights.keys() - {"fluency"}:
+        _check_batch(batch, task, need_labels="task" in weights)
     table = model.embedding_table().entries
     m, b = prompt.length, len(batch)
     w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
@@ -274,7 +278,7 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
 
     values = {}
     prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
-    if m > 1 and ("fluency" in weights or "domain" in weights):
+    if "fluency" in weights or "domain" in weights:
         prefix_terms, d_prefix, direct = _prefix_readout(prompt, head, table)
         d_head[:m - 1] = (w["fluency"] + w["domain"]) * d_prefix
     if "fluency" in weights:
@@ -344,18 +348,7 @@ def fluency_nll(prompt: SoftPrompt, model, *, grad: bool = False):
     whenever every prompt row is a table row (the numerator is then one of
     the normalizer's terms); unprojected rows can score below zero.
     """
-    m = prompt.length
-    if m == 1:
-        return (0.0, np.zeros_like(prompt.entries)) if grad else 0.0
-    fw = model.forward(prompt.entries)
-    terms, d_prefix, direct = _prefix_readout(prompt, fw,
-                                              model.embedding_table().entries)
-    value = math.fsum(terms)
-    if not grad:
-        return value
-    d_hidden = np.zeros_like(fw.hidden)
-    d_hidden[:m - 1] = d_prefix
-    return value, model.backward_input(fw.cache, d_hidden=d_hidden) + direct
+    return _term(prompt, [], None, model, "fluency", grad)
 
 
 def supervised_energy(prompt: SoftPrompt, batch: list[Example], task: TaskSpec,

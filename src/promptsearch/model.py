@@ -162,7 +162,8 @@ REFERENCE_VOCAB: tuple[str, ...] = (
     "and", "story", "plot", "actor", "scene", "music", "not",
 )
 
-_WORD_RE = re.compile(r"\w+|[^\w\s]")
+# the special tokens first, so that decoded text tokenizes back to them whole
+_WORD_RE = re.compile(r"<pad>|<unk>|\w+|[^\w\s]")
 
 _GELU_C = 1.0 / np.sqrt(2.0)
 _PHI_C = 1.0 / np.sqrt(2.0 * np.pi)
@@ -294,7 +295,8 @@ class TinyCausalLM:
     # -- text interface -------------------------------------------------
 
     def tokenize(self, text: str) -> list[int]:
-        """Lowercased word-level tokenization; out-of-vocabulary words map to <unk>."""
+        """Lowercased word-level tokenization; out-of-vocabulary words map to
+        <unk>, and the texts ``<pad>`` and ``<unk>`` read as those tokens."""
         return [self._index.get(w, self.unk_id) for w in _WORD_RE.findall(text.lower())]
 
     def decode(self, ids: Sequence[int]) -> str:

@@ -671,6 +671,23 @@ def test_analyze_unwritable_report_exits_2_before_loading_a_model(
     assert loaded == [] and not (tmp_path / "missing").exists()
 
 
+def test_analyze_default_report_naming_a_directory_exits_2_before_loading_a_model(
+        monkeypatch, data_files, tuned_dir, capsys):
+    """Without ``--report``, ``<chains>/report.json`` gets the same check."""
+    from promptsearch import cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: loaded.append(spec))
+    (tuned_dir / "report.json").mkdir()
+    before = {p.name: p.read_bytes() for p in tuned_dir.glob("*.json") if p.is_file()}
+    assert main(["analyze", "--task", "synthetic-2label", "--chains", str(tuned_dir),
+                 "--data", data_files["val"], "--model", "reference:1"]) == 2
+    _one_error_line(capsys, "report", str(tuned_dir / "report.json"))
+    assert loaded == []
+    assert {p.name: p.read_bytes() for p in tuned_dir.glob("*.json") if p.is_file()} \
+        == before
+
+
 @pytest.mark.parametrize("options", [
     {"eta": "inf"}, {"beta_start": "inf"}, {"beta_start": "inf", "beta_end": "inf"},
 ])

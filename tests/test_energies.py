@@ -443,6 +443,21 @@ def test_stacked_single_terms_equal_full_passes(model, m, term):
     assert term(prompt, MIXED_BATCH, MIXED_TASK, full) == value
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_fluency_on_adapter_without_extension_equals_reference_bitwise(model, m):
+    """On an adapter that does not extend passes, ``fluency_nll`` runs the
+    prompt's own full pass: one forward, and one backward per gradient call."""
+    prompt = soft(model, 60 + m, m=m)
+    counting = CountingModel(model)
+    value, g = fluency_nll(prompt, model, grad=True)
+    assert fluency_nll(prompt, counting) == value
+    assert (counting.forwards, counting.backwards) == (1, 0)
+    value_counted, g_counted = fluency_nll(prompt, counting, grad=True)
+    assert (counting.forwards, counting.backwards) == (2, 1)
+    assert value_counted == value and g_counted.tobytes() == g.tobytes()
+    assert fluency_nll(prompt, model) == value
+
+
 @pytest.mark.parametrize("batch", [MIXED_BATCH[:1], MIXED_BATCH[1:2], MIXED_BATCH[2:3]],
                          ids=["two-tokens", "empty", "one-token"])
 @pytest.mark.parametrize("m", [1, 3])

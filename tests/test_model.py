@@ -188,11 +188,11 @@ def test_decode_tokenize_round_trip_on_vocab_words(model):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.sampled_from(sorted(set(REFERENCE_VOCAB) - {"<pad>", "<unk>"})),
-                min_size=1, max_size=8))
-def test_decode_then_tokenize_is_identity(words):
+@given(st.lists(st.integers(0, len(REFERENCE_VOCAB) - 1), min_size=1, max_size=8))
+def test_decode_then_tokenize_is_identity(ids):
+    """Any id sequence over the whole vocabulary, ``<pad>`` and ``<unk>``
+    included, survives decode then tokenize."""
     model = make_reference_model(0)
-    ids = [model.tokenize(w)[0] for w in words]
     assert model.tokenize(model.decode(ids)) == ids
 
 

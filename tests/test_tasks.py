@@ -132,6 +132,8 @@ def test_builtin_task_unknown_name():
 
     with pytest.raises(UsageError, match="sst2"):
         _resolve_task({"task": "imdb", "task_file": None})
+    with pytest.raises(UsageError, match="synthetic-2label"):
+        _resolve_task({"task": "imdb", "task_file": None})
 
 
 # -- task files -----------------------------------------------------------------------
