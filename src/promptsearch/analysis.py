@@ -374,11 +374,9 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
 
     tuned = [r for r in rows if r.source == "tuned"]
     scatter = [[r.label_entropy, r.accuracy] for r in tuned]
-    spearman_doc = None
     try:
-        if len(tuned) >= 3:
-            rho, p_val = spearman([s[0] for s in scatter], [s[1] for s in scatter])
-            spearman_doc = {"rho": rho, "p": p_val}
+        rho, p_val = spearman([s[0] for s in scatter], [s[1] for s in scatter])
+        spearman_doc = {"rho": rho, "p": p_val}
     except UsageError:
         spearman_doc = None
 

@@ -488,13 +488,17 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     out = Path(opts["report"] or Path(opts["chains"]) / "report.json")
     if not _REPORT[0](out):
         raise UsageError(f"report must be {_REPORT[1]}, got {str(out)!r}")
+    human = _read_prompt_file(opts["human_prompts"]) if opts["human_prompts"] else ()
+    rand = _read_prompt_file(opts["random_prompts"]) if opts["random_prompts"] else ()
+    if opts["data"] is None and (human or rand or opts["include_empty"] or any(
+            "accuracy" not in rec.metrics for rec in chains)):
+        raise UsageError("analyze needs --data to score baseline prompts and "
+                         "records without an accuracy metric")
     model = load_adapter(opts["model"])
     val = None
     if opts["data"] is not None:
         val = load_dataset(opts["data"], task)
         _require_labeled(val, "analysis baselines")
-    human = _read_prompt_file(opts["human_prompts"]) if opts["human_prompts"] else ()
-    rand = _read_prompt_file(opts["random_prompts"]) if opts["random_prompts"] else ()
 
     generator = None
     if opts["continuations"] > 0:

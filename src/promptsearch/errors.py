@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["PromptSearchError", "ConfigurationError", "TaskSpecError", "DataError",
+           "UsageError", "ModelFault", "NumericalFault"]
+
 
 class PromptSearchError(Exception):
     """Base class for all promptsearch errors."""

@@ -204,13 +204,15 @@ class ChainRecord:
                    fault=d.get("fault"))
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` by a file holding ``text``, never leaving it half-written.
+def _write_json_atomic(path: Path, obj) -> None:
+    """Replace ``path`` by ``obj`` as JSON in the records' canonical form,
+    never leaving it half-written.
 
     The text goes to a temp file in the same directory, which ``os.replace``
     then moves over ``path`` in one step; if writing fails, ``path`` keeps
     its old content and the temp file is removed.
     """
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -218,11 +220,6 @@ def _write_text_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_json_atomic(path: Path, obj) -> None:
-    """Write ``obj`` as JSON in the records' canonical form, atomically."""
-    _write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def save_record(record: ChainRecord, path: str | Path) -> Path:

@@ -688,6 +688,38 @@ def test_analyze_default_report_naming_a_directory_exits_2_before_loading_a_mode
         == before
 
 
+@pytest.mark.parametrize("baseline", [
+    None, "--include-empty", "--human-prompts", "--random-prompts",
+])
+def test_analyze_accuracy_without_data_exits_2_before_loading_a_model(
+        monkeypatch, data_files, tmp_path, capsys, baseline):
+    """Baseline prompts, and records that carry no accuracy, need ``--data``;
+    without it ``analyze`` stops before any model loads or any scoring runs."""
+    from promptsearch import cli
+
+    chains = tmp_path / "chains"
+    # with no baseline the records carry no accuracy; with one they do
+    val = data_files["val"] if baseline else None
+    assert main(tune_args(data_files, chains, val_data=val)) == 0
+    args = ["analyze", "--task", "synthetic-2label", "--chains", str(chains),
+            "--model", "reference:1", "--continuations", "20"]
+    if baseline == "--include-empty":
+        args.append(baseline)
+    elif baseline:
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("old cold dull\n")
+        args += [baseline, str(prompts)]
+    loaded = []
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: loaded.append(spec))
+    before = _record_bytes(chains)
+    capsys.readouterr()
+    assert main(args) == 2
+    _one_error_line(capsys, "--data")
+    assert loaded == []
+    assert not (chains / "report.json").exists()
+    assert _record_bytes(chains) == before
+
+
 @pytest.mark.parametrize("options", [
     {"eta": "inf"}, {"beta_start": "inf"}, {"beta_start": "inf", "beta_end": "inf"},
 ])
