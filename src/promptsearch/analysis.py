@@ -268,29 +268,6 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     return 2.0 * float(stdtr(n - 1, -abs(t_stat)))
 
 
-def _diagnose(prompt_text: str, source: str, acc: float, task: TaskSpec, model,
-              generator, k: int, p: float, length: int,
-              rng: np.random.Generator | None) -> PromptDiagnostics:
-    prompt = prompt_text if source != "empty" else None
-    try:
-        ppl = prompt_perplexity(prompt_text, model) if source != "empty" else None
-    except UsageError:
-        ppl = None
-    continuations: list[str] = []
-    if generator is not None and k > 0 and source != "empty":
-        continuations = generate_continuations(prompt_text, generator, k, p,
-                                               length, rng=rng)
-    return PromptDiagnostics(
-        prompt_text=prompt_text,
-        accuracy=acc,
-        perplexity=ppl,
-        label_entropy=label_entropy(prompt, task, model),
-        domain_word_count=domain_word_frequency(prompt_text, continuations,
-                                                task.domain_words),
-        source=source,
-    )
-
-
 def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
                        val_data: Sequence[Example] | None = None,
                        human_prompts: Sequence[str] = (),
@@ -305,9 +282,14 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
     """Assemble the plot-ready diagnostics document.
 
     Inputs are tuned chains plus optional baseline prompt lists; one row per
-    distinct (source, prompt) pair.  Accuracy comes from each chain's stored
-    metrics when present, otherwise from ``val_data`` (required in that
-    case, and always required for baseline prompts).  The document contains:
+    distinct (source, prompt) pair, in the order tuned, human, random,
+    empty, and a repeated pair is skipped before it is scored.  Every row
+    is built by the same steps: its accuracy, its perplexity (None under two
+    tokens, so always for the empty row), any continuations (none for the
+    empty row), its label entropy and its domain-word count.  Accuracy
+    comes from each chain's stored metrics when present, otherwise from
+    ``val_data`` (required in that case, and always required for baseline
+    prompts).  The document contains:
 
     * ``prompts``: the diagnostics rows;
     * ``entropy_hist``: the edges of 20 equal bins on ``[0, ln |Y|]``, shared
@@ -325,52 +307,50 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
     continuations (one deterministic stream across all rows, from ``seed``).
     """
     rng = np.random.default_rng(seed) if generator is not None else None
-
-    def chain_accuracy(rec: ChainRecord) -> float:
-        if "accuracy" in rec.metrics:
-            return rec.metrics["accuracy"]
-        if val_data is None:
-            raise UsageError(
-                "chains carry no accuracy metric and no val_data was given"
-            )
-        return _accuracy(rec.final_prompt_text, val_data, task, model)
-
-    def baseline_accuracy(prompt_text: str | None) -> float:
-        if val_data is None:
-            raise UsageError("baseline prompts need val_data for accuracy")
-        return _accuracy(prompt_text, val_data, task, model)
-
+    wanted = ([(rec.final_prompt_text, "tuned", rec.metrics.get("accuracy"))
+               for rec in chains]
+              + [(text, "human", None) for text in human_prompts]
+              + [(text, "random", None) for text in random_prompts]
+              + ([("", "empty", None)] if include_empty else []))
     rows: list[PromptDiagnostics] = []
-    seen: set[tuple[str, str]] = set()
-
-    def add(text: str, source: str, acc: float):
-        key = (source, text)
-        if key in seen:
-            return
-        seen.add(key)
-        rows.append(_diagnose(text, source, acc, task, model, generator,
-                              continuations_per_prompt, nucleus_p,
-                              continuation_length, rng))
-
-    for rec in chains:
-        add(rec.final_prompt_text, "tuned", chain_accuracy(rec))
-    for text in human_prompts:
-        add(text, "human", baseline_accuracy(text))
-    for text in random_prompts:
-        add(text, "random", baseline_accuracy(text))
-    if include_empty:
-        add("", "empty", baseline_accuracy(None))
+    seen = set()  # (source, text) pairs with a row
+    for text, source, acc in wanted:
+        if (source, text) in seen:
+            continue
+        seen.add((source, text))
+        prompt = None if source == "empty" else text
+        if acc is None:
+            if val_data is None:
+                raise UsageError(
+                    "chains carry no accuracy metric and no val_data was given"
+                    if source == "tuned" else
+                    "baseline prompts need val_data for accuracy")
+            acc = _accuracy(prompt, val_data, task, model)
+        try:
+            ppl = prompt_perplexity(text, model)
+        except UsageError:  # under two tokens, as for the empty row
+            ppl = None
+        continuations = []
+        if generator is not None and continuations_per_prompt > 0 and prompt is not None:
+            continuations = generate_continuations(
+                text, generator, continuations_per_prompt, nucleus_p,
+                continuation_length, rng=rng)
+        rows.append(PromptDiagnostics(
+            prompt_text=text, accuracy=acc, perplexity=ppl,
+            label_entropy=label_entropy(prompt, task, model),
+            domain_word_count=domain_word_frequency(text, continuations,
+                                                    task.domain_words),
+            source=source))
 
     max_h = math.log(len(task.labels))
     edges = np.linspace(0.0, max_h, _N_BINS + 1)
-    entropies = np.array([r.label_entropy for r in rows], dtype=float)
-    counts, _ = np.histogram(np.clip(entropies, 0.0, max_h), bins=edges)
-    by_source = {}
-    for source in _SOURCES:
-        vals = [r.label_entropy for r in rows if r.source == source]
-        if vals:
-            c, _ = np.histogram(np.clip(vals, 0.0, max_h), bins=edges)
-            by_source[source] = c.tolist()
+
+    def histogram(subset: list[PromptDiagnostics]) -> list[int]:
+        entropies = [r.label_entropy for r in subset]
+        return np.histogram(np.clip(entropies, 0.0, max_h), bins=edges)[0].tolist()
+
+    by_source = {source: histogram([r for r in rows if r.source == source])
+                 for source in _SOURCES if any(r.source == source for r in rows)}
 
     tuned = [r for r in rows if r.source == "tuned"]
     scatter = [[r.label_entropy, r.accuracy] for r in tuned]
@@ -402,7 +382,7 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
 
     return {
         "prompts": [r.to_dict() for r in rows],
-        "entropy_hist": {"bins": edges.tolist(), "counts": counts.tolist(),
+        "entropy_hist": {"bins": edges.tolist(), "counts": histogram(rows),
                          "by_source": by_source},
         "scatter": scatter,
         "spearman": spearman_doc,

@@ -7,7 +7,10 @@ so reruns with identical flags and data produce byte-identical records).
 ``eval`` scores chain records or a plain prompt file on a labeled dataset
 and appends metrics into the records.  ``analyze`` assembles the
 diagnostics report JSON.  Both refuse a record tuned for another task or
-another ``--model`` before writing anything.
+another ``--model`` before writing anything.  Every command reads its data
+and prompt files before it loads a model, and refuses a file with no
+examples (or, for ``eval --prompts`` without ``--include-empty``, no
+prompts) there.
 
 Each option is declared once, as a row of its command's table: the flag is
 ``--key`` with dashes and the key in the optional ``--config`` JSON file is
@@ -258,12 +261,22 @@ def _resolve_task(opts: dict):
     return known[name]
 
 
-def _require_labeled(data, where: str):
+def _load_data(path: str, task, where: str, labeled: bool = True) -> list:
+    """The examples of the JSONL file ``path``, read before any model loads.
+
+    A file with no examples is a ``UsageError`` naming ``where``.  With
+    ``labeled``, labels are checked against ``task`` and an unlabeled
+    example is one too.
+    """
+    data = load_dataset(path, task if labeled else None)
+    if not data:
+        raise UsageError(f"{where} needs at least one example; {path} holds none")
     missing = [i for i, ex in enumerate(data) if ex.label is None]
-    if missing:
+    if labeled and missing:
         raise UsageError(
             f"{where} needs labels on every example; first missing at index {missing[0]}"
         )
+    return data
 
 
 def _sha256(path: Path) -> str:
@@ -309,15 +322,12 @@ def cmd_tune(ns: argparse.Namespace) -> int:
                              steps=opts["steps"])
 
     task = _resolve_task(opts)
-    model = load_adapter(opts["model"])
-    verbalizer_token_ids(task, model)  # each label word one token of this model
-    data = load_dataset(opts["data"], task if mode == "supervised" else None)
-    if mode == "supervised":
-        _require_labeled(data, "supervised tuning")
+    data = _load_data(opts["data"], task, f"{mode} tuning", labeled=mode == "supervised")
     val = None
     if opts["val_data"] is not None:
-        val = load_dataset(opts["val_data"], task)
-        _require_labeled(val, "validation")
+        val = _load_data(opts["val_data"], task, "validation")
+    model = load_adapter(opts["model"])
+    verbalizer_token_ids(task, model)  # each label word one token of this model
     max_len = getattr(model, "max_len", None)
     if max_len is not None:
         longest = max((len(render(task, ex.text, model)) for ex in data + (val or [])),
@@ -431,9 +441,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if opts["data"] is None:
         raise UsageError("eval requires --data")
     task = _resolve_task(opts)
-    model = load_adapter(opts["model"])
-    data = load_dataset(opts["data"], task)
-    _require_labeled(data, "eval")
+    data = _load_data(opts["data"], task, "eval")
 
     rows = []  # (name, prompt_text or None)
     records = {}
@@ -447,6 +455,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             rows.append((f"prompt[{i}]", text))
     if opts["include_empty"]:
         rows.append(("(empty)", None))
+    if not rows:
+        raise UsageError(f"no prompts in {opts['prompts']} and no --include-empty")
+    model = load_adapter(opts["model"])
 
     texts = [text for _, text in rows if text]
     set_dist1 = dist1(texts) if texts else None
@@ -494,11 +505,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             "accuracy" not in rec.metrics for rec in chains)):
         raise UsageError("analyze needs --data to score baseline prompts and "
                          "records without an accuracy metric")
-    model = load_adapter(opts["model"])
     val = None
     if opts["data"] is not None:
-        val = load_dataset(opts["data"], task)
-        _require_labeled(val, "analysis baselines")
+        val = _load_data(opts["data"], task, "analysis baselines")
+    model = load_adapter(opts["model"])
 
     generator = None
     if opts["continuations"] > 0:

@@ -248,7 +248,9 @@ def langevin_step(prompt: SoftPrompt, grad: np.ndarray, eta: float, beta: float,
 
     The noise is drawn unconditionally (even for ``beta == 0``) so the noise
     stream advances identically across schedules.  With ``beta == 0`` the
-    result equals ``project(prompt - eta * grad)`` exactly.
+    result equals ``project(prompt - eta * grad)`` exactly.  A non-finite
+    gradient or proposal (a finite but huge ``eta`` or ``beta`` can overflow
+    the noise scale) is a ``NumericalFault``, which faults the chain.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.shape != prompt.entries.shape:
@@ -258,15 +260,15 @@ def langevin_step(prompt: SoftPrompt, grad: np.ndarray, eta: float, beta: float,
     if beta < 0:
         raise ConfigurationError(f"beta must be >= 0, got {beta}")
     z = noise_source.standard_normal(size=prompt.entries.shape)
+    where = "" if step_index is None else f" at step {step_index}"
     if not np.all(np.isfinite(grad)):
-        where = "" if step_index is None else f" at step {step_index}"
         raise NumericalFault(f"non-finite gradient{where}")
-    proposal = SoftPrompt(
-        entries=prompt.entries - eta * grad + math.sqrt(2.0 * eta * beta) * z
-    )
+    entries = prompt.entries - eta * grad + math.sqrt(2.0 * eta * beta) * z
+    if not np.all(np.isfinite(entries)):
+        raise NumericalFault(f"non-finite proposal{where}")
     if allowed_ids is None:
         allowed_ids = np.arange(table.rows)
-    return project_subset(proposal, table, allowed_ids)
+    return project_subset(SoftPrompt(entries=entries), table, allowed_ids)
 
 
 def _epoch_batches(data: Sequence[Example], batch_size: int,

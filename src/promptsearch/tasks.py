@@ -104,7 +104,9 @@ def load_dataset(path: str | Path, task: TaskSpec | None = None) -> list[Example
     """Read examples from a JSONL file, preserving file order.
 
     When ``task`` is given, labels are validated against its label set.
-    Malformed lines are reported with their 1-based line number.
+    Malformed lines, and a ``text`` that is not a string, are reported with
+    their 1-based line number; a label is kept as its ``str()``, so numeric
+    labels load.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -119,8 +121,8 @@ def load_dataset(path: str | Path, task: TaskSpec | None = None) -> list[Example
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}: line {lineno}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict) or "text" not in obj:
-                raise DataError(f"{path}: line {lineno}: missing 'text' field")
+            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+                raise DataError(f"{path}: line {lineno}: needs a string 'text' field")
             label = obj.get("label")
             if label is not None:
                 label = str(label)
@@ -129,7 +131,7 @@ def load_dataset(path: str | Path, task: TaskSpec | None = None) -> list[Example
                         f"{path}: line {lineno}: unknown label {label!r} "
                         f"(expected one of {list(task.labels)})"
                     )
-            examples.append(Example(text=str(obj["text"]), label=label))
+            examples.append(Example(text=obj["text"], label=label))
     return examples
 
 

@@ -369,6 +369,15 @@ def test_report_deduplicates_per_source(model, task, report_inputs):
     assert {r["source"] for r in doc["prompts"]} == {"tuned", "random"}
 
 
+def test_report_skips_a_repeated_tuned_row_before_scoring_it(model, task):
+    """A second chain with the same final prompt adds no row, so its missing
+    accuracy needs no ``val_data``: the first chain's stored one is kept."""
+    first = tuned_record(model, task, "the movie was great", acc=0.75, seed=0)
+    again = tuned_record(model, task, "the movie was great", seed=1)
+    doc = diagnostics_report([first, again], task, model)
+    assert [(r["source"], r["accuracy"]) for r in doc["prompts"]] == [("tuned", 0.75)]
+
+
 def test_report_empty_row_shape(model, task, report_inputs):
     _, val = report_inputs
     rec = tuned_record(model, task, "the movie", acc=0.5)

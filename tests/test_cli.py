@@ -736,3 +736,66 @@ def test_tune_infinite_step_size_exits_2_before_writing(data_files, tmp_path, ca
     assert main(args) == 2
     _one_error_line(capsys, "finite", "inf")
     assert not out.exists()
+
+
+# -- empty data and prompt files, overflowing step sizes ---------------------------------
+
+@pytest.fixture
+def no_model(monkeypatch):
+    """The specs of every ``load_adapter`` call, none of which loads a model."""
+    from promptsearch import cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: loaded.append(spec))
+    return loaded
+
+
+@pytest.mark.parametrize("command, option", [
+    ("tune", "--data"), ("tune", "--val-data"), ("eval", "--data"), ("analyze", "--data"),
+])
+def test_empty_data_file_exits_2_before_loading_a_model(data_files, tuned_dir, tmp_path,
+                                                        capsys, no_model, command, option):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    out = tmp_path / "out"
+    if command == "tune":
+        args = tune_args(data_files, out, val_data=data_files["val"])
+    else:
+        args = [command, "--task", "synthetic-2label", "--chains", str(tuned_dir),
+                "--data", data_files["val"], "--model", "reference:1"]
+    args[args.index(option) + 1] = str(empty)
+    before = _record_bytes(tuned_dir)
+    capsys.readouterr()
+    assert main(args) == 2
+    _one_error_line(capsys, str(empty))
+    assert no_model == [] and not out.exists()
+    assert _record_bytes(tuned_dir) == before and not (tuned_dir / "report.json").exists()
+
+
+def test_eval_prompt_file_without_prompts_exits_2_before_loading_a_model(
+        data_files, tmp_path, capsys, no_model):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("\n   \n")
+    args = ["eval", "--task", "synthetic-2label", "--prompts", str(prompts),
+            "--data", data_files["val"], "--model", "reference:1"]
+    assert main(args) == 2
+    _one_error_line(capsys, str(prompts))
+    assert no_model == []
+
+
+@pytest.mark.parametrize("options", [
+    {"eta": "1e308"}, {"eta": "1e200", "beta_start": "1e200", "beta_end": "1e199"},
+])
+def test_tune_overflowing_step_size_faults_each_chain_and_keeps_the_grid(
+        data_files, tmp_path, capsys, options):
+    """A finite step size whose noise scale overflows is a chain fault: every
+    chain keeps a partial record with ``fault`` and the manifest lists them."""
+    out = tmp_path / "huge"
+    assert main(tune_args(data_files, out, **options)) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = [entry["file"] for entry in manifest["chains"]]
+    assert files == ["chain_000_seed0.json", "chain_000_seed1.json"]
+    for name in files:
+        record = json.loads((out / name).read_text())
+        assert record["fault"] == "non-finite proposal at step 0"
+    assert capsys.readouterr().err.count("non-finite proposal") == 2

@@ -195,6 +195,17 @@ def test_step_faults_on_nonfinite_gradient(model):
     assert "17" in str(err.value)
 
 
+@pytest.mark.parametrize("eta, beta", [(1e308, 1.0), (1e200, 1e200)])
+def test_step_faults_on_a_proposal_a_huge_step_size_overflows(model, eta, beta):
+    """A finite ``eta`` or ``beta`` whose noise scale ``sqrt(2 eta beta)``
+    overflows is a numerical fault, not a configuration error."""
+    table = model.embedding_table()
+    prompt = SoftPrompt(entries=np.zeros((2, table.dim)))
+    with pytest.raises(NumericalFault, match="non-finite proposal at step 4"):
+        langevin_step(prompt, np.zeros((2, table.dim)), eta, beta,
+                      np.random.default_rng(0), table, step_index=4)
+
+
 def test_step_shape_and_beta_guards(model):
     table = model.embedding_table()
     prompt = SoftPrompt(entries=np.zeros((2, table.dim)))

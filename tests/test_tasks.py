@@ -208,3 +208,16 @@ def test_load_dataset_requires_text_field(tmp_path):
     write_jsonl(path, [{"label": "pos"}])
     with pytest.raises(DataError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("text", [None, 5, ["a"]])
+def test_load_dataset_refuses_a_text_that_is_not_a_string(tmp_path, text):
+    """A null or numeric text is an error naming its line, not the example
+    ``"None"`` or ``"5"``; labels keep their ``str()`` coercion."""
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"text": "fine", "label": 1}, {"text": text, "label": "pos"}])
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert "line 2" in str(err.value) and "text" in str(err.value)
+    write_jsonl(path, [{"text": "fine", "label": 1}])
+    assert load_dataset(path) == [Example("fine", "1")]

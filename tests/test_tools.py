@@ -1,5 +1,6 @@
 """The repository's tooling: the code-line counter
-(``tools/count_code_lines.py``) and the pytest settings in ``pyproject.toml``."""
+(``tools/count_code_lines.py``), the benchmark fingerprints
+(``tools/fingerprints.py``) and the pytest settings in ``pyproject.toml``."""
 
 import importlib.util
 import subprocess
@@ -7,14 +8,18 @@ import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-_PATH = _ROOT / "tools" / "count_code_lines.py"
 
 
-def _counter():
-    spec = importlib.util.spec_from_file_location("count_code_lines", _PATH)
+def _tool(name):
+    path = _ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _counter():
+    return _tool("count_code_lines")
 
 
 SOURCE = '''"""Module docstring,
@@ -61,3 +66,22 @@ def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     output = run.stdout + run.stderr
     assert run.returncode == 1, output
     assert "1 failed" in output and "INTERNALERROR" not in output, output
+
+
+# perfbench's tiny input sizes (``TINY`` in perfbench/test_perfbench.py)
+TINY = dict(train=8, val=8, steps=3, batch=4, prompt_len=3, score_examples=6,
+            score_min_words=2, score_max_words=5, setup_chains=2, setup_steps=2,
+            continuations=1, continuation_length=3)
+
+
+def test_fingerprints_repeat_with_one_line_per_workload_and_seed(capsys):
+    tool = _tool("fingerprints")
+    runs = []
+    for _ in range(2):
+        assert tool.main([str(_ROOT)], sizes=TINY) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[:2] for line in runs[0]] == [
+        [name, f"seed{seed}"] for name in ("tune-sup", "tune-unsup", "score")
+        for seed in (3, 4)]
+    assert all(len(line.split()[2]) == 64 for line in runs[0])
