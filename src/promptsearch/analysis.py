@@ -86,11 +86,8 @@ def label_entropy(prompt: SoftPrompt | str | None, task: TaskSpec, model) -> flo
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they span.
 
-    A stable sort plus tie-group means, exact in float64; any NaN makes
-    every rank NaN.
+    A stable sort plus tie-group means, exact in float64.
     """
-    if np.isnan(values).any():
-        return np.full(values.shape, np.nan)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -105,7 +102,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
     Ranks use average ties; rho is the Pearson correlation of the rank
     vectors; the two-sided p-value uses ``t = rho * sqrt((n-2) / (1-rho^2))``
-    with ``n - 2`` degrees of freedom (exactly +-1 gives p = 0).
+    with ``n - 2`` degrees of freedom (exactly +-1 gives p = 0).  Fewer than
+    3 entries, a non-finite entry or a constant vector is a ``UsageError``.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -114,6 +112,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     n = xs.size
     if n < 3:
         raise UsageError(f"spearman needs length >= 3, got {n}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise UsageError("spearman needs finite inputs")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise UsageError("spearman undefined for a constant input vector")
     rx = _average_ranks(xs)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
-import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -62,7 +61,8 @@ from .sampler import (
     save_record,
 )
 from .synthetic import synthetic_task
-from .tasks import builtin_tasks, load_dataset, render, task_from_file, verbalizer_token_ids
+from .tasks import (_read_input, _read_json_object, builtin_tasks, load_dataset, render,
+                    task_from_file, verbalizer_token_ids)
 
 __all__ = ["main", "cmd_tune", "cmd_eval", "cmd_analyze"]
 
@@ -217,15 +217,7 @@ def _options(ns: argparse.Namespace) -> tuple[dict, set]:
     table = _COMMANDS[ns.command][1]
     config = {}
     if ns.config:
-        path = Path(ns.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            config = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as e:
-            raise UsageError(f"config file {path} is not valid JSON: {e}") from e
-        if not isinstance(config, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
+        config = _read_json_object(ns.config, "config file", UsageError)
         unknown = set(config) - {row[0] for row in table}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -402,10 +394,7 @@ def _load_chains(chains_dir: str, task, model_spec: str) -> dict[Path, ChainReco
 
 
 def _read_prompt_file(path: str) -> list[str]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise UsageError(f"cannot read prompt file {path}: {e.strerror or e}") from e
+    lines = _read_input(path, "prompt file", UsageError).splitlines()
     return [ln.strip() for ln in lines if ln.strip()]
 
 
@@ -415,14 +404,14 @@ def _read_manifest(chains_dir: Path) -> dict | None:
     path = chains_dir / "manifest.json"
     if not path.is_file():
         return None
+    manifest = _read_json_object(path, "manifest", DataError)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
         if all(isinstance(entry["file"], str) for entry in manifest.get("chains", [])):
             return manifest
-    except (ValueError, KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError):
         pass
-    raise DataError(f"malformed manifest {path}: not a JSON object whose "
-                    "\"chains\" entries each name a \"file\"")
+    raise DataError(f"malformed manifest {path}: \"chains\" entries must each "
+                    "name a \"file\"")
 
 
 def _refresh_manifest(chains_dir: Path, manifest: dict) -> None:
@@ -554,7 +543,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fault: {exc}", file=sys.stderr)
         return 1
     except PromptSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even for a message quoting a path with a line break in it
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

@@ -42,7 +42,7 @@ from .energies import EnergyBreakdown, EnergyConfig, energy_and_grad
 from .errors import ConfigurationError, DataError, ModelFault, NumericalFault, UsageError
 from .model import SoftPrompt, prompt_from_ids
 from .projection import allowed_token_ids, project_subset
-from .tasks import Example, TaskSpec
+from .tasks import Example, TaskSpec, _read_json_object
 
 __all__ = [
     "NoiseSchedule",
@@ -156,9 +156,11 @@ class StepLog:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepLog":
+        # ``{**terms}`` takes a JSON object only; dict() would also take a list
+        # of pairs, whose keys need not be strings and then cannot be saved
         return cls(index=d["i"],
                    energy=EnergyBreakdown(total=d["energy"]["total"],
-                                          per_term=dict(d["energy"]["terms"])),
+                                          per_term={**d["energy"]["terms"]}),
                    token_ids=tuple(d["token_ids"]))
 
 
@@ -200,7 +202,7 @@ class ChainRecord:
                    task_id=d["task_id"],
                    per_step=tuple(StepLog.from_dict(s) for s in d["steps"]),
                    final_prompt_text=d["final_prompt_text"],
-                   metrics=dict(d["metrics"]),
+                   metrics={**d["metrics"]},
                    fault=d.get("fault"))
 
 
@@ -231,14 +233,22 @@ def save_record(record: ChainRecord, path: str | Path) -> Path:
 
 
 def load_record(path: str | Path) -> ChainRecord:
-    """Read a record; invalid JSON or a missing or rejected field is a
-    ``DataError`` naming the file."""
+    """Read a record; a file that cannot be read, invalid JSON, a missing or
+    rejected field, a ``final_prompt_text`` that is not a string, or a metric
+    that is not a finite real number is a ``DataError`` naming the file."""
     try:
-        return ChainRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        record = ChainRecord.from_dict(_read_json_object(path, "chain record", DataError))
+        if not isinstance(record.final_prompt_text, str):
+            raise TypeError("final_prompt_text must be a string")
+        for name, value in record.metrics.items():
+            # a bool is no metric; math.isfinite overflows on a huge int
+            if not (type(value) in (int, float) and math.isfinite(value)):
+                raise ValueError(f"metric {name!r} must be a finite number")
     except KeyError as e:
         raise DataError(f"chain record {path} lacks field {e}") from None
-    except (ValueError, TypeError, ConfigurationError) as e:
+    except (ValueError, TypeError, OverflowError, ConfigurationError) as e:
         raise DataError(f"malformed chain record {path}: {e}") from None
+    return record
 
 
 def langevin_step(prompt: SoftPrompt, grad: np.ndarray, eta: float, beta: float,

@@ -5,6 +5,8 @@ trailing cue, an ordered verbalizer mapping each label to a single-token
 label word, a label-neutral domain string, and a list of domain words used
 by the diagnostics.  Datasets are JSONL files with one ``{"text": ...,
 "label": ...}`` object per line (``label`` optional for unlabeled data).
+``_read_input`` and ``_read_json_object`` read every file the user hands
+in, here and in ``sampler`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,30 @@ __all__ = [
 ]
 
 
+def _read_input(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The text of the user-given file ``path``.  A file that cannot be read
+    (missing, a directory, unreadable) or is not UTF-8 is ``error`` naming
+    ``what`` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
+        reason = getattr(e, "strerror", None) or e
+        raise error(f"cannot read {what} {path}: {reason}") from None
+
+
+def _read_json_object(path: str | Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in the file ``path``, read by ``_read_input``; invalid
+    JSON, or a JSON value that is not an object, is ``error`` naming ``what``
+    and the path."""
+    try:
+        obj = json.loads(_read_input(path, what, error))
+    except json.JSONDecodeError as e:
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return obj
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     id: str
@@ -35,6 +61,18 @@ class TaskSpec:
     domain_words: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not all(isinstance(v, str)
+                   for v in (self.id, self.template, self.domain_string)):
+            raise TaskSpecError(f"task {self.id!r}: id, template and domain_string "
+                                "must be strings")
+        if not isinstance(self.verbalizer, dict) or not all(
+                isinstance(v, str) for item in self.verbalizer.items() for v in item):
+            raise TaskSpecError(f"task {self.id!r}: verbalizer must map string labels "
+                                "to string words")
+        if not isinstance(self.domain_words, (list, tuple)) or not all(
+                isinstance(w, str) for w in self.domain_words):
+            raise TaskSpecError(f"task {self.id!r}: domain_words must be a list of "
+                                "strings")
         if self.template.count("{x}") != 1:
             raise TaskSpecError(
                 f"task {self.id!r}: template must contain exactly one {{x}} slot"
@@ -108,30 +146,26 @@ def load_dataset(path: str | Path, task: TaskSpec | None = None) -> list[Example
     their 1-based line number; a label is kept as its ``str()``, so numeric
     labels load.
     """
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read dataset {path}: {e.strerror or e}") from e
     examples = []
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}: line {lineno}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-                raise DataError(f"{path}: line {lineno}: needs a string 'text' field")
-            label = obj.get("label")
-            if label is not None:
-                label = str(label)
-                if task is not None and label not in task.labels:
-                    raise DataError(
-                        f"{path}: line {lineno}: unknown label {label!r} "
-                        f"(expected one of {list(task.labels)})"
-                    )
-            examples.append(Example(text=obj["text"], label=label))
+    for lineno, line in enumerate(_read_input(path, "dataset", DataError).split("\n"),
+                                  start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: line {lineno}: invalid JSON: {e}") from e
+        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+            raise DataError(f"{path}: line {lineno}: needs a string 'text' field")
+        label = obj.get("label")
+        if label is not None:
+            label = str(label)
+            if task is not None and label not in task.labels:
+                raise DataError(
+                    f"{path}: line {lineno}: unknown label {label!r} "
+                    f"(expected one of {list(task.labels)})"
+                )
+        examples.append(Example(text=obj["text"], label=label))
     return examples
 
 
@@ -173,20 +207,10 @@ def builtin_tasks() -> list[TaskSpec]:
 
 def task_from_file(path: str | Path) -> TaskSpec:
     """Load a task from a JSON document mirroring the TaskSpec fields."""
+    obj = _read_json_object(path, "task file", TaskSpecError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as e:
-        raise TaskSpecError(f"cannot read task file {path}: {e.strerror or e}") from e
-    except json.JSONDecodeError as e:
-        raise TaskSpecError(f"{path}: invalid JSON: {e}") from e
-    try:
-        return TaskSpec(
-            id=obj["id"],
-            template=obj["template"],
-            verbalizer=dict(obj["verbalizer"]),
-            domain_string=obj["domain_string"],
-            domain_words=tuple(obj.get("domain_words", ())),
-        )
+        return TaskSpec(id=obj["id"], template=obj["template"],
+                        verbalizer=obj["verbalizer"], domain_string=obj["domain_string"],
+                        domain_words=obj.get("domain_words", ()))
     except KeyError as e:
         raise TaskSpecError(f"{path}: missing task field {e}") from e

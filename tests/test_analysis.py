@@ -81,6 +81,16 @@ def test_spearman_known_value():
     assert abs(rho - 0.8) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spearman_refuses_non_finite_input(bad):
+    """A NaN once ranked every entry NaN, and the clamp on rho turned the NaN
+    correlation into a perfect 1.0."""
+    for xs, ys in [([bad, 1.0, 2.0, 3.0], [4.0, 1.0, 2.0, 3.0]),
+                   ([4.0, 1.0, 2.0, 3.0], [bad, 1.0, 2.0, 3.0])]:
+        with pytest.raises(UsageError, match="finite"):
+            spearman(xs, ys)
+
+
 def test_spearman_matches_brute_force_on_random_vectors():
     rng = np.random.default_rng(0)
     for trial in range(100):

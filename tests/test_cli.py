@@ -1,15 +1,24 @@
 """Command-line interface: artifacts, precedence, exit codes, reproducibility."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptsearch.cli import main
 from promptsearch.metrics import dist1
-from promptsearch.sampler import load_record
+from promptsearch.sampler import load_record, save_record
 from promptsearch.synthetic import synthetic_dataset
 from promptsearch.tasks import Example
 
@@ -799,3 +808,301 @@ def test_tune_overflowing_step_size_faults_each_chain_and_keeps_the_grid(
         record = json.loads((out / name).read_text())
         assert record["fault"] == "non-finite proposal at step 0"
     assert capsys.readouterr().err.count("non-finite proposal") == 2
+
+
+# -- reading input files -------------------------------------------------------------
+
+_NOT_UTF8 = b'{"text": "caf\xe9"}\n'
+
+
+def _run_args(command, tuned_dir, data_files, out):
+    """Arguments of a ``command`` run that succeeds, reading every input it takes."""
+    if command == "tune":
+        return tune_args(data_files, out, val_data=data_files["val"])
+    return [command, "--task", "synthetic-2label", "--chains", str(tuned_dir),
+            "--data", data_files["val"], "--model", "reference:1"]
+
+
+@pytest.mark.parametrize("content", [None, _NOT_UTF8], ids=["directory", "not-utf8"])
+@pytest.mark.parametrize("command, option", [
+    ("tune", "--config"), ("tune", "--task-file"), ("tune", "--data"),
+    ("tune", "--val-data"), ("eval", "--data"), ("eval", "--prompts"),
+    ("analyze", "--data"), ("analyze", "--human-prompts"),
+    ("analyze", "--random-prompts"),
+])
+def test_unreadable_input_file_exits_2_naming_it_before_loading_a_model(
+        data_files, tuned_dir, tmp_path, capsys, no_model, command, option, content):
+    """A directory, or a file that is not UTF-8, given for any input file is one
+    ``error:`` line naming it; a prompt, data or task file that is not UTF-8
+    once ended in a traceback, and a config directory was reported as missing."""
+    bad = tmp_path / "input.txt"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    out = tmp_path / "out"
+    args = _run_args(command, tuned_dir, data_files, out)
+    if option == "--prompts":
+        args[args.index("--chains"):args.index("--chains") + 2] = []
+    if option == "--task-file":
+        args[args.index("--task"):args.index("--task") + 2] = []
+    if option in args:
+        args[args.index(option) + 1] = str(bad)
+    else:
+        args += [option, str(bad)]
+    before = _record_bytes(tuned_dir)
+    capsys.readouterr()
+    assert main(args) == 2
+    _one_error_line(capsys, str(bad))
+    assert no_model == [] and not out.exists()
+    assert _record_bytes(tuned_dir) == before and not (tuned_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--config", "--task-file"])
+@pytest.mark.parametrize("content", ["[]", "5", '"text"', "{"])
+def test_json_input_that_is_not_an_object_exits_2_naming_it(data_files, tmp_path,
+                                                            capsys, no_model, option,
+                                                            content):
+    """A task file holding ``[]`` once ended in a ``TypeError`` traceback."""
+    bad = tmp_path / "input.json"
+    bad.write_text(content)
+    out = tmp_path / "out"
+    args = tune_args(data_files, out, task=None if option == "--task-file" else
+                     "synthetic-2label")
+    assert main(args + [option, str(bad)]) == 2
+    _one_error_line(capsys, str(bad))
+    assert no_model == [] and not out.exists()
+
+
+@pytest.mark.parametrize("path, shown", [("a\nb", "a\\nb"), ("a\0b", "a\0b")])
+def test_data_path_with_a_line_break_or_nul_exits_2_with_one_line(
+        data_files, tmp_path, capsys, no_model, path, shown):
+    """A NUL in a path from the config file once ended in a ``ValueError``
+    traceback, and a line break split the error over two lines."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": path}))
+    assert main(["eval", "--task", "synthetic-2label", "--config", str(config),
+                 "--prompts", str(tmp_path / "prompts.txt")]) == 2
+    _one_error_line(capsys, f"cannot read dataset {shown}")
+    assert no_model == []
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("record", ["directory", "not-utf8"])
+def test_unreadable_chain_record_exits_2_naming_it_before_loading_a_model(
+        data_files, tuned_dir, tmp_path, capsys, no_model, command, record):
+    """A directory named ``chain_x.json`` among the records once ended in an
+    ``IsADirectoryError`` traceback."""
+    before = _record_bytes(tuned_dir)
+    bad = tuned_dir / "chain_x.json"
+    if record == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(_NOT_UTF8)
+    capsys.readouterr()
+    assert main(_run_args(command, tuned_dir, data_files, None)) == 2
+    _one_error_line(capsys, str(bad))
+    assert no_model == [] and not (tuned_dir / "report.json").exists()
+    if record == "directory":
+        bad.rmdir()
+    else:
+        bad.unlink()
+    assert _record_bytes(tuned_dir) == before
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 5), ("template", 5), ("verbalizer", "ab"), ("domain_string", 5),
+    ("domain_words", "review"),
+])
+def test_task_file_field_of_the_wrong_type_exits_2(data_files, tmp_path, capsys,
+                                                   no_model, field, value):
+    """``"template": 5`` and ``"verbalizer": "ab"`` once ended in tracebacks, and
+    ``"domain_words": "review"`` was read as six one-letter domain words."""
+    doc = {"id": "custom", "template": "{x} it was",
+           "verbalizer": {"good": "good", "bad": "bad"},
+           "domain_string": "this is a review", "domain_words": ["review"]}
+    doc[field] = value
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(tune_args(data_files, out, task=None, task_file=str(task))) == 2
+    _one_error_line(capsys, field)
+    assert no_model == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("field, value", [
+    (("final_prompt_text",), 5), (("metrics",), {"accuracy": "high"}),
+    (("steps", 0, "energy", "terms"), [[1, 2.0], ["task", 3.0]]),
+])
+def test_record_field_of_the_wrong_type_exits_2_before_writing(
+        data_files, tuned_dir, capsys, no_model, command, field, value):
+    """A numeric prompt text, a string metric and energy terms as pairs once
+    loaded; ``eval`` or ``analyze`` then ended in a traceback, and ``eval``
+    after rewriting the records before it."""
+    path = tuned_dir / "chain_000_seed1.json"
+    path.write_text(json.dumps(_with_field(json.loads(path.read_text()), field, value)))
+    before = _record_bytes(tuned_dir)
+    capsys.readouterr()
+    assert main(_run_args(command, tuned_dir, data_files, None)) == 2
+    _one_error_line(capsys, "chain_000_seed1.json")
+    assert no_model == [] and _record_bytes(tuned_dir) == before
+    assert not (tuned_dir / "report.json").exists()
+
+
+# -- eval and analyze branches ---------------------------------------------------------
+
+def _set_record_fields(path, **fields):
+    record = load_record(path)
+    save_record(dataclasses.replace(record, **fields), path)
+
+
+def test_eval_one_token_prompt_prints_and_stores_no_perplexity(data_files, tuned_dir,
+                                                               capsys):
+    _set_record_fields(tuned_dir / "chain_000_seed0.json", final_prompt_text="good")
+    capsys.readouterr()
+    assert main(_eval_chains(tuned_dir, data_files)) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("good "))
+    assert row.split()[2:] == ["-", "-"]
+    one = load_record(tuned_dir / "chain_000_seed0.json").metrics
+    assert "accuracy" in one and "perplexity" not in one and "log_perplexity" not in one
+    other = load_record(tuned_dir / "chain_000_seed1.json").metrics
+    assert {"accuracy", "perplexity", "log_perplexity"} <= set(other)
+
+
+def test_eval_chains_without_manifest_rewrites_records_and_creates_none(data_files,
+                                                                        tuned_dir):
+    (tuned_dir / "manifest.json").unlink()
+    assert main(_eval_chains(tuned_dir, data_files)) == 0
+    assert all("accuracy" in load_record(path).metrics
+               for path in tuned_dir.glob("chain_*.json"))
+    assert not (tuned_dir / "manifest.json").exists()
+
+
+def test_analyze_prints_spearman_over_three_tuned_rows(data_files, tuned_dir, capsys):
+    shutil.copy(tuned_dir / "chain_000_seed1.json", tuned_dir / "chain_000_seed2.json")
+    for path, text, acc in zip(sorted(tuned_dir.glob("chain_*.json")),
+                               ["good good good", "bad bad bad", "the movie was"],
+                               [0.9, 0.5, 0.7]):
+        _set_record_fields(path, final_prompt_text=text, metrics={"accuracy": acc})
+    capsys.readouterr()
+    assert main(["analyze", "--task", "synthetic-2label", "--chains", str(tuned_dir),
+                 "--model", "reference:1"]) == 0
+    rho = json.loads((tuned_dir / "report.json").read_text())["spearman"]["rho"]
+    assert f"spearman(entropy, accuracy): rho={rho:+.3f} p=" in capsys.readouterr().out
+
+
+# -- every input file, generated ---------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=6)
+_DELETE = object()
+
+
+def _field_paths(doc, prefix=()):
+    """The key or index path of every field nested in the JSON value ``doc``."""
+    fields = (doc.items() if isinstance(doc, dict)
+              else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in fields:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _with_field(doc, path, value):
+    """A copy of ``doc`` whose field at ``path`` is deleted or set to ``value``."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _file_bytes(name, doc) -> bytes:
+    """The file ``name`` holding ``doc``: a JSON document, or for the data and
+    prompt files a list of lines (data lines as JSON, prompt strings as is)."""
+    if name == "data":
+        return "\n".join(json.dumps(line) for line in doc).encode()
+    if name == "prompts":
+        return "\n".join(v if isinstance(v, str) else json.dumps(v)
+                         for v in doc).encode()
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(data_files, tmp_path_factory):
+    """A document per input file of one working ``eval`` run."""
+    chains = tmp_path_factory.mktemp("inputs") / "chains"
+    assert main(tune_args(data_files, chains, steps="2")) == 0
+    val = Path(data_files["val"]).read_text().splitlines()[:4]
+    return {
+        "config": {"model": "reference:1", "data": "val.jsonl", "include_empty": True},
+        "task": {"id": "synthetic-2label", "template": "{x} it was",
+                 "verbalizer": {"good": "good", "bad": "bad"},
+                 "domain_string": "this is a review", "domain_words": ["review"]},
+        "data": [json.loads(line) for line in val],
+        "prompts": ["the movie was great", "good"],
+        "record": json.loads((chains / "chain_000_seed0.json").read_text()),
+        "other record": json.loads((chains / "chain_000_seed1.json").read_text()),
+        "manifest": json.loads((chains / "manifest.json").read_text()),
+    }
+
+
+_FILES = {"config": "config.json", "task": "task.json", "data": "val.jsonl",
+          "prompts": "prompts.txt", "record": "chains/chain_000_seed0.json",
+          "other record": "chains/chain_000_seed1.json",
+          "manifest": "chains/manifest.json"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_eval_on_any_input_file_exits_0_1_or_2_and_never_raises(valid_inputs, data):
+    """``eval`` with one input file written as arbitrary bytes, an arbitrary
+    JSON value, or a valid file with one field deleted or replaced.  It
+    returns 0, 1 or 2; on 2 it prints one ``error:`` line and leaves every
+    record's bytes as they were."""
+    name = data.draw(st.sampled_from(["config", "task", "data", "prompts", "record",
+                                      "manifest"]), label="input")
+    form = data.draw(st.sampled_from(["bytes", "json", "field"]), label="form")
+    if form == "bytes":
+        content = data.draw(st.binary(max_size=40), label="bytes")
+    elif form == "json":
+        content = json.dumps(data.draw(_JSON, label="value")).encode()
+    else:
+        doc = valid_inputs[name]
+        path = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+        value = data.draw(st.just(_DELETE) | _JSON, label="value")
+        content = _file_bytes(name, _with_field(doc, path, value))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "chains").mkdir()
+        for key, doc in valid_inputs.items():
+            (root / _FILES[key]).write_bytes(_file_bytes(key, doc))
+        (root / _FILES[name]).write_bytes(content)
+        records = {p: p.read_bytes() for p in (root / "chains").glob("chain_*.json")}
+        source = (["--prompts", str(root / "prompts.txt")] if name == "prompts"
+                  else ["--chains", str(root / "chains")])
+        args = ["eval", "--config", str(root / "config.json"),
+                "--task-file", str(root / "task.json"), *source]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)  # a relative path in the config names a file here
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(args)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert {p: p.read_bytes() for p in records} == records

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import CountingModel
 from promptsearch.energies import EnergyBreakdown, EnergyConfig, energy_and_grad
-from promptsearch.errors import ConfigurationError, NumericalFault, UsageError
+from promptsearch.errors import ConfigurationError, DataError, NumericalFault, UsageError
 from promptsearch.model import SoftPrompt, prompt_from_ids
 from promptsearch.projection import allowed_token_ids, project_subset
 from promptsearch.sampler import (
@@ -546,3 +546,42 @@ def test_save_record_replaces_existing_file(tmp_path):
     assert save_record(make_record(1, 0.9), path) == path
     assert load_record(path) == make_record(1, 0.9)
     assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("final_prompt_text", 5), ("final_prompt_text", None),
+    ("metrics", {"accuracy": "high"}), ("metrics", {"accuracy": True}),
+    ("metrics", {"accuracy": math.nan}), ("metrics", {"accuracy": -math.inf}),
+    ("metrics", {"accuracy": 10 ** 400}), ("metrics", [[1, 0.5]]),
+])
+def test_load_record_refuses_a_field_of_the_wrong_type(tmp_path, field, value):
+    """A record whose prompt is not a string, or whose metric is not a finite
+    real number, once loaded and failed later in ``eval`` or ``analyze``."""
+    path = save_record(make_record(0, 0.5), tmp_path / "chain.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="chain.json"):
+        load_record(path)
+
+
+def test_load_record_keeps_integer_metrics(tmp_path):
+    path = save_record(make_record(0, 1), tmp_path / "chain.json")
+    assert load_record(path).metrics == {"accuracy": 1}
+
+
+def test_load_record_refuses_a_directory(tmp_path):
+    (tmp_path / "chain_x.json").mkdir()
+    with pytest.raises(DataError, match="chain_x.json"):
+        load_record(tmp_path / "chain_x.json")
+
+
+def test_load_record_refuses_energy_terms_that_are_not_an_object(tmp_path):
+    """Terms given as pairs with an int and a str key once loaded, and saving
+    the record back then failed on sorting the keys."""
+    path = save_record(make_record(0, 0.5), tmp_path / "chain.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["steps"][0]["energy"]["terms"] = [[1, 2.0], ["task", 3.0]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="chain.json"):
+        load_record(path)

@@ -221,3 +221,56 @@ def test_load_dataset_refuses_a_text_that_is_not_a_string(tmp_path, text):
     assert "line 2" in str(err.value) and "text" in str(err.value)
     write_jsonl(path, [{"text": "fine", "label": 1}])
     assert load_dataset(path) == [Example("fine", "1")]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 5), ("template", 5), ("domain_string", None),
+    ("verbalizer", "ab"), ("verbalizer", [["pos", "good"], ["neg", "bad"]]),
+    ("verbalizer", {"pos": 1, "neg": "bad"}),
+    ("domain_words", "review"), ("domain_words", ["review", 5]),
+    ("domain_words", {"review": 1}), ("domain_words", 5),
+])
+def test_task_spec_refuses_fields_of_the_wrong_type(field, value):
+    """A one-string ``domain_words`` was once taken as its letters."""
+    with pytest.raises(TaskSpecError, match=field):
+        make_task(**{field: value})
+
+
+def test_task_spec_takes_domain_words_as_a_list():
+    assert make_task(domain_words=["Review"]).domain_words == ("review",)
+
+
+# -- reading input files -----------------------------------------------------------------
+
+def test_load_dataset_splits_lines_as_file_iteration_does(tmp_path):
+    """``\\r\\n`` and ``\\r`` end a line; U+0085 and U+2028 inside a JSON
+    string do not, so the line numbers stay those of iterating the file."""
+    path = tmp_path / "d.jsonl"
+    path.write_bytes('{"text": "a"}\r\n{"text": "b\u0085c"}\r{"text": "d e"}\n'
+                     '{bad\n'.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert len(list(fh)) == 4
+    with pytest.raises(DataError, match="line 4"):
+        load_dataset(path)
+    path.write_bytes(path.read_bytes()[:-len(b"{bad\n")])
+    assert [e.text for e in load_dataset(path)] == ["a", "b\u0085c", "d e"]
+
+
+@pytest.mark.parametrize("reader, error, content", [
+    (load_dataset, DataError, None), (load_dataset, DataError, b"\xff\xfe{}"),
+    (task_from_file, TaskSpecError, None), (task_from_file, TaskSpecError, b"\xff\xfe{}"),
+    (task_from_file, TaskSpecError, b"[]"), (task_from_file, TaskSpecError, b"{"),
+])
+def test_unreadable_or_malformed_input_file_is_an_error_naming_it(tmp_path, reader,
+                                                                   error, content):
+    """A directory (``content`` None), a file that is not UTF-8, and a task
+    file that is not a JSON object raise the reader's own error class,
+    naming the file."""
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(error) as err:
+        reader(path)
+    assert str(path) in str(err.value)
