@@ -17,7 +17,8 @@ Each option is declared once, as a row of its command's table: the flag is
 ``key`` (``{"lambda_fluency": [0.0, 0.1], "steps": 200}``).  A flag
 overrides the config file, which overrides the row's default, and a value
 from either is parsed and checked by the same row, so a malformed or
-out-of-range value exits 2 with one ``error:`` line naming the key.  A
+out-of-range value exits 2 with one ``error:`` line naming the key, as do
+an unknown flag and a flag without its value.  A
 config value is parsed as the text its flag would carry: ``{"steps": 2.7}``
 fails as ``--steps 2.7`` does instead of truncating.  The
 grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
@@ -93,15 +94,18 @@ def _flag_text(value):
 
 
 def _may_be_directory(value) -> bool:
-    """Whether ``value`` and each of its parents is a directory or absent."""
+    """Whether ``value`` holds no NUL and it and each of its parents is a
+    directory or absent."""
     path = Path(value)
-    return all(p.is_dir() or not p.exists() for p in (path, *path.parents))
+    return "\0" not in str(value) and all(p.is_dir() or not p.exists()
+                                         for p in (path, *path.parents))
 
 
 def _file_in_directory(value) -> bool:
-    """Whether ``value`` names a file path (not a directory) in an existing directory."""
+    """Whether ``value`` holds no NUL and names a file path (not a directory)
+    in an existing directory."""
     path = Path(value)
-    return path.parent.is_dir() and not path.is_dir()
+    return "\0" not in str(value) and path.parent.is_dir() and not path.is_dir()
 
 
 def _seeds(value) -> list[int]:
@@ -188,8 +192,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (an unknown flag, a flag without its
+    value) are ``UsageError``s, so ``main`` returns 2 with one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="promptsearch",
         description="Gradient-guided search for discrete, readable prompts.",
     )
@@ -234,7 +246,7 @@ def _options(ns: argparse.Namespace) -> tuple[dict, set]:
             value = _flag_text(value)
         try:
             opts[key] = parse(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise UsageError(f"invalid value for {key}: {value!r}") from None
         if check is not None and not check[0](opts[key]):
             raise UsageError(f"{key} must be {check[1]}, got {value!r}")
@@ -284,7 +296,9 @@ def _tune_worker(task, model_spec: str, cfg: SamplerConfig, data) -> ChainRecord
 
 
 def _chain_records(task, model, cfgs: list[SamplerConfig], data, n_jobs: int):
-    """Each configuration's chain record in grid order, yielded as it returns."""
+    """Each configuration's chain record in grid order, yielded as it returns,
+    with at most one worker process per chain."""
+    n_jobs = min(n_jobs, len(cfgs))
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             yield from pool.map(_tune_worker, itertools.repeat(task),
@@ -534,10 +548,9 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     handlers = {"tune": cmd_tune, "eval": cmd_eval, "analyze": cmd_analyze}
     try:
+        ns = _build_parser().parse_args(argv)
         return handlers[ns.command](ns)
     except (ModelFault, NumericalFault) as exc:
         print(f"fault: {exc}", file=sys.stderr)

@@ -20,14 +20,16 @@ the gradient w.r.t. the prompt's cached keys and values summed over the
 stack, and one over the prompt's pass with those added (exact by
 linearity).  Other adapters (wrappers overriding ``forward(self, X)``,
 registered adapters) run one full pass over ``prompt + render(task, text)``
-per example instead; both read the same rows with the same code, and the
-values agree bitwise.  The prompt fluency reads rows ``0 .. m-2``, the
-causal prefix shared by every example, once per batch; on the stacked path
-row ``m-1``, which predicts each body's first token, is the prompt pass's
-last row too.  ``task_nll`` and ``entropy_loss`` read the
-verbalizer-restricted softmax at each example's last position, and
-``domain_nll`` a row-wise log-softmax over positions ``m-1 .. L-2``, with
-the rows of the whole batch in one call.  A combined energy sums the
+per example instead.  Either way the readouts see one array of rows: rows
+``m-1 .. L-1`` of each example's pass, in batch order, so they never loop
+over length groups; grouping by length lives only inside the stacked pass,
+and the values of both paths agree bitwise.  The prompt fluency reads rows
+``0 .. m-2``, the causal prefix shared by every example, once per batch; on
+the stacked path row ``m-1``, which predicts each body's first token, is
+the prompt pass's last row too.  ``task_nll`` and ``entropy_loss`` read the
+verbalizer-restricted softmax at each example's last row (the label row),
+and ``domain_nll`` a row-wise log-softmax over every other row, with the
+rows of the whole batch in one call.  A combined energy sums the
 weighted hidden-state gradients of its terms into the same backwards and
 adds the direct fluency gradient once.  ``fluency_nll`` is the same shared
 pass with no batch: the prompt's own pass and one backward over it, for a
@@ -44,6 +46,7 @@ prompt).  Records and reports carry the sign used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -169,40 +172,42 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
 def _stacked_passes(prompt: SoftPrompt, seqs, model):
     """The prompt's own pass, then one stacked extension per body length.
 
-    Returns ``(head, groups, backward)``.  ``head`` is a pass whose first
-    ``m`` rows are the prompt's.  Each group is ``(indices, logits)``, with
-    ``logits`` of shape ``(G, n + 1, V)``: rows ``m-1 .. L-1`` of each of its
-    ``G`` examples, so row 0 predicts the first body token and the last row
-    is the label row (for an empty body, both are the prompt's last row).
-    ``backward(d_head, d_blocks)`` takes gradients w.r.t. ``head``'s first
-    ``m`` hidden rows and, per group, w.r.t. those readout rows, and returns
-    the gradient w.r.t. the prompt rows.
+    Returns ``(head, rows, backward)``.  ``head`` is a pass whose first ``m``
+    rows are the prompt's.  ``rows`` holds, in batch order, the logits of
+    rows ``m-1 .. L-1`` of each example's pass: ``len(seq) + 1`` rows, of
+    which the first predicts the first body token and the last is the label
+    row (for an empty body, both are the prompt's last row).
+    ``backward(d_head, d_rows)`` takes gradients w.r.t. ``head``'s first
+    ``m`` hidden rows and w.r.t. the hidden rows behind ``rows``, and returns
+    the gradient w.r.t. the prompt rows.  Grouping by length happens only
+    here: each stack's logits are scattered into ``rows`` and its slice of
+    ``d_rows`` is gathered back.
     """
     table = model.embedding_table().entries
     m = prompt.length
     head = model.forward(prompt.entries)
-    last = head.logits[m - 1:]
-    groups, stacks = [], []
+    lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    firsts = np.cumsum(lens) - lens + np.arange(len(seqs))
+    rows = np.empty((len(seqs) + lens.sum(), head.logits.shape[-1]))
+    rows[firsts] = head.logits[m - 1]
+    stacks = []
     for idx in _by_length(seqs):
-        logits = np.broadcast_to(last, (len(idx), *last.shape))
-        fw = None
         if seqs[idx[0]]:
             fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache)
-            logits = np.concatenate([logits, fw.logits], axis=1)
-        groups.append((idx, logits))
-        stacks.append(fw)
+            at = firsts[idx, None] + np.arange(1, len(seqs[idx[0]]) + 1)
+            rows[at] = fw.logits
+            stacks.append((fw, at))
 
-    def backward(d_head, d_blocks):
+    def backward(d_head, d_rows):
         d_head, d_past = d_head.copy(), None
-        for fw, d_block in zip(stacks, d_blocks):
-            d_head[m - 1] += d_block[:, 0].sum(axis=0)
-            if fw is not None:
-                _, d_kv = model.backward_input(fw.cache, d_hidden=d_block[:, 1:])
-                d_past = d_kv if d_past is None else [
-                    (dk + dk2, dv + dv2) for (dk, dv), (dk2, dv2) in zip(d_past, d_kv)]
+        d_head[m - 1] += d_rows[firsts].sum(axis=0)
+        for fw, at in stacks:
+            _, d_kv = model.backward_input(fw.cache, d_hidden=d_rows[at])
+            d_past = d_kv if d_past is None else [
+                (dk + dk2, dv + dv2) for (dk, dv), (dk2, dv2) in zip(d_past, d_kv)]
         return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
 
-    return head, groups, backward
+    return head, rows, backward
 
 
 def _full_passes(prompt: SoftPrompt, seqs, model):
@@ -211,51 +216,34 @@ def _full_passes(prompt: SoftPrompt, seqs, model):
     first example's pass as ``head`` (the prompt's own pass without
     examples)."""
     m = prompt.length
-    fws = ([model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
-           or [model.forward(prompt.entries)])
-    groups = [(idx, np.stack([fws[i].logits[m - 1:] for i in idx]))
-              for idx in _by_length(seqs)]
+    fws = [model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
+    head = fws[0] if fws else model.forward(prompt.entries)
+    rows = np.concatenate([head.logits[:0], *(fw.logits[m - 1:] for fw in fws)])
 
-    def backward(d_head, d_blocks):
-        rows = {}
-        for (idx, _), d_block in zip(groups, d_blocks):
-            rows.update(zip(idx, d_block))
-        total = np.zeros_like(prompt.entries)
-        for i, fw in enumerate(fws):
+    def backward(d_head, d_rows):
+        total, start = np.zeros_like(prompt.entries), 0
+        for fw in fws or [head]:
             d_hidden = np.zeros_like(fw.hidden)
-            d_hidden[m - 1:] = rows.get(i, 0.0)
-            if i == 0:
+            block = d_rows[start:start + len(fw.hidden) - m + 1]  # none without examples
+            d_hidden[m - 1:m - 1 + len(block)] = block
+            start += len(block)
+            if fw is head:
                 d_hidden[:m] += d_head
             total += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
         return total
 
-    return fws[0], groups, backward
+    return head, rows, backward
 
 
-def _token_readout(groups, seqs: list[list[int]], table: np.ndarray):
-    """NLLs of each example's body tokens, and their gradient w.r.t. the
-    readout rows that predict them: per group, ``(G, n)`` and ``(G, n, d)``.
-
-    The rows of the whole batch share one ``logsumexp`` call.
-    """
-    rows = np.concatenate([logits[:, :-1].reshape(-1, logits.shape[-1])
-                           for _, logits in groups])
-    targets = np.concatenate([np.array([seqs[i] for i in idx], dtype=np.intp).ravel()
-                              for idx, _ in groups])
+def _token_readout(rows: np.ndarray, targets: np.ndarray, table: np.ndarray):
+    """NLLs of the tokens ``targets``, one per logit row of ``rows``, and their
+    gradient w.r.t. the hidden rows behind ``rows``."""
     lse = logsumexp(rows, axis=-1)
     at = (np.arange(rows.shape[0]), targets)
     terms = lse - rows[at]
     p = np.exp(rows - lse[:, None])
     p[at] -= 1.0
-    d_rows = p @ table
-    out, start = [], 0
-    for idx, logits in groups:
-        g, n = len(idx), logits.shape[1] - 1
-        end = start + g * n
-        out.append((terms[start:end].reshape(g, n),
-                    d_rows[start:end].reshape(g, n, table.shape[1])))
-        start = end
-    return out
+    return terms, p @ table
 
 
 def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
@@ -272,9 +260,11 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
     seqs = [render(task, ex.text, model) for ex in batch]
     run = _stacked_passes if _extends(model) else _full_passes
-    head, groups, backward = run(prompt, seqs, model)
+    head, rows, backward = run(prompt, seqs, model)
+    lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    label_at = np.cumsum(lens) + np.arange(b)
     d_head = np.zeros_like(prompt.entries)
-    d_blocks = [np.zeros((*logits.shape[:2], prompt.dim)) for _, logits in groups]
+    d_rows = np.zeros((rows.shape[0], prompt.dim))
 
     values = {}
     prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
@@ -286,37 +276,34 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     if "task" in weights or "entropy" in weights:
         vids = verbalizer_token_ids(task, model)
         label_rows = table[vids]
-        probs = [_restricted_softmax(logits[:, -1], vids) for _, logits in groups]
+        probs = _restricted_softmax(rows[label_at], vids)
     if "task" in weights:
-        task_terms = []
-        for (idx, _), p, d_block in zip(groups, probs, d_blocks):
-            yi = [task.labels.index(batch[i].label) for i in idx]
-            task_terms += [-math.log(p[g, y]) for g, y in enumerate(yi)]
-            d_label = p.copy()
-            d_label[np.arange(len(idx)), yi] -= 1.0
-            d_block[:, -1] += (w["task"] / b) * (d_label @ label_rows)
-        values["task"] = math.fsum(task_terms) / b
+        gold = (np.arange(b), [task.labels.index(ex.label) for ex in batch])
+        values["task"] = math.fsum(-math.log(p) for p in probs[gold]) / b
+        d_label = probs.copy()
+        d_label[gold] -= 1.0
+        d_rows[label_at] += (w["task"] / b) * (d_label @ label_rows)
     if "entropy" in weights:
-        pbar = np.array([math.fsum(col) / b for col in np.concatenate(probs).T])
+        pbar = np.array([math.fsum(col) / b for col in probs.T])
         values["entropy"] = math.fsum(float(py * math.log(py))
                                       for py in pbar if py > 0.0)
         if grad:
             # d value / d logit_y' through each example's restricted softmax
             log_pbar = np.log(pbar)
-            for p, d_block in zip(probs, d_blocks):
-                coeff = p * (log_pbar - (p @ log_pbar)[:, None]) / b
-                d_block[:, -1] += w["entropy"] * (coeff @ label_rows)
+            coeff = probs * (log_pbar - (probs @ log_pbar)[:, None]) / b
+            d_rows[label_at] += w["entropy"] * (coeff @ label_rows)
     if "domain" in weights:
-        domain_terms = []
-        for (tok_terms, d_tok), d_block in zip(_token_readout(groups, seqs, table),
-                                               d_blocks):
-            d_block[:, :-1] += (w["domain"] / b) * d_tok
-            domain_terms += [math.fsum(np.concatenate([prefix_terms, t]))
-                             for t in tok_terms]
-        values["domain"] = math.fsum(domain_terms) / b
+        tokens = np.ones(rows.shape[0], dtype=bool)
+        tokens[label_at] = False
+        targets = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp)
+        tok_terms, d_tok = _token_readout(rows[tokens], targets, table)
+        d_rows[tokens] += (w["domain"] / b) * d_tok
+        values["domain"] = math.fsum(
+            math.fsum(np.concatenate([prefix_terms, tok_terms[end - n:end]]))
+            for n, end in zip(lens, np.cumsum(lens))) / b
     if not grad:
         return values, None
-    return values, (w["fluency"] + w["domain"]) * direct + backward(d_head, d_blocks)
+    return values, (w["fluency"] + w["domain"]) * direct + backward(d_head, d_rows)
 
 
 def _term(prompt, batch, task, model, term: str, grad: bool):

@@ -489,7 +489,10 @@ def load_adapter(spec: str):
     if not sep or scheme not in _ADAPTER_SCHEMES:
         known = ", ".join(sorted(_ADAPTER_SCHEMES))
         raise ConfigurationError(f"unknown adapter spec {spec!r} (known schemes: {known})")
-    return _ADAPTER_SCHEMES[scheme](arg)
+    try:
+        return _ADAPTER_SCHEMES[scheme](arg)
+    except ValueError as exc:  # an argument the loader cannot take: ``reference:-1``
+        raise ConfigurationError(f"invalid adapter spec {spec!r}: {exc}") from None
 
 
 # -- adapter-level operations --------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promptsearch.cli import main
+from promptsearch.cli import _COMMANDS, main
 from promptsearch.metrics import dist1
 from promptsearch.sampler import load_record, save_record
 from promptsearch.synthetic import synthetic_dataset
@@ -123,6 +123,46 @@ def test_tune_parallel_matches_serial(data_files, tmp_path):
     assert main(tune_args(data_files, parallel, jobs="2")) == 0
     for f in sorted(serial.glob("chain_*.json")):
         assert f.read_bytes() == (parallel / f.name).read_bytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool ``tune`` opens; each pool
+    maps in this process, so no worker is started."""
+    from promptsearch import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize("seeds, pools", [("1", []), ("3", [3])])
+def test_tune_jobs_opens_at_most_one_worker_per_chain(data_files, tmp_path, pool_sizes,
+                                                      seeds, pools):
+    """A process pool forks all its workers at its first task, so ``--jobs 8``
+    once forked eight processes to run a single chain."""
+    serial, jobs = tmp_path / "serial", tmp_path / "jobs"
+    assert main(tune_args(data_files, serial, seeds=seeds)) == 0
+    assert main(tune_args(data_files, jobs, seeds=seeds, jobs="8")) == 0
+    assert pool_sizes == pools
+    records = sorted(serial.glob("chain_*.json"))
+    assert len(records) == int(seeds)
+    for f in records:
+        assert f.read_bytes() == (jobs / f.name).read_bytes()
 
 
 def test_tune_init_text_flag(data_files, tmp_path):
@@ -499,6 +539,20 @@ def test_tune_bad_flag_or_config_value_exits_2_before_writing(data_files, tmp_pa
     assert main(args) == 2  # returned, not argparse's SystemExit
     _one_error_line(capsys, key)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--eta", "-inf"], ["--init-text", "-x"],
+                                   ["--bogus", "1"], ["--steps"]])
+def test_tune_argument_errors_return_2_with_one_line(data_files, tmp_path, capsys, extra):
+    """argparse's own errors (a value that starts with a dash read as a flag,
+    an unknown flag, a flag without its value) once left ``main`` by
+    ``SystemExit`` after a usage text."""
+    out = tmp_path / "out"
+    assert main(tune_args(data_files, out) + extra) == 2
+    _one_error_line(capsys, extra[0])
+    assert not out.exists()
+    assert main([]) == 2
+    _one_error_line(capsys, "command")
 
 
 def test_eval_rejects_non_boolean_include_empty_in_config(data_files, tuned_dir,
@@ -887,6 +941,43 @@ def test_data_path_with_a_line_break_or_nul_exits_2_with_one_line(
     assert no_model == []
 
 
+@pytest.mark.parametrize("in_config", [False, True])
+def test_tune_out_dir_with_a_nul_exits_2_before_loading_a_model(
+        data_files, tmp_path, capsys, no_model, in_config):
+    """A NUL in ``out_dir`` once passed the check, and ``tune`` ended in a
+    ``ValueError`` traceback after loading the model."""
+    out = str(tmp_path / "a\0b")
+    args = tune_args(data_files, out)
+    if in_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": out}))
+        args = tune_args(data_files, out, **{"out-dir": None}) + ["--config", str(config)]
+    before = sorted(tmp_path.iterdir())
+    assert main(args) == 2
+    _one_error_line(capsys, "out_dir")
+    assert no_model == [] and sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("in_config", [False, True])
+def test_analyze_report_with_a_nul_exits_2_before_loading_a_model(
+        data_files, tuned_dir, tmp_path, capsys, no_model, in_config):
+    """A NUL in ``report`` once passed the check, and ``analyze`` scored every
+    row before ending in a ``ValueError`` traceback."""
+    report = str(tmp_path / "r\0.json")
+    args = ["analyze", "--task", "synthetic-2label", "--chains", str(tuned_dir),
+            "--data", data_files["val"], "--model", "reference:1"]
+    if in_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"report": report}))
+        args += ["--config", str(config)]
+    else:
+        args += ["--report", report]
+    before = _record_bytes(tuned_dir)
+    assert main(args) == 2
+    _one_error_line(capsys, "report")
+    assert no_model == [] and _record_bytes(tuned_dir) == before
+
+
 @pytest.mark.parametrize("command", ["eval", "analyze"])
 @pytest.mark.parametrize("record", ["directory", "not-utf8"])
 def test_unreadable_chain_record_exits_2_naming_it_before_loading_a_model(
@@ -1106,3 +1197,185 @@ def test_eval_on_any_input_file_exits_0_1_or_2_and_never_raises(valid_inputs, da
             assert err.getvalue().startswith("error: "), err.getvalue()
             assert err.getvalue().count("\n") == 1, err.getvalue()
             assert {p: p.read_bytes() for p in records} == records
+
+
+# -- every option, generated ---------------------------------------------------------
+
+_ROWS = [(command, row[0]) for command, (_, table) in sorted(_COMMANDS.items())
+         for row in table]
+# A valid value of every option, as flag text; paths name what
+# `option_inputs` writes into the run's directory.
+_VALID = {
+    "task": ["synthetic-2label"], "task_file": ["task.json"], "model": ["reference:1"],
+    "data": ["val.jsonl"], "val_data": ["val.jsonl"], "out_dir": ["out", "new/out"],
+    "mode": ["supervised", "unsupervised"], "m": ["1", "2,3"], "steps": ["1", "3"],
+    "batch_size": ["1", "3"], "eta": ["0.5", "0.1,0.5"], "beta_start": ["1.0", "0"],
+    "beta_end": ["1e-4", "0"], "lambda_fluency": ["0.1", "0,0.5"],
+    "lambda_domain": ["0.1"], "energy_sign": ["intent", "literal"],
+    "optimizer": ["plain", "adaptive"], "seeds": ["1", "0,2", "3,"],
+    "allowed_vocab": ["all", "no-special"], "init_text": ["the movie"],
+    "jobs": ["1", "2"], "chains": ["chains"], "prompts": ["prompts.txt"],
+    "include_empty": [True, False], "human_prompts": ["prompts.txt"],
+    "random_prompts": ["prompts.txt"], "report": ["report.json", "chains/report.json"],
+    "effective_quantile": ["0.5", "1"], "continuations": ["0", "2"],
+    "nucleus_p": ["0.9", "1"], "continuation_length": ["1", "3"],
+    "continuation_seed": ["0", "7"],
+}
+_GRIDS = {"m", "eta", "lambda_fluency", "lambda_domain", "seeds"}
+_SWITCHES = {"include_empty"}
+_PATHS = {"task_file", "data", "val_data", "out_dir", "chains", "prompts",
+          "human_prompts", "random_prompts", "report"}
+# Options that set how much a run computes.  Their numbers are drawn no larger
+# than 3 (and their texts hold no digits), so every run takes milliseconds:
+# at most 3 steps, 3 chains, 2 jobs and 3-token continuations.
+_SIZES = {"steps", "batch_size", "seeds", "jobs", "continuations", "continuation_length"}
+# Texts at or past an edge: empty, blank, zero, negative, NaN, infinite,
+# fractional, overflowing, and grids that are empty or name a value twice.
+_EDGES = ["", " ", "0", "-1", "nan", "inf", "-inf", "2.5", "1e400", ",", "1,1", "-1,2"]
+# JSON values of the wrong type for most options.
+_WRONG_TYPES = [True, None, [], [1, 1], {"a": 1}]
+# Paths of the wrong kind: holding a NUL, naming a directory or an existing
+# file, or under a missing directory.
+_BAD_PATHS = ["a\0b", "adir", "afile.txt", "missing/x.json"]
+# A seed count past any list's length, and specs naming the reference model
+# with a seed it cannot take.
+_MORE = {"seeds": ["1" + "0" * 30],
+         "model": ["reference:-1", "reference:x", "reference:", "other:1"]}
+# Options each command needs to run; the option under test replaces its own.
+_BASE = {
+    "tune": {"task": "synthetic-2label", "data": "train.jsonl", "out_dir": "out",
+             "steps": "2", "m": "2", "batch_size": "2", "seeds": "1",
+             "model": "reference:1"},
+    "eval": {"task": "synthetic-2label", "data": "val.jsonl", "prompts": "prompts.txt",
+             "model": "reference:1"},
+    "analyze": {"task": "synthetic-2label", "chains": "chains", "data": "val.jsonl",
+                "model": "reference:1", "continuation_length": "3"},
+}
+
+
+def _edge_values(key) -> list:
+    """The values every option ``key`` meets: its valid values, the edge
+    texts, wrong JSON types and, for a path, paths of the wrong kind."""
+    return (_VALID[key] + _EDGES + _WRONG_TYPES + _MORE.get(key, [])
+            + (_BAD_PATHS if key in _PATHS else []))
+
+
+def _option_values(key):
+    """Any value of the option ``key``, as a config file holds it."""
+    if key in _SIZES:
+        ints = st.integers(-3, 2 if key == "jobs" else 3)
+        texts = st.text(max_size=6).filter(lambda t: not any(c.isdigit() for c in t))
+    else:
+        ints, texts = st.integers(), st.text(max_size=6)
+    numbers = ints | st.floats()
+    return (st.sampled_from(_edge_values(key)) | texts | numbers | numbers.map(str)
+            | st.booleans() | st.lists(numbers, max_size=3)
+            | st.dictionaries(st.text(max_size=2), numbers, max_size=1))
+
+
+def _flag_form(key, value):
+    """The command-line arguments that carry the config value ``value``, or
+    None when no flag can: a switch is present or absent, a grid is its
+    values joined by commas (one value keeps a trailing comma, so a seed
+    list of one is not read as a count), and any other value is its text."""
+    flag = "--" + key.replace("_", "-")
+    if key in _SWITCHES:
+        return {True: [flag], False: []}.get(value) if isinstance(value, bool) else None
+    if isinstance(value, list):
+        if key not in _GRIDS:
+            return None
+        return [f"{flag}={','.join(map(str, value))}" + ("," if len(value) == 1 else "")]
+    if value is None or isinstance(value, dict):
+        return None
+    return [f"{flag}={value}"]  # the `=` form carries a text that starts with a dash
+
+
+@pytest.fixture(scope="module")
+def option_inputs(data_files, tmp_path_factory):
+    """The files every generated run finds in its directory, by name."""
+    root = tmp_path_factory.mktemp("option-inputs")
+    assert main(tune_args(data_files, root / "chains", steps="2", m="2")) == 0
+    val = Path(data_files["val"]).read_text().splitlines()[:4]
+    files = {
+        "train.jsonl": "\n".join(val) + "\n", "val.jsonl": "\n".join(val) + "\n",
+        "task.json": json.dumps({"id": "synthetic-2label", "template": "{x} it was",
+                                 "verbalizer": {"good": "good", "bad": "bad"},
+                                 "domain_string": "this is a review"}),
+        "prompts.txt": "the movie was\ngood\n", "afile.txt": "not a directory\n",
+    }
+    files.update({f"chains/{p.name}": p.read_text()
+                  for p in sorted((root / "chains").glob("*.json"))})
+    return files
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def _run_in_directory(inputs, args) -> tuple[int, str, bool]:
+    """``main(args)`` in a fresh directory holding ``inputs``: the exit code,
+    stderr, and whether the directory's files are as they were."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "adir").mkdir()
+        for name, text in inputs.items():
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_text(text)
+        before = _tree(root)
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(args)
+        finally:
+            os.chdir(cwd)
+        return code, err.getvalue(), _tree(root) == before
+
+
+def _check_option(inputs, command, key, value):
+    """Run ``command`` with the option ``key`` set to ``value``, once in the
+    config file and once as a flag (when a flag can carry it).  ``main``
+    returns 0, 1 or 2 and never raises; on 2 it prints one ``error:`` line
+    and leaves every file as it was (``tune`` creates no ``--out-dir``);
+    both forms exit alike."""
+    base = dict(_BASE[command])
+    base.pop(key, None)
+    if key == "task_file":
+        del base["task"]
+    if key == "chains" and command == "eval":
+        del base["prompts"]
+    args = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in base.items()]
+    by_config = _run_in_directory({**inputs, "config.json": json.dumps({key: value})},
+                                  args + ["--config", "config.json"])
+    flag = _flag_form(key, value)
+    by_flag = None if flag is None else _run_in_directory(inputs, args + flag)
+    for code, err, unchanged in filter(None, (by_config, by_flag)):
+        assert code in (0, 1, 2), (command, key, value, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, \
+                (command, key, value, err)
+            assert unchanged, (command, key, value, err)
+    if by_flag is not None:
+        assert by_flag[0] == by_config[0], (command, key, value, by_flag, by_config)
+
+
+def test_generated_options_cover_every_row():
+    assert set(_VALID) == {key for _, key in _ROWS}
+
+
+def test_every_option_at_each_edge_exits_0_1_or_2_alike_as_flag_and_config(
+        option_inputs):
+    for command, key in _ROWS:
+        for value in _edge_values(key):
+            _check_option(option_inputs, command, key, value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(data=st.data())
+def test_any_option_value_exits_0_1_or_2_alike_as_flag_and_config(option_inputs, data):
+    command, key = data.draw(st.sampled_from(_ROWS), label="option")
+    _check_option(option_inputs, command, key, data.draw(_option_values(key), label="value"))

@@ -429,6 +429,28 @@ def test_stacked_energy_equals_full_passes(model, m, cfg):
         combined(prompt, MIXED_BATCH, MIXED_TASK, full, cfg)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_passes_return_each_examples_rows_in_batch_order(model, m):
+    """Stacked and full passes both return rows ``m-1 .. L-1`` of each
+    example's pass, in batch order, though the stacks run by body length."""
+    from promptsearch.energies import _full_passes, _stacked_passes
+    from promptsearch.model import _input_matrix
+    from promptsearch.tasks import render
+
+    prompt = soft(model, 70 + m, m=m)
+    seqs = [render(MIXED_TASK, ex.text, model) for ex in MIXED_BATCH]
+    assert [len(seq) for seq in seqs] == [2, 0, 1, 3, 1, 3]
+    _, rows, _ = _stacked_passes(prompt, seqs, model)
+    _, rows_full, _ = _full_passes(prompt, seqs, model)
+    assert rows.shape == rows_full.shape == (len(seqs) + 10, model.vocab_size)
+    assert rows.tobytes() == rows_full.tobytes()
+    start = 0
+    for seq in seqs:
+        own = model.forward(_input_matrix(prompt, seq, model)).logits[m - 1:]
+        assert rows[start:start + len(seq) + 1].tobytes() == own.tobytes()
+        start += len(seq) + 1
+
+
 @pytest.mark.parametrize("m", [1, 4])
 @pytest.mark.parametrize("term", [task_nll, entropy_loss, domain_nll],
                          ids=lambda f: f.__name__)

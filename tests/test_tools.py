@@ -75,6 +75,8 @@ TINY = dict(train=8, val=8, steps=3, batch=4, prompt_len=3, score_examples=6,
 
 
 def test_fingerprints_repeat_with_one_line_per_workload_and_seed(capsys):
+    """One line per perfbench workload and seed, then one per mode for the
+    chains on mixed-length inputs."""
     tool = _tool("fingerprints")
     runs = []
     for _ in range(2):
@@ -83,5 +85,6 @@ def test_fingerprints_repeat_with_one_line_per_workload_and_seed(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[:2] for line in runs[0]] == [
         [name, f"seed{seed}"] for name in ("tune-sup", "tune-unsup", "score")
-        for seed in (3, 4)]
+        for seed in (3, 4)] + [["mixed-sup", "seed1"], ["mixed-unsup", "seed1"]]
+    assert len({line.split()[2] for line in runs[0]}) == len(runs[0])
     assert all(len(line.split()[2]) == 64 for line in runs[0])

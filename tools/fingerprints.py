@@ -7,10 +7,19 @@ seed (3 and 4), the checkout's own ``perfbench/workloads.py`` prepares the
 inputs and runs round 0 against the checkout's own ``src/``.  The line is
 ``<workload> seed<seed> <sha256 of workload.fingerprint(round)>``: the
 chain record's bytes for a ``tune`` workload, ``eval``'s table plus the
-``analyze`` report for ``score``.  Equal lines for two checkouts mean
-byte-identical outputs.  Everything runs in one fresh Python process with
-BLAS at one thread, in a temporary directory that is removed afterwards;
-a round whose outputs fail the workload's checks exits 1 instead.
+``analyze`` report for ``score``.
+
+Every perfbench ``tune`` workload trains on six-word inputs, so each of
+its batches is one length group.  Two more lines, ``mixed-sup seed1`` and
+``mixed-unsup seed1``, hash the record of a supervised and an unsupervised
+chain (chain seed 1, at the ``tune`` workloads' config) on inputs of 0 to 5
+words drawn from ``synthetic.POOL_A``/``POOL_B``, whose batches span several
+length groups; the checkout's own ``promptsearch.cli.main`` runs them.
+
+Equal lines for two checkouts mean byte-identical outputs.  Everything runs
+in one fresh Python process with BLAS at one thread, in a temporary
+directory that is removed afterwards; a round whose outputs fail the
+workload's checks, or a mixed chain that does not exit 0, exits 1 instead.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ SEEDS = (3, 4)
 # Run in the child process: argv is the checkout, then the sizes as JSON
 # (null for the benchmark's own sizes).
 _CHILD = """
-import hashlib, json, os, sys, tempfile
+import contextlib, hashlib, io, json, os, sys, tempfile
 from pathlib import Path
 
 checkout, sizes = Path(sys.argv[1]), json.loads(sys.argv[2])
@@ -48,6 +57,33 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"{name} seed{seed}: " + "; ".join(problems))
             digest = hashlib.sha256(wl.fingerprint(rnd)).hexdigest()
             print(f"{name} seed{seed} {digest}", flush=True)
+
+    import numpy as np
+    from promptsearch.cli import main
+    from promptsearch.synthetic import POOL_A, POOL_B
+
+    s = workloads.Sizes(**(sizes or {}))
+    rng = np.random.default_rng(0)
+    data = Path(tmp) / "mixed.jsonl"
+    with open(data, "w", encoding="utf-8") as fh:
+        for i in range(s.train):
+            pool, label = (POOL_A, "good") if i %% 2 == 0 else (POOL_B, "bad")
+            words = rng.choice(pool, size=int(rng.integers(0, 6)), replace=True)
+            fh.write(json.dumps({"text": " ".join(words), "label": label}) + "\\n")
+    for name, mode, weight in (("mixed-sup", "supervised", "--lambda-fluency"),
+                               ("mixed-unsup", "unsupervised", "--lambda-domain")):
+        out = Path(tmp) / name
+        argv = ["tune", "--task", "synthetic-2label", "--model", workloads.MODEL,
+                "--data", str(data), "--out-dir", str(out), "--mode", mode,
+                "--m", str(s.prompt_len), "--steps", str(s.steps),
+                "--batch-size", str(s.batch), "--eta", "0.3", "--optimizer", "adaptive",
+                "--seeds", "1,", weight, "0.003"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            sys.exit(f"{name} seed1: tune exited {code}")
+        digest = hashlib.sha256((out / "chain_000_seed1.json").read_bytes()).hexdigest()
+        print(f"{name} seed1 {digest}", flush=True)
 """ % (WORKLOADS, SEEDS)
 
 
