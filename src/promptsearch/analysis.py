@@ -2,7 +2,7 @@
 
 Provides per-prompt diagnostics rows (accuracy, perplexity, label-word
 entropy under the task's domain string, domain-word counts), rank
-correlation and paired-t significance utilities, nucleus-sampled
+correlation and t-test significance utilities, nucleus-sampled
 continuation generation for frequency counting, a calibrated unsupervised
 prediction baseline (``pmi_dc_predict``), and a JSON report assembler
 suitable for external plotting.
@@ -268,6 +268,25 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     return 2.0 * float(stdtr(n - 1, -abs(t_stat)))
 
 
+def _welch_ttest(a: Sequence[float], b: Sequence[float]) -> float | None:
+    """Two-sided Welch t-test p-value of two unpaired samples, with
+    Welch-Satterthwaite degrees of freedom; None under two values a side.
+
+    Each sample is sorted first, so the value does not depend on row order.
+    Zero variance on both sides is degenerate as in :func:`paired_ttest`.
+    """
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    if a.size < 2 or b.size < 2:
+        return None
+    va, vb = float(a.var(ddof=1)) / a.size, float(b.var(ddof=1)) / b.size
+    diff = float(a.mean() - b.mean())
+    if va + vb == 0.0:
+        return 1.0 if diff == 0.0 else 0.0
+    t_stat = diff / math.sqrt(va + vb)
+    df = (va + vb) ** 2 / (va ** 2 / (a.size - 1) + vb ** 2 / (b.size - 1))
+    return 2.0 * float(stdtr(df, -abs(t_stat)))
+
+
 def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
                        val_data: Sequence[Example] | None = None,
                        human_prompts: Sequence[str] = (),
@@ -300,8 +319,9 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
     * ``domain_freq``: mean accuracy and mean domain-word count for the
       effective tuned prompts (accuracy >= the ``effective_quantile``
       quantile of tuned accuracies) and for the random baseline, plus a
-      paired t-test p-value on the two count lists trimmed to the shorter
-      length (null when either side is empty or the trimmed length is < 2).
+      Welch t-test p-value of the effective against the random counts, over
+      every row of each (null when either side has fewer than 2 rows).
+      None of it depends on the order of the chains or the prompts.
 
     When ``generator`` is supplied, domain-word counts include sampled
     continuations (one deterministic stream across all rows, from ``seed``).
@@ -363,7 +383,7 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
     def freq_summary(subset: list[PromptDiagnostics]):
         if not subset:
             return None
-        return {"mean_acc": float(np.mean([r.accuracy for r in subset])),
+        return {"mean_acc": float(np.mean(sorted(r.accuracy for r in subset))),
                 "mean_freq": float(np.mean([r.domain_word_count for r in subset]))}
 
     effective: list[PromptDiagnostics] = []
@@ -372,13 +392,8 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
                                       effective_quantile))
         effective = [r for r in tuned if r.accuracy >= threshold]
     randoms = [r for r in rows if r.source == "random"]
-    t_test_p = None
-    n_pair = min(len(effective), len(randoms))
-    if n_pair >= 2:
-        t_test_p = paired_ttest(
-            [r.domain_word_count for r in effective[:n_pair]],
-            [r.domain_word_count for r in randoms[:n_pair]],
-        )
+    t_test_p = _welch_ttest([r.domain_word_count for r in effective],
+                            [r.domain_word_count for r in randoms])
 
     return {
         "prompts": [r.to_dict() for r in rows],

@@ -20,7 +20,10 @@ from either is parsed and checked by the same row, so a malformed or
 out-of-range value exits 2 with one ``error:`` line naming the key, as do
 an unknown flag and a flag without its value.  A
 config value is parsed as the text its flag would carry: ``{"steps": 2.7}``
-fails as ``--steps 2.7`` does instead of truncating.  The
+fails as ``--steps 2.7`` does instead of truncating, and a ``null`` is
+refused for every key (leaving the key out gives its default).  ``tune``
+builds every chain's config before it reads any file, and refuses a batch
+larger than its training data before it loads a model.  The
 grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
 comma-separated (or JSON) lists of distinct values; ``seeds`` takes either
 a count N (seeds 0..N-1) or an explicit list of distinct seeds; an empty
@@ -224,7 +227,8 @@ def _options(ns: argparse.Namespace) -> tuple[dict, set]:
 
     Returns the options and the set of keys set explicitly (by flag or
     config), which mode validation needs.  A malformed value, or one its
-    row's check rejects, is a ``UsageError`` naming the key.
+    row's check rejects, is a ``UsageError`` naming the key; so is a config
+    ``null``, for every key, before any option is parsed.
     """
     table = _COMMANDS[ns.command][1]
     config = {}
@@ -233,13 +237,16 @@ def _options(ns: argparse.Namespace) -> tuple[dict, set]:
         unknown = set(config) - {row[0] for row in table}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in config.items():
+            if value is None:  # leaving the key out is how to ask for its default
+                raise UsageError(f"invalid value for {key}: None")
     opts, explicit = {}, set()
     for key, parse, default, check, _ in table:
         flag = getattr(ns, key)
         if flag is not None or key in config:
             explicit.add(key)
         value = flag if flag is not None else config.get(key, default)
-        if value is None and default is None:
+        if value is None:  # an option without a default, left unset
             opts[key] = None
             continue
         if flag is None and key in config and parse is not _boolean:
@@ -323,12 +330,29 @@ def cmd_tune(ns: argparse.Namespace) -> int:
             raise UsageError("unsupervised mode does not accept lambda_fluency")
     if opts["data"] is None:
         raise UsageError("tune requires --data")
+    # the grid's configs check every chain value before any file is read
     lams = opts["lambda_fluency" if mode == "supervised" else "lambda_domain"]
     schedule = NoiseSchedule(beta_start=opts["beta_start"], beta_end=opts["beta_end"],
                              steps=opts["steps"])
+    jobs_spec: list[tuple[str, SamplerConfig]] = []
+    for gi, (m, eta, lam) in enumerate(itertools.product(opts["m"], opts["eta"], lams)):
+        energy = (EnergyConfig.supervised(lam) if mode == "supervised"
+                  else EnergyConfig.unsupervised(lam, sign=opts["energy_sign"]))
+        for seed in opts["seeds"]:
+            cfg = SamplerConfig(
+                eta=eta, schedule=schedule, steps=opts["steps"],
+                batch_size=opts["batch_size"], seed=seed, energy=energy,
+                optimizer=opts["optimizer"], prompt_length=m,
+                init_text=opts["init_text"], allowed_vocab=opts["allowed_vocab"],
+                model_spec=opts["model"],
+            )
+            jobs_spec.append((f"chain_{gi:03d}_seed{seed}.json", cfg))
 
     task = _resolve_task(opts)
     data = _load_data(opts["data"], task, f"{mode} tuning", labeled=mode == "supervised")
+    if opts["batch_size"] > len(data):
+        raise UsageError(f"batch_size {opts['batch_size']} exceeds the {len(data)} "
+                         f"examples of {opts['data']}")
     val = None
     if opts["val_data"] is not None:
         val = _load_data(opts["val_data"], task, "validation")
@@ -343,20 +367,6 @@ def cmd_tune(ns: argparse.Namespace) -> int:
                 f"prompt length {max(opts['m'])} plus the longest rendered example "
                 f"({longest} tokens) exceeds the model's max_len {max_len}"
             )
-
-    jobs_spec: list[tuple[str, SamplerConfig]] = []
-    for gi, (m, eta, lam) in enumerate(itertools.product(opts["m"], opts["eta"], lams)):
-        energy = (EnergyConfig.supervised(lam) if mode == "supervised"
-                  else EnergyConfig.unsupervised(lam, sign=opts["energy_sign"]))
-        for seed in opts["seeds"]:
-            cfg = SamplerConfig(
-                eta=eta, schedule=schedule, steps=opts["steps"],
-                batch_size=opts["batch_size"], seed=seed, energy=energy,
-                optimizer=opts["optimizer"], prompt_length=m,
-                init_text=opts["init_text"], allowed_vocab=opts["allowed_vocab"],
-                model_spec=opts["model"],
-            )
-            jobs_spec.append((f"chain_{gi:03d}_seed{seed}.json", cfg))
 
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -534,7 +544,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if df["effective"] and df["random"]:
         print(f"domain words: effective mean {df['effective']['mean_freq']:.2f} "
               f"vs random mean {df['random']['mean_freq']:.2f} "
-              f"(paired t-test p={df['t_test_p']})")
+              f"(Welch t-test p={df['t_test_p']})")
     signs = {rec.config.energy.sign for rec in chains
              if rec.config.energy.mode == "unsupervised"}
     if signs:

@@ -202,25 +202,25 @@ def _layernorm_backward(dy, cache, gamma):
     )
 
 
-# Every row of a full pass or of a stack gets bitwise the states the same
-# position gets in any longer full pass, so a stack of bodies can stand in
-# for per-example passes.  numpy sends a product whose left operand has one
-# row to BLAS's matrix-vector routine, which rounds differently from the same
-# row inside a matrix product, so such a product runs on two copies of the
-# row (``_two_rows``); and the transposed copy of a one-query softmax ends in
-# a unit axis, which numpy would sum pairwise, so that normalizer is a
-# running sum.  2-D extensions, the per-token read path, skip both and may
-# differ in the last bits; their products stay plain ``np.matmul`` calls.
+# Every pass, a stack included, runs its residual stream as one row per
+# position, ``(rows, d)``: the inputs plus positions, both layer norms, every
+# dense product, GELU, the final norm and the logits.  Only attention reshapes,
+# to ``(*lead, n, H, dh)``.  Every row of a full pass or of a stack gets
+# bitwise the states the same position gets in any longer full pass, so a
+# stack of bodies can stand in for per-example passes.  numpy sends a product
+# whose left operand has one row to BLAS's matrix-vector routine, which rounds
+# differently from the same row inside a matrix product, so such a product runs
+# on two copies of the row (``_two_rows``); and the transposed copy of a
+# one-query softmax ends in a unit axis, which numpy would sum pairwise, so
+# that normalizer is a running sum.  One rule picks both: a pass is exact when
+# it is a stack or has no ``past``; an exact pass of one row in total runs its
+# dense products on two rows, and an exact pass of one position per body runs
+# attention on two rows with the running sum.  2-D extensions, the per-token
+# read path, are not exact and may differ in the last bits; their products
+# stay plain ``@``.
 
 def _two_rows(a, b):
     return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
-
-
-def _flat(matmul):
-    """``matmul(x, W)`` over the last axis of a stack, as one 2-D product."""
-    def dense(x, W):
-        return matmul(x.reshape(-1, x.shape[-1]), W).reshape(*x.shape[:-1], W.shape[1])
-    return dense
 
 
 def _softmax_rows(scores, running_sum):
@@ -326,7 +326,6 @@ class TinyCausalLM:
         broadcast over a stack only, so a 2-D extension copies none of them.
         """
         X = np.asarray(X, dtype=np.float64)
-        stacked = X.ndim == 3
         if X.ndim not in (2, 3) or X.shape[-1] != self.dim:
             raise ConfigurationError(
                 f"input must be L x {self.dim} or G x n x {self.dim}, got shape {X.shape}"
@@ -342,12 +341,12 @@ class TinyCausalLM:
         # row i is position start + i: it sees keys 0 .. start + i
         mask = np.triu(np.full((n, L), -np.inf), k=start + 1)
         past_layers = past["layers"] if past is not None else [None] * self.n_layers
-        one_exact_row = n == 1 and (stacked or past is None)
-        mm = _two_rows if one_exact_row else np.matmul
-        dense = _flat(_two_rows if len(X) * n == 1 else np.matmul) if stacked else mm
         per_head = (*lead, n, H, dh)
 
-        x = X + self._pos[start:L]
+        x = (X + self._pos[start:L]).reshape(-1, self.dim)
+        exact = bool(lead) or past is None
+        dense = _two_rows if exact and len(x) == 1 else np.matmul
+        mm = _two_rows if exact and n == 1 else np.matmul
         layer_caches = []
         for lw, pc in zip(self._layers, past_layers):
             a, ln1 = _layernorm_forward(x, lw["g1"], lw["b1"])
@@ -356,14 +355,14 @@ class TinyCausalLM:
             v = dense(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
             if pc is not None:
                 pk, pv = pc["k"], pc["v"]
-                if stacked:
+                if lead:
                     pk = np.broadcast_to(pk, (*lead, *pk.shape))
                     pv = np.broadcast_to(pv, (*lead, *pv.shape))
                 k = np.concatenate([pk, k], axis=-2)
                 v = np.concatenate([pv, v], axis=-2)
             scores = mm(q, k.swapaxes(-1, -2)) * scale + mask
-            A = _softmax_rows(scores, one_exact_row)
-            o = mm(A, v).swapaxes(-2, -3).reshape(*lead, n, self.dim)
+            A = _softmax_rows(scores, exact and n == 1)
+            o = mm(A, v).swapaxes(-2, -3).reshape(-1, self.dim)
             x = x + dense(o, lw["Wo"])
 
             f, ln2 = _layernorm_forward(x, lw["g2"], lw["b2"])
@@ -377,9 +376,10 @@ class TinyCausalLM:
         logits = dense(hidden, self._E.T)
         if not np.all(np.isfinite(logits)):
             raise ModelFault("model produced non-finite logits")
-        return ForwardPass(hidden=hidden, logits=logits,
+        return ForwardPass(hidden=hidden.reshape(*lead, n, self.dim),
+                           logits=logits.reshape(*lead, n, self.vocab_size),
                            cache={"layers": layer_caches, "lnf": lnf, "L": L,
-                                  "start": start, "stacked": stacked})
+                                  "start": start, "lead": lead})
 
     def backward_input(self, cache: dict, d_hidden: np.ndarray | None = None,
                        d_logits: np.ndarray | None = None,
@@ -401,38 +401,38 @@ class TinyCausalLM:
         completes the gradient (exact by linearity).  A 2-D extension is a
         read: its cache is refused.
         """
-        start, L = cache["start"], cache["L"]
-        if start and not cache["stacked"]:
+        start, L, lead = cache["start"], cache["L"], cache["lead"]
+        if start and not lead:
             raise ConfigurationError(
                 "backward_input needs the cache of a full pass or of a stacked "
                 "extension, not a 2-D extension"
             )
-        lead, n = cache["lnf"][0].shape[:-2], L - start
+        n = L - start
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        dense = _flat(np.matmul) if lead else np.matmul
+        def rows(y):  # (..., H, n, dh) -> (rows, d)
+            return y.swapaxes(-2, -3).reshape(-1, self.dim)
 
-        def rows(y):  # (..., H, n, dh) -> (..., n, d)
-            return y.swapaxes(-2, -3).reshape(*lead, n, self.dim)
-
+        # the caller's gradients are added at their own shapes, so a wrong one fails
         dh_total = np.zeros((*lead, n, self.dim))
         if d_hidden is not None:
             dh_total += d_hidden
         if d_logits is not None:
-            dh_total += dense(d_logits, self._E)
-        dx = _layernorm_backward(dh_total, cache["lnf"], self._gf)
+            *at, V = d_logits.shape
+            dh_total += (d_logits.reshape(-1, V) @ self._E).reshape(*at, self.dim)
+        dx = _layernorm_backward(dh_total.reshape(-1, self.dim), cache["lnf"], self._gf)
 
         d_past_in = d_past if d_past is not None else [None] * self.n_layers
         d_past_out = []
         for lw, lc, dp in zip(reversed(self._layers), reversed(cache["layers"]),
                               reversed(d_past_in)):
-            dg1v = dense(dx, lw["W2"].T)
+            dg1v = dx @ lw["W2"].T
             dz1 = dg1v * _gelu_prime(lc["z1"], lc["erf_z1"])
-            df = dense(dz1, lw["W1"].T)
+            df = dz1 @ lw["W1"].T
             dx = dx + _layernorm_backward(df, lc["ln2"], lw["g2"])
 
-            do = dense(dx, lw["Wo"].T).reshape(*lead, n, H, dh).swapaxes(-2, -3)
+            do = (dx @ lw["Wo"].T).reshape(*lead, n, H, dh).swapaxes(-2, -3)
             A, q, k, v = lc["A"], lc["q"], lc["k"], lc["v"]
             dA = do @ v.swapaxes(-1, -2)
             dv = A.swapaxes(-1, -2) @ do
@@ -445,9 +445,9 @@ class TinyCausalLM:
                 d_past_out.append((dk[..., :start, :].sum(axis=0),
                                    dv[..., :start, :].sum(axis=0)))
                 dk, dv = dk[..., start:, :], dv[..., start:, :]
-            da = (dense(rows(dq), lw["Wq"].T) + dense(rows(dk), lw["Wk"].T)
-                  + dense(rows(dv), lw["Wv"].T))
+            da = rows(dq) @ lw["Wq"].T + rows(dk) @ lw["Wk"].T + rows(dv) @ lw["Wv"].T
             dx = dx + _layernorm_backward(da, lc["ln1"], lw["g1"])
+        dx = dx.reshape(*lead, n, self.dim)
         if start:
             return dx, d_past_out[::-1]
         return dx

@@ -137,3 +137,23 @@ def token_nll_recount(model, ids) -> float:
         z = mx + math.log(sum(math.exp(float(v) - mx) for v in row))
         nlls.append(z - float(row[ids[j]]))
     return sum(nlls) / len(nlls)
+
+
+def welch_t_pvalue(a, b) -> float:
+    """Two-sided Welch t-test p-value by direct definition: scalar sums for
+    each sample's mean and variance, Welch-Satterthwaite degrees of freedom,
+    and the t tail through the regularized incomplete beta function."""
+    from scipy.special import betainc
+
+    def moments(xs):
+        xs = [float(x) for x in xs]
+        n = len(xs)
+        mean = sum(xs) / n
+        var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+        return n, mean, var / n
+
+    na, ma, sa = moments(a)
+    nb, mb, sb = moments(b)
+    t = (ma - mb) / math.sqrt(sa + sb)
+    df = (sa + sb) ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
+    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stub_model_with_label_probs
-from oracles import brute_spearman_rho
+from oracles import brute_spearman_rho, welch_t_pvalue
 from promptsearch.analysis import (
     LocalContinuationGenerator,
     PromptDiagnostics,
@@ -464,6 +464,64 @@ def test_report_is_json_serializable(model, task, report_inputs):
                              include_empty=True,
                              random_prompts=["old cold the"])
     json.dumps(doc)
+
+
+
+# -- the domain-word test over unpaired rows ---------------------------------------------
+
+_TUNED = [("the movie review", 0.1), ("a movie", 0.7), ("review the product movie", 0.2),
+          ("good story", 0.3), ("movie movie", 0.6)]
+_RANDOM = ["cold warm old", "dull movie the", "the review", "old new", "fun fresh",
+           "slow dark movie"]
+
+
+def _domain_doc(model, task, val, order_tuned, order_random):
+    chains = [tuned_record(model, task, _TUNED[i][0], acc=_TUNED[i][1], seed=i)
+              for i in order_tuned]
+    return diagnostics_report(chains, task, model, val_data=val, effective_quantile=0.0,
+                              random_prompts=[_RANDOM[i] for i in order_random])
+
+
+def test_report_domain_freq_does_not_depend_on_row_order(model, task, report_inputs):
+    """Effective and random prompts are not pairs: permuting the chains and
+    the random prompts leaves every ``domain_freq`` number bitwise equal."""
+    import json
+
+    _, val = report_inputs
+    base = _domain_doc(model, task, val, range(len(_TUNED)), range(len(_RANDOM)))
+    assert base["domain_freq"]["t_test_p"] is not None
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        doc = _domain_doc(model, task, val, rng.permutation(len(_TUNED)),
+                          rng.permutation(len(_RANDOM)))
+        assert json.dumps(doc["domain_freq"]) == json.dumps(base["domain_freq"])
+
+
+def test_report_domain_p_value_is_welch_over_every_row(model, task, report_inputs):
+    _, val = report_inputs
+    doc = _domain_doc(model, task, val, range(len(_TUNED)), range(len(_RANDOM)))
+    counts = {source: [r["domain_word_count"] for r in doc["prompts"]
+                       if r["source"] == source] for source in ("tuned", "random")}
+    assert len(counts["tuned"]) == 5 and len(counts["random"]) == 6
+    assert abs(doc["domain_freq"]["t_test_p"]
+               - welch_t_pvalue(counts["tuned"], counts["random"])) < 1e-12
+
+
+def test_welch_ttest_matches_oracle_and_its_degenerate_rules():
+    from promptsearch.analysis import _welch_ttest
+
+    effective = [3, 5, 4, 6]
+    for random in ([0, 0, 1, 1, 2, 3], [3, 2, 1, 1, 0, 0], [1, 3, 0, 2, 0, 1]):
+        assert abs(_welch_ttest(effective, random)
+                   - welch_t_pvalue(effective, random)) < 1e-12
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a = rng.integers(0, 8, size=int(rng.integers(2, 12)))
+        b = rng.normal(2.0, 1.5, size=int(rng.integers(2, 12)))
+        assert abs(_welch_ttest(a, b) - welch_t_pvalue(a, b)) < 1e-12
+    assert _welch_ttest([1, 2], [3]) is None and _welch_ttest([], [1, 2]) is None
+    assert _welch_ttest([2, 2], [2, 2, 2]) == 1.0
+    assert _welch_ttest([2, 2], [1, 1, 1]) == 0.0
 
 
 # -- statistics without scipy.stats ---------------------------------------------------

@@ -1379,3 +1379,74 @@ def test_every_option_at_each_edge_exits_0_1_or_2_alike_as_flag_and_config(
 def test_any_option_value_exits_0_1_or_2_alike_as_flag_and_config(option_inputs, data):
     command, key = data.draw(st.sampled_from(_ROWS), label="option")
     _check_option(option_inputs, command, key, data.draw(_option_values(key), label="value"))
+
+
+# -- a config `null`, the batch bound and chain values, each before any file is read ---
+
+@pytest.mark.parametrize("command, key", _ROWS)
+def test_config_null_exits_2_naming_the_key_and_leaves_every_file(option_inputs,
+                                                                 command, key):
+    """A JSON ``null`` is refused for every key, with or without a default;
+    leaving the key out is how to get its default."""
+    base = {k: v for k, v in _BASE[command].items() if k != key}
+    args = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in base.items()]
+    code, err, unchanged = _run_in_directory(
+        {**option_inputs, "config.json": json.dumps({key: None})},
+        args + ["--config", "config.json"])
+    assert (code, err) == (2, f"error: invalid value for {key}: None\n")
+    assert unchanged
+
+
+def _four_examples(data_files, tmp_path, kind):
+    path = tmp_path / f"four-{kind}.jsonl"
+    path.write_text("\n".join(Path(data_files[kind]).read_text().splitlines()[:4]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("mode, kind", [("supervised", "train"),
+                                        ("unsupervised", "unlabeled")])
+def test_tune_batch_larger_than_the_data_exits_2_before_writing(data_files, tmp_path,
+                                                                capsys, mode, kind):
+    out = tmp_path / "out"
+    args = tune_args(data_files, out, data=_four_examples(data_files, tmp_path, kind),
+                     batch_size="5", mode=mode)
+    assert main(args) == 2
+    _one_error_line(capsys, "batch_size 5", "4 examples")
+    assert not out.exists()
+
+
+def test_tune_huge_batch_exits_2_before_loading_a_model(monkeypatch, data_files,
+                                                        tmp_path, capsys):
+    """A batch size no data file can fill fails before the model loads, and
+    never reaches a chain (which would fill its first batch forever)."""
+    from promptsearch import cli
+
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: pytest.fail("model loaded"))
+    monkeypatch.setattr(cli, "run_chain", lambda *args: pytest.fail("chain ran"))
+    huge = "1" + "0" * 30
+    out = tmp_path / "out"
+    assert main(tune_args(data_files, out, batch_size=huge)) == 2
+    _one_error_line(capsys, f"batch_size {huge}", "20 examples")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"eta": "0"}, "eta must be positive and finite, got 0.0"),
+    ({"batch_size": "0"}, "steps, batch_size and prompt_length must be >= 1"),
+    ({"m": "0"}, "steps, batch_size and prompt_length must be >= 1"),
+    ({"optimizer": "x"}, "unknown optimizer 'x'"),
+    ({"allowed_vocab": "x"}, "unknown allowed_vocab 'x'"),
+    ({"lambda_fluency": "2"}, "lambda_task must lie in [0, 1], got -1.0"),
+    ({"mode": "unsupervised", "energy_sign": "x"}, "unknown energy sign 'x'"),
+])
+def test_tune_chain_value_errors_come_before_any_file_is_read(monkeypatch, data_files,
+                                                              tmp_path, capsys, extra,
+                                                              message):
+    from promptsearch import cli
+
+    monkeypatch.setattr(cli, "load_adapter", lambda spec: pytest.fail("model loaded"))
+    out = tmp_path / "out"
+    assert main(tune_args(data_files, out, data=str(tmp_path / "missing.jsonl"),
+                          **extra)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

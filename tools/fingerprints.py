@@ -60,16 +60,11 @@ with tempfile.TemporaryDirectory() as tmp:
 
     import numpy as np
     from promptsearch.cli import main
-    from promptsearch.synthetic import POOL_A, POOL_B
 
     s = workloads.Sizes(**(sizes or {}))
-    rng = np.random.default_rng(0)
     data = Path(tmp) / "mixed.jsonl"
-    with open(data, "w", encoding="utf-8") as fh:
-        for i in range(s.train):
-            pool, label = (POOL_A, "good") if i %% 2 == 0 else (POOL_B, "bad")
-            words = rng.choice(pool, size=int(rng.integers(0, 6)), replace=True)
-            fh.write(json.dumps({"text": " ".join(words), "label": label}) + "\\n")
+    workloads._write_jsonl(data, workloads._mixed_length_examples(
+        s.train, np.random.default_rng(0), 0, 5))
     for name, mode, weight in (("mixed-sup", "supervised", "--lambda-fluency"),
                                ("mixed-unsup", "unsupervised", "--lambda-domain")):
         out = Path(tmp) / name
