@@ -14,20 +14,28 @@ prompts) there.
 
 Each option is declared once, as a row of its command's table: the flag is
 ``--key`` with dashes and the key in the optional ``--config`` JSON file is
-``key`` (``{"lambda_fluency": [0.0, 0.1], "steps": 200}``).  A flag
-overrides the config file, which overrides the row's default, and a value
-from either is parsed and checked by the same row, so a malformed or
+``key`` (``{"lambda_fluency": [0.0, 0.1], "steps": 200}``).  The config file
+is read as the flags it stands for, given before the command line's, so a
+flag overrides the config file, which overrides the row's default, and
+every value is parsed and checked by its row as flag text: a malformed or
 out-of-range value exits 2 with one ``error:`` line naming the key, as do
-an unknown flag and a flag without its value.  A
-config value is parsed as the text its flag would carry: ``{"steps": 2.7}``
-fails as ``--steps 2.7`` does instead of truncating, and a ``null`` is
-refused for every key (leaving the key out gives its default).  ``tune``
-builds every chain's config before it reads any file, and refuses a batch
-larger than its training data before it loads a model.  The
-grid options ``m``, ``eta``, ``lambda_fluency`` and ``lambda_domain`` take
-comma-separated (or JSON) lists of distinct values; ``seeds`` takes either
-a count N (seeds 0..N-1) or an explicit list of distinct seeds; an empty
-grid, or one naming a value twice, is an error.
+an unknown flag and a flag without its value.  A JSON list stands for its
+values joined by commas and is taken by a grid row only; a JSON boolean
+sets or leaves off the ``include_empty`` switch, which takes nothing else;
+any other scalar stands for its text (``{"steps": 2.7}`` fails as
+``--steps 2.7`` does instead of truncating).  A ``null``, an object or a
+list outside a grid is refused for every key, even one a flag overrides
+(leaving the key out gives its default).  ``tune`` builds every chain's
+config before it reads any file, and refuses a batch larger than its
+training data before it loads a model.  The grid options ``m``, ``eta``,
+``lambda_fluency`` and ``lambda_domain`` take comma-separated lists of
+distinct values; ``seeds`` takes either a count N (seeds 0..N-1) or a
+comma-separated list of distinct seeds, each >= 0 (``3,`` is seed 3); an
+empty grid, or one naming a value twice, is an error.  Right after the
+model loads, each command checks that every label word is one token of the
+model and that its longest prompt and longest rendered input fit the
+model's ``max_len``, so ``eval`` and ``analyze`` print nothing before such
+an error.
 
 Exit codes: 0 success, 1 runtime fault (partial artifacts are kept),
 2 usage/configuration error.
@@ -65,35 +73,17 @@ from .sampler import (
     save_record,
 )
 from .synthetic import synthetic_task
-from .tasks import (_read_input, _read_json_object, builtin_tasks, load_dataset, render,
-                    task_from_file, verbalizer_token_ids)
+from .tasks import (Example, _read_input, _read_json_object, builtin_tasks, load_dataset,
+                    render, task_from_file, verbalizer_token_ids)
 
 __all__ = ["main", "cmd_tune", "cmd_eval", "cmd_analyze"]
 
 
-def _boolean(value) -> bool:
-    """A flag's ``True`` or a JSON boolean; anything else (``"no"``) is invalid."""
-    if not isinstance(value, bool):
-        raise ValueError(value)
-    return value
-
-
 def _list(parse):
-    """Parser of a comma-separated string, a JSON list or a single JSON value."""
+    """Parser of a comma-separated string."""
     def parse_list(value) -> list:
-        if isinstance(value, list):
-            return [parse(v) for v in value]
         return [parse(v) for v in str(value).split(",") if v.strip()]
     return parse_list
-
-
-def _flag_text(value):
-    """A config value spelled as its flag would be: a JSON scalar becomes its
-    text (so ``2.7`` fails an integer option as ``--steps 2.7`` does, rather
-    than truncating), and a list its elements' texts."""
-    if isinstance(value, list):
-        return [str(v) for v in value]
-    return str(value)
 
 
 def _may_be_directory(value) -> bool:
@@ -112,10 +102,11 @@ def _file_in_directory(value) -> bool:
 
 
 def _seeds(value) -> list[int]:
-    """A count N (seeds 0..N-1), or an explicit comma-separated or JSON list."""
-    if isinstance(value, list) or "," in str(value):
-        return _list(int)(value)
-    return list(range(int(value)))
+    """A count N (seeds 0..N-1), or a comma-separated list of seeds, each >= 0."""
+    seeds = _list(int)(value) if "," in str(value) else list(range(int(value)))
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(value)
+    return seeds
 
 
 def _distinct(values) -> bool:
@@ -127,9 +118,10 @@ _GRID = (_distinct, "non-empty and distinct")
 _REPORT = (_file_in_directory, "a file path in an existing directory")
 
 # One row per option: (key, parse, default, check, help).  The flag is
-# ``--key`` with dashes and the config-file key is ``key``; a value from
-# either is parsed with ``parse`` and tested with ``check``, a (predicate,
-# description) pair or None.  A None default marks an option that may stay
+# ``--key`` with dashes and the config-file key is ``key``; its text is
+# parsed with ``parse`` and tested with ``check``, a (predicate,
+# description) pair or None.  ``check`` ``_GRID`` marks a grid and ``parse``
+# ``bool`` a switch.  A None default marks an option that may stay
 # unset.  Values only the sampler's and energy's configs interpret
 # (``energy_sign``, ``optimizer``, ``allowed_vocab``) are checked there.
 _COMMON = (
@@ -160,10 +152,7 @@ _COMMANDS = {
         ("energy_sign", str, "intent", None,
          "intent or literal: unsupervised combination sign (see energies docs)"),
         ("optimizer", str, "adaptive", None, "plain or adaptive"),
-        ("seeds", _seeds, 5,
-         (lambda seeds: _distinct(seeds) and min(seeds) >= 0,
-          "non-empty, distinct and each >= 0"),
-         "count N (0..N-1) or comma-separated list"),
+        ("seeds", _seeds, 5, _GRID, "count N (0..N-1) or comma-separated list"),
         ("allowed_vocab", str, "no-special", None, "all or no-special"),
         ("init_text", str, None, None, "seed string for prompt initialization"),
         ("jobs", int, 1, (lambda n: n >= 1, ">= 1"), "parallel chain workers"),
@@ -172,14 +161,14 @@ _COMMANDS = {
         ("chains", str, None, None, "directory of chain record JSON files"),
         ("prompts", str, None, None, "text file, one prompt per line"),
         ("data", str, None, None, "labeled eval examples (JSONL)"),
-        ("include_empty", _boolean, False, None, "add the no-prompt baseline row"),
+        ("include_empty", bool, False, None, "add the no-prompt baseline row"),
     )),
     "analyze": ("write the diagnostics report JSON", _COMMON + (
         ("chains", str, None, None, "directory of chain record JSON files"),
         ("data", str, None, None, "labeled examples for baseline accuracy (JSONL)"),
         ("human_prompts", str, None, None, "text file of human-written prompts"),
         ("random_prompts", str, None, None, "text file of random baseline prompts"),
-        ("include_empty", _boolean, False, None, "add the no-prompt baseline row"),
+        ("include_empty", bool, False, None, "add the no-prompt baseline row"),
         ("report", str, None, _REPORT, "output report path (default: <chains>/report.json)"),
         ("effective_quantile", float, 0.9, (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
          "accuracy quantile defining 'effective' prompts"),
@@ -214,50 +203,61 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags take precedence")
         for key, parse, _, _, text in table:
             flag = "--" + key.replace("_", "-")
-            if parse is _boolean:
+            if parse is bool:
                 p.add_argument(flag, action="store_true", default=None, help=text)
             else:
                 p.add_argument(flag, help=text)
     return parser
 
 
-def _options(ns: argparse.Namespace) -> tuple[dict, set]:
-    """The command's options, each from its flag, else the ``--config`` file,
-    else the table's default, parsed and checked by its row.
+def _config_flags(ns: argparse.Namespace) -> list[str]:
+    """The flags the ``--config`` file stands for, in the file's key order.
 
-    Returns the options and the set of keys set explicitly (by flag or
-    config), which mode validation needs.  A malformed value, or one its
-    row's check rejects, is a ``UsageError`` naming the key; so is a config
-    ``null``, for every key, before any option is parsed.
+    A JSON list on a grid row becomes its comma-joined values (one value
+    keeps a trailing comma, so ``{"seeds": [3]}`` is seed 3, not a count), a
+    JSON boolean sets or leaves off the switch, and any other scalar becomes
+    its text.  An unknown key is a ``UsageError``; so is a ``null`` (leaving
+    the key out gives its default), an object, a list outside a grid, or a
+    switch that is not a boolean, each naming its key.
     """
-    table = _COMMANDS[ns.command][1]
-    config = {}
-    if ns.config:
-        config = _read_json_object(ns.config, "config file", UsageError)
-        unknown = set(config) - {row[0] for row in table}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in config.items():
-            if value is None:  # leaving the key out is how to ask for its default
-                raise UsageError(f"invalid value for {key}: None")
-    opts, explicit = {}, set()
-    for key, parse, default, check, _ in table:
-        flag = getattr(ns, key)
-        if flag is not None or key in config:
-            explicit.add(key)
-        value = flag if flag is not None else config.get(key, default)
+    rows = {row[0]: row for row in _COMMANDS[ns.command][1]}
+    config = _read_json_object(ns.config, "config file", UsageError)
+    unknown = set(config) - set(rows)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for key, value in config.items():
+        _, parse, _, check, _ = rows[key]
+        flag = "--" + key.replace("_", "-")
+        if parse is bool and isinstance(value, bool):
+            flags += [flag] if value else []
+        elif check is _GRID and isinstance(value, list):
+            flags.append(f"{flag}={','.join(map(str, value))}" + "," * (len(value) == 1))
+        elif parse is not bool and not isinstance(value, (list, dict, type(None))):
+            flags.append(f"{flag}={value}")  # the `=` form carries a leading dash
+        else:
+            raise UsageError(f"invalid value for {key}: {value!r}")
+    return flags
+
+
+def _options(ns: argparse.Namespace) -> dict:
+    """The command's options, each from its flag, else the table's default,
+    parsed and checked by its row.  A malformed value, or one its row's
+    check rejects, is a ``UsageError`` naming the key."""
+    opts = {}
+    for key, parse, default, check, _ in _COMMANDS[ns.command][1]:
+        value = getattr(ns, key)
+        value = default if value is None else value
         if value is None:  # an option without a default, left unset
             opts[key] = None
             continue
-        if flag is None and key in config and parse is not _boolean:
-            value = _flag_text(value)
         try:
             opts[key] = parse(value)
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"invalid value for {key}: {value!r}") from None
         if check is not None and not check[0](opts[key]):
             raise UsageError(f"{key} must be {check[1]}, got {value!r}")
-    return opts, explicit
+    return opts
 
 
 def _resolve_task(opts: dict):
@@ -290,6 +290,19 @@ def _load_data(path: str, task, where: str, labeled: bool = True) -> list:
     return data
 
 
+def _check_fit(task, model, prompt_length: int, examples) -> None:
+    """Refuse, before any output, a label word that is not one token of
+    ``model``, or a prompt of ``prompt_length`` tokens that with the longest
+    rendered example would exceed the model's ``max_len``."""
+    verbalizer_token_ids(task, model)
+    longest = max((len(render(task, ex.text, model)) for ex in examples), default=0)
+    if prompt_length + longest > model.max_len:
+        raise UsageError(
+            f"prompt length {prompt_length} plus the longest rendered example "
+            f"({longest} tokens) exceeds the model's max_len {model.max_len}"
+        )
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -317,17 +330,15 @@ def _chain_records(task, model, cfgs: list[SamplerConfig], data, n_jobs: int):
 
 
 def cmd_tune(ns: argparse.Namespace) -> int:
-    opts, explicit = _options(ns)
+    opts = _options(ns)
     mode = opts["mode"]
     if mode == "supervised":
-        offending = {"lambda_domain", "energy_sign"} & explicit
+        offending = [key for key in ("energy_sign", "lambda_domain")
+                     if getattr(ns, key) is not None]
         if offending:
-            raise UsageError(
-                f"supervised mode does not accept {sorted(offending)}"
-            )
-    else:
-        if "lambda_fluency" in explicit:
-            raise UsageError("unsupervised mode does not accept lambda_fluency")
+            raise UsageError(f"supervised mode does not accept {offending}")
+    elif ns.lambda_fluency is not None:
+        raise UsageError("unsupervised mode does not accept lambda_fluency")
     if opts["data"] is None:
         raise UsageError("tune requires --data")
     # the grid's configs check every chain value before any file is read
@@ -357,16 +368,7 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     if opts["val_data"] is not None:
         val = _load_data(opts["val_data"], task, "validation")
     model = load_adapter(opts["model"])
-    verbalizer_token_ids(task, model)  # each label word one token of this model
-    max_len = getattr(model, "max_len", None)
-    if max_len is not None:
-        longest = max((len(render(task, ex.text, model)) for ex in data + (val or [])),
-                      default=0)
-        if max(opts["m"]) + longest > max_len:
-            raise UsageError(
-                f"prompt length {max(opts['m'])} plus the longest rendered example "
-                f"({longest} tokens) exceeds the model's max_len {max_len}"
-            )
+    _check_fit(task, model, max(opts["m"]), data + (val or []))
 
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -448,7 +450,7 @@ def _refresh_manifest(chains_dir: Path, manifest: dict) -> None:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    opts, _ = _options(ns)
+    opts = _options(ns)
     if (opts["chains"] is None) == (opts["prompts"] is None):
         raise UsageError("exactly one of --chains / --prompts is required")
     if opts["data"] is None:
@@ -471,8 +473,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if not rows:
         raise UsageError(f"no prompts in {opts['prompts']} and no --include-empty")
     model = load_adapter(opts["model"])
-
     texts = [text for _, text in rows if text]
+    _check_fit(task, model, max((len(model.tokenize(t)) for t in texts), default=0), data)
     set_dist1 = dist1(texts) if texts else None
 
     print(f"{'prompt':<44} {'accuracy':>8} {'ppl':>10} {'log_ppl':>8}")
@@ -504,7 +506,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
-    opts, _ = _options(ns)
+    opts = _options(ns)
     if opts["chains"] is None:
         raise UsageError("analyze requires --chains")
     task = _resolve_task(opts)
@@ -522,6 +524,9 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if opts["data"] is not None:
         val = _load_data(opts["data"], task, "analysis baselines")
     model = load_adapter(opts["model"])
+    prompts = [rec.final_prompt_text for rec in chains] + [*human, *rand]
+    _check_fit(task, model, max((len(model.tokenize(t)) for t in prompts), default=0),
+               [*(val or []), Example(task.domain_string)])
 
     generator = None
     if opts["continuations"] > 0:
@@ -560,7 +565,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     handlers = {"tune": cmd_tune, "eval": cmd_eval, "analyze": cmd_analyze}
     try:
-        ns = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        parser = _build_parser()
+        ns = parser.parse_args(argv)
+        if ns.config:  # the file's flags first, so a given flag wins
+            ns = parser.parse_args([argv[0], *_config_flags(ns), *argv[1:]])
         return handlers[ns.command](ns)
     except (ModelFault, NumericalFault) as exc:
         print(f"fault: {exc}", file=sys.stderr)

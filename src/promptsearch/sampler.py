@@ -122,6 +122,8 @@ class SamplerConfig:
             raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 1 or self.batch_size < 1 or self.prompt_length < 1:
             raise ConfigurationError("steps, batch_size and prompt_length must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.steps != self.schedule.steps:
             raise ConfigurationError(
                 f"cfg.steps ({self.steps}) != schedule.steps ({self.schedule.steps})"

@@ -1450,3 +1450,61 @@ def test_tune_chain_value_errors_come_before_any_file_is_read(monkeypatch, data_
                           **extra)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# -- config values no flag text can carry ---------------------------------------------
+
+_NOT_GRIDS_OR_SWITCHES = [(command, key) for command, key in _ROWS
+                          if key not in _GRIDS | _SWITCHES]
+
+
+@pytest.mark.parametrize("value", [["x"], {"a": 1}])
+@pytest.mark.parametrize("command, key", _NOT_GRIDS_OR_SWITCHES)
+def test_config_list_or_object_outside_a_grid_exits_2_naming_the_key(
+        option_inputs, command, key, value):
+    """Such a value was once read as its Python repr (``{"out_dir": ["w/o"]}``
+    wrote under a directory named ``['w``).  It is refused, and a flag for
+    the same key does not hide it."""
+    args = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in _BASE[command].items()]
+    code, err, unchanged = _run_in_directory(
+        {**option_inputs, "config.json": json.dumps({key: value})},
+        args + ["--config", "config.json"])
+    assert (code, err) == (2, f"error: invalid value for {key}: {value!r}\n")
+    assert unchanged
+
+
+# -- label words and lengths checked before eval or analyze prints -------------------
+
+@pytest.mark.parametrize("command, fault", [
+    ("eval", "label word"), ("eval", "prompt length"), ("analyze", "label word"),
+    ("analyze", "prompt length"), ("analyze", "domain string"),
+])
+def test_label_word_or_length_past_max_len_exits_2_before_any_output(
+        data_files, tuned_dir, tmp_path, capsys, command, fault):
+    """A label word that is not one token of the model, or a prompt that with
+    an input (or, for analyze, the domain string) exceeds ``max_len``, exits
+    2 before a table row, record or report is written."""
+    task = {"id": "synthetic-2label", "template": "{x} it was",
+            "verbalizer": {"good": "good", "bad": "bad"},
+            "domain_string": "this is a review"}
+    if fault == "label word":
+        task["verbalizer"]["bad"] = "zzzz"
+    if fault == "domain string":
+        task["domain_string"] = " ".join(["review"] * 170)
+    (tmp_path / "task.json").write_text(json.dumps(task))
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("the movie was\n"
+                       + (" ".join(["good"] * 155) if fault == "prompt length" else "")
+                       + "\n")
+    args = [command, "--task-file", str(tmp_path / "task.json"), "--data",
+            data_files["val"], "--model", "reference:1"]
+    args += (["--prompts", str(prompts)] if command == "eval"
+             else ["--chains", str(tuned_dir), "--human-prompts", str(prompts)])
+    before = _record_bytes(tuned_dir)
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert ("zzzz" if fault == "label word" else "max_len 160") in captured.err
+    assert _record_bytes(tuned_dir) == before and not (tuned_dir / "report.json").exists()

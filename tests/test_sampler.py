@@ -122,6 +122,19 @@ def test_config_validation():
         small_cfg(prompt_length=0)
 
 
+def test_negative_seed_is_a_configuration_error_before_any_chain_runs(tmp_path):
+    """numpy's seed sequence would refuse it mid-run with a bare ValueError;
+    a record holding one is malformed."""
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        small_cfg(seed=-1)
+    path = save_record(make_record(0, 0.5), tmp_path / "chain.json")
+    doc = json.loads(path.read_text())
+    doc["config"]["seed"] = -1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="malformed chain record"):
+        load_record(path)
+
+
 def test_config_dict_round_trip():
     cfg = small_cfg(init_text="the movie", model_spec="reference:3")
     assert SamplerConfig.from_dict(cfg.to_dict()) == cfg

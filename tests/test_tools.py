@@ -1,8 +1,11 @@
 """The repository's tooling: the code-line counter
 (``tools/count_code_lines.py``), the benchmark fingerprints
-(``tools/fingerprints.py``) and the pytest settings in ``pyproject.toml``."""
+(``tools/fingerprints.py``), the paired benchmark comparison
+(``tools/bench_pairs.py``, on stub checkouts only) and the pytest settings in
+``pyproject.toml``."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -88,3 +91,81 @@ def test_fingerprints_repeat_with_one_line_per_workload_and_seed(capsys):
         for seed in (3, 4)] + [["mixed-sup", "seed1"], ["mixed-unsup", "seed1"]]
     assert len({line.split()[2] for line in runs[0]}) == len(runs[0])
     assert all(len(line.split()[2]) == 64 for line in runs[0])
+
+
+# A stand-in for a checkout's perfbench/run.py: it logs its checkout and
+# arguments to calls.txt beside the checkout, prints an env line, then the
+# given last line, and exits with the given code.
+_STUB_RUN = """import json, pathlib, sys
+checkout = pathlib.Path.cwd()
+with open(checkout.parent / "calls.txt", "a") as fh:
+    fh.write(checkout.name + " " + " ".join(sys.argv[1:]) + "\\n")
+print("env " + json.dumps({"checkout": checkout.name}))
+print(%r)
+sys.exit(%d)
+"""
+
+_METRICS = {"setup_s": 1.0, "round_s_p50": 2.0, "best_val_accuracy": 0.9,
+            "peak_rss_mb": 100.0}
+
+
+def _stub_checkout(root, name, last_line, code=0):
+    (root / name / "perfbench").mkdir(parents=True)
+    (root / name / "perfbench" / "run.py").write_text(_STUB_RUN % (last_line, code))
+    return str(root / name)
+
+
+def _result(**metrics):
+    return json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+        k: {"value": v, "unit": "-"} for k, v in {**_METRICS, **metrics}.items()}})
+
+
+def _bench_pairs(tmp_path, monkeypatch, change_line, change_code=0):
+    """Run the tool on a stub parent printing ``_METRICS`` and a stub change;
+    return its exit code, the stubs' calls and each workload's document."""
+    monkeypatch.chdir(tmp_path)
+    parent = _stub_checkout(tmp_path, "parent", _result())
+    change = _stub_checkout(tmp_path, "change", change_line, change_code)
+    code = _tool("bench_pairs").main([parent, change])
+    workloads = [w["name"] for w in json.loads((_ROOT / "BENCHMARK.json").read_text())
+                 ["workloads"]]
+    docs = {w: json.loads((tmp_path / f"BENCH_{w}.json").read_text()) for w in workloads}
+    return code, (tmp_path / "calls.txt").read_text().splitlines(), docs
+
+
+def test_bench_pairs_alternates_sides_and_gives_a_verdict_per_metric(tmp_path,
+                                                                      monkeypatch):
+    """The change halves round_s_p50 (better), halves best_val_accuracy
+    (worse than its 0.25 bound) and leaves the rest (unchanged)."""
+    code, calls, docs = _bench_pairs(
+        tmp_path, monkeypatch, _result(round_s_p50=1.0, best_val_accuracy=0.45))
+    assert code == 0
+    bench = json.loads((_ROOT / "BENCHMARK.json").read_text())
+    for i, (workload, doc) in enumerate(docs.items()):
+        args = (f"--workload {workload} --seed 1 --seconds {bench['run_seconds']} "
+                "--trace 0")
+        sides = ["parent", "change", "change", "parent"] * 5
+        assert calls[20 * i:20 * (i + 1)] == [f"{side} {args}" for side in sides]
+        assert [(run["pair"], run["side"]) for run in doc["runs"]] == [
+            (1 + k // 2, side) for k, side in enumerate(sides)]
+        assert all(run["env"] == {"checkout": run["side"]} and not run["failed"]
+                   for run in doc["runs"])
+        metrics = doc["metrics"]
+        assert {k: m["verdict"] for k, m in metrics.items()} == {
+            "setup_s": "unchanged", "round_s_p50": "better",
+            "best_val_accuracy": "worse", "peak_rss_mb": "unchanged"}
+        assert metrics["round_s_p50"]["pairs_won"] == list(range(1, 11))
+        assert metrics["setup_s"]["pairs_won"] == []
+        assert metrics["round_s_p50"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 1.0,
+                                                     "spread": 0.0}
+
+
+def test_bench_pairs_records_failed_runs_and_exits_1(tmp_path, monkeypatch):
+    code, calls, docs = _bench_pairs(tmp_path, monkeypatch, "no result", change_code=3)
+    assert code == 1 and len(calls) == 60
+    for doc in docs.values():
+        failed = [run for run in doc["runs"] if run["failed"]]
+        assert [run["side"] for run in failed] == ["change"] * 10
+        assert all(run["exit_code"] == 3 and run["metrics"] == {} for run in failed)
+        assert all(m["verdict"] == "unresolved" and "change" not in m
+                   for m in doc["metrics"].values())
