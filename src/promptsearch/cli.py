@@ -568,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         parser = _build_parser()
         ns = parser.parse_args(argv)
-        if ns.config:  # the file's flags first, so a given flag wins
+        if ns.config is not None:  # the file's flags first, so a given flag wins
             ns = parser.parse_args([argv[0], *_config_flags(ns), *argv[1:]])
         return handlers[ns.command](ns)
     except (ModelFault, NumericalFault) as exc:

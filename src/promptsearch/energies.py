@@ -29,11 +29,13 @@ the stacked path row ``m-1``, which predicts each body's first token, is
 the prompt pass's last row too.  ``task_nll`` and ``entropy_loss`` read the
 verbalizer-restricted softmax at each example's last row (the label row),
 and ``domain_nll`` a row-wise log-softmax over every other row, with the
-rows of the whole batch in one call.  A combined energy sums the
-weighted hidden-state gradients of its terms into the same backwards and
-adds the direct fluency gradient once.  ``fluency_nll`` is the same shared
-pass with no batch: the prompt's own pass and one backward over it, for a
-one-row prompt too.
+rows of the whole batch in one call.  When ``domain_nll`` is not weighted,
+nothing reads the other body rows, so the stacks run the model's top layer
+on the label rows only (``forward(..., last_only=True)``).  A combined
+energy sums the weighted hidden-state gradients of its terms into the same
+backwards and adds the direct fluency gradient once.  ``fluency_nll`` is the
+same shared pass with no batch: the prompt's own pass and one backward over
+it, for a one-row prompt too.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -51,7 +53,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError, UsageError
 from .model import (
@@ -61,6 +62,7 @@ from .model import (
     _input_matrix,
     _restricted_softmax,
 )
+from .model import _logsumexp as logsumexp
 from .tasks import Example, TaskSpec, render, verbalizer_token_ids
 
 __all__ = [
@@ -141,6 +143,19 @@ def term_weights(cfg: EnergyConfig) -> dict[str, float]:
     return {"entropy": s * cfg.lambda_calibration, "domain": s * cfg.lambda_domain}
 
 
+@dataclass(frozen=True)
+class _Rendered(Example):
+    """An example with its rendered token ids under one task and model, so
+    that a chain renders each of its examples once, not on every step."""
+
+    ids: tuple[int, ...] = ()
+
+
+def _rendered(examples, task: TaskSpec, model) -> list[_Rendered]:
+    return [_Rendered(ex.text, ex.label, tuple(render(task, ex.text, model)))
+            for ex in examples]
+
+
 def _check_batch(batch, task: TaskSpec, need_labels: bool):
     if not batch:
         raise UsageError("batch must be nonempty")
@@ -162,21 +177,23 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     """
     k = prompt.length - 1
     rows, targets = fw.logits[:k], prompt.entries[1:]
-    lse = logsumexp(rows, axis=-1)
+    lse = logsumexp(rows)
     terms = lse - np.einsum("id,id->i", fw.hidden[:k], targets)
     direct = np.zeros_like(prompt.entries)
     direct[1:] = -fw.hidden[:k]
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
 
 
-def _stacked_passes(prompt: SoftPrompt, seqs, model):
+def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False):
     """The prompt's own pass, then one stacked extension per body length.
 
     Returns ``(head, rows, backward)``.  ``head`` is a pass whose first ``m``
     rows are the prompt's.  ``rows`` holds, in batch order, the logits of
     rows ``m-1 .. L-1`` of each example's pass: ``len(seq) + 1`` rows, of
     which the first predicts the first body token and the last is the label
-    row (for an empty body, both are the prompt's last row).
+    row (for an empty body, both are the prompt's last row).  With
+    ``label_only`` the stacks run their top layer on the label rows only,
+    and every other body row of ``rows`` is NaN.
     ``backward(d_head, d_rows)`` takes gradients w.r.t. ``head``'s first
     ``m`` hidden rows and w.r.t. the hidden rows behind ``rows``, and returns
     the gradient w.r.t. the prompt rows.  Grouping by length happens only
@@ -188,13 +205,15 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model):
     head = model.forward(prompt.entries)
     lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
     firsts = np.cumsum(lens) - lens + np.arange(len(seqs))
-    rows = np.empty((len(seqs) + lens.sum(), head.logits.shape[-1]))
+    rows = np.full((len(seqs) + lens.sum(), head.logits.shape[-1]), np.nan)
     rows[firsts] = head.logits[m - 1]
     stacks = []
     for idx in _by_length(seqs):
-        if seqs[idx[0]]:
-            fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache)
-            at = firsts[idx, None] + np.arange(1, len(seqs[idx[0]]) + 1)
+        n = len(seqs[idx[0]])
+        if n:
+            fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache,
+                               last_only=label_only)
+            at = firsts[idx, None] + np.arange(n if label_only else 1, n + 1)
             rows[at] = fw.logits
             stacks.append((fw, at))
 
@@ -212,9 +231,9 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model):
 
 def _full_passes(prompt: SoftPrompt, seqs, model):
     """One full pass over ``prompt + body`` per example, for adapters that do
-    not extend passes; same contract as :func:`_stacked_passes`, with the
-    first example's pass as ``head`` (the prompt's own pass without
-    examples)."""
+    not extend passes; same contract as :func:`_stacked_passes` without
+    ``label_only`` (every row is filled), with the first example's pass as
+    ``head`` (the prompt's own pass without examples)."""
     m = prompt.length
     fws = [model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
     head = fws[0] if fws else model.forward(prompt.entries)
@@ -238,7 +257,7 @@ def _full_passes(prompt: SoftPrompt, seqs, model):
 def _token_readout(rows: np.ndarray, targets: np.ndarray, table: np.ndarray):
     """NLLs of the tokens ``targets``, one per logit row of ``rows``, and their
     gradient w.r.t. the hidden rows behind ``rows``."""
-    lse = logsumexp(rows, axis=-1)
+    lse = logsumexp(rows)
     at = (np.arange(rows.shape[0]), targets)
     terms = lse - rows[at]
     p = np.exp(rows - lse[:, None])
@@ -258,9 +277,13 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     table = model.embedding_table().entries
     m, b = prompt.length, len(batch)
     w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
-    seqs = [render(task, ex.text, model) for ex in batch]
-    run = _stacked_passes if _extends(model) else _full_passes
-    head, rows, backward = run(prompt, seqs, model)
+    seqs = [ex.ids if isinstance(ex, _Rendered) else render(task, ex.text, model)
+            for ex in batch]
+    if _extends(model):  # only domain_nll reads rows other than the label rows
+        head, rows, backward = _stacked_passes(prompt, seqs, model,
+                                               label_only="domain" not in weights)
+    else:
+        head, rows, backward = _full_passes(prompt, seqs, model)
     lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
     label_at = np.cumsum(lens) + np.arange(b)
     d_head = np.zeros_like(prompt.entries)

@@ -6,10 +6,10 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import UsageError
 from .model import SoftPrompt, _label_probs, as_soft_prompt
+from .model import _logsumexp as logsumexp
 from .tasks import Example, TaskSpec
 
 __all__ = ["accuracy", "log_perplexity", "prompt_perplexity", "dist1"]
@@ -55,7 +55,7 @@ def log_perplexity(prompt_text: str, model) -> float:
         )
     table = model.embedding_table()
     rows = model.forward(table.entries[ids]).logits[:-1]
-    nlls = logsumexp(rows, axis=-1) - rows[np.arange(len(rows)), ids[1:]]
+    nlls = logsumexp(rows) - rows[np.arange(len(rows)), ids[1:]]
     return math.fsum(nlls) / len(nlls)
 
 

@@ -134,8 +134,8 @@ class ForwardPass:
     positions it covers under ``"L"``).
     """
 
-    hidden: np.ndarray  # (L, d); (G, n, d) for a stack
-    logits: np.ndarray  # (L, V); (G, n, V) for a stack
+    hidden: np.ndarray  # (L, d); (G, n, d) for a stack; one row per body if last_only
+    logits: np.ndarray  # (L, V); (G, n, V) for a stack; one row per body if last_only
     cache: dict = field(repr=False)
 
 
@@ -210,17 +210,23 @@ def _layernorm_backward(dy, cache, gamma):
 # stack of bodies can stand in for per-example passes.  numpy sends a product
 # whose left operand has one row to BLAS's matrix-vector routine, which rounds
 # differently from the same row inside a matrix product, so such a product runs
-# on two copies of the row (``_two_rows``); and the transposed copy of a
+# on two copies of the row (``_exact_matmul``); and the transposed copy of a
 # one-query softmax ends in a unit axis, which numpy would sum pairwise, so
 # that normalizer is a running sum.  One rule picks both: a pass is exact when
-# it is a stack or has no ``past``; an exact pass of one row in total runs its
-# dense products on two rows, and an exact pass of one position per body runs
-# attention on two rows with the running sum.  2-D extensions, the per-token
-# read path, are not exact and may differ in the last bits; their products
-# stay plain ``@``.
+# it is a stack or has no ``past``, and every product of an exact pass is an
+# ``_exact_matmul``.  A layer that runs one query per body (an ``n == 1`` pass,
+# or the top layer of a ``last_only`` pass, which runs each body's last row
+# only) builds no causal mask, since that query sees every key, and an exact
+# one sums its softmax with the running sum.  So the last row of a
+# ``last_only`` pass has the bits of the same row of a full pass.  2-D
+# extensions, the per-token read path, are not exact and may differ in the last
+# bits; their products stay plain ``@``.
 
-def _two_rows(a, b):
-    return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
+def _exact_matmul(a, b):
+    """``a @ b``, with a one-row left operand run on two copies of its row."""
+    if a.shape[-2] == 1:
+        return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
+    return a @ b
 
 
 def _softmax_rows(scores, running_sum):
@@ -307,7 +313,8 @@ class TinyCausalLM:
 
     # -- numeric interface ------------------------------------------------
 
-    def forward(self, X: np.ndarray, past: dict | None = None) -> ForwardPass:
+    def forward(self, X: np.ndarray, past: dict | None = None, *,
+                last_only: bool = False) -> ForwardPass:
         """Run the model on a matrix of input embeddings.
 
         ``X`` has one row per position; prompt rows may be arbitrary soft
@@ -324,6 +331,12 @@ class TinyCausalLM:
         when ``past`` is given; hidden states and logits are then
         ``(G, n, d)`` and ``(G, n, V)``.  Cached keys and values are
         broadcast over a stack only, so a 2-D extension copies none of them.
+
+        With ``last_only``, the top layer runs each body's last row only past
+        its keys and values: hidden states and logits are ``(G, 1, .)``, or
+        ``(1, .)`` for a 2-D pass, with the bits of the last rows of the full
+        pass, and the cache still serves as ``past`` and for
+        ``backward_input``.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim not in (2, 3) or X.shape[-1] != self.dim:
@@ -339,20 +352,19 @@ class TinyCausalLM:
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
         # row i is position start + i: it sees keys 0 .. start + i
-        mask = np.triu(np.full((n, L), -np.inf), k=start + 1)
+        mask = np.triu(np.full((n, L), -np.inf), k=start + 1) if n > 1 else None
         past_layers = past["layers"] if past is not None else [None] * self.n_layers
         per_head = (*lead, n, H, dh)
+        top = self._layers[-1] if last_only and n > 1 else None
 
         x = (X + self._pos[start:L]).reshape(-1, self.dim)
         exact = bool(lead) or past is None
-        dense = _two_rows if exact and len(x) == 1 else np.matmul
-        mm = _two_rows if exact and n == 1 else np.matmul
+        mm = _exact_matmul if exact else np.matmul
         layer_caches = []
         for lw, pc in zip(self._layers, past_layers):
             a, ln1 = _layernorm_forward(x, lw["g1"], lw["b1"])
-            q = dense(a, lw["Wq"]).reshape(per_head).swapaxes(-2, -3)
-            k = dense(a, lw["Wk"]).reshape(per_head).swapaxes(-2, -3)
-            v = dense(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
+            k = mm(a, lw["Wk"]).reshape(per_head).swapaxes(-2, -3)
+            v = mm(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
             if pc is not None:
                 pk, pv = pc["k"], pc["v"]
                 if lead:
@@ -360,24 +372,30 @@ class TinyCausalLM:
                     pv = np.broadcast_to(pv, (*lead, *pv.shape))
                 k = np.concatenate([pk, k], axis=-2)
                 v = np.concatenate([pv, v], axis=-2)
-            scores = mm(q, k.swapaxes(-1, -2)) * scale + mask
-            A = _softmax_rows(scores, exact and n == 1)
+            queries = n
+            if lw is top:  # one query per body: each body's last row
+                x, a, queries = x[n - 1::n], a[n - 1::n], 1
+            q = mm(a, lw["Wq"]).reshape(*lead, queries, H, dh).swapaxes(-2, -3)
+            scores = mm(q, k.swapaxes(-1, -2)) * scale
+            if queries > 1:
+                scores += mask
+            A = _softmax_rows(scores, exact and queries == 1)
             o = mm(A, v).swapaxes(-2, -3).reshape(-1, self.dim)
-            x = x + dense(o, lw["Wo"])
+            x = x + mm(o, lw["Wo"])
 
             f, ln2 = _layernorm_forward(x, lw["g2"], lw["b2"])
-            z1 = dense(f, lw["W1"])
+            z1 = mm(f, lw["W1"])
             erf_z1 = erf(z1 * _GELU_C)
-            x = x + dense(_gelu(z1, erf_z1), lw["W2"])
+            x = x + mm(_gelu(z1, erf_z1), lw["W2"])
             layer_caches.append({"ln1": ln1, "ln2": ln2, "q": q, "k": k, "v": v,
                                  "A": A, "z1": z1, "erf_z1": erf_z1})
 
         hidden, lnf = _layernorm_forward(x, self._gf, self._bf)
-        logits = dense(hidden, self._E.T)
+        logits = mm(hidden, self._E.T)
         if not np.all(np.isfinite(logits)):
             raise ModelFault("model produced non-finite logits")
-        return ForwardPass(hidden=hidden.reshape(*lead, n, self.dim),
-                           logits=logits.reshape(*lead, n, self.vocab_size),
+        return ForwardPass(hidden=hidden.reshape(*lead, -1, self.dim),
+                           logits=logits.reshape(*lead, -1, self.vocab_size),
                            cache={"layers": layer_caches, "lnf": lnf, "L": L,
                                   "start": start, "lead": lead})
 
@@ -387,7 +405,8 @@ class TinyCausalLM:
         """Vector-Jacobian product from output gradients back to the input rows.
 
         Accepts a gradient w.r.t. ``hidden``, w.r.t. ``logits`` (folded
-        through the tied output layer), or both summed.
+        through the tied output layer), or both summed, at the shapes the
+        pass returned (``(G, 1, .)`` for a ``last_only`` stack).
 
         On the cache of a full pass it returns the gradient w.r.t. the input
         rows.  ``d_past`` then adds, per layer, gradients ``(dk, dv)`` w.r.t.
@@ -400,6 +419,9 @@ class TinyCausalLM:
         stack.  Passing that ``d_past`` to the extended pass's own backward
         completes the gradient (exact by linearity).  A 2-D extension is a
         read: its cache is refused.
+
+        On a ``last_only`` cache the rows the top layer did not run past its
+        keys and values get no gradient through its queries and outputs.
         """
         start, L, lead = cache["start"], cache["L"], cache["lead"]
         if start and not lead:
@@ -414,8 +436,10 @@ class TinyCausalLM:
         def rows(y):  # (..., H, n, dh) -> (rows, d)
             return y.swapaxes(-2, -3).reshape(-1, self.dim)
 
+        # a layer's queries per body: n, or 1 for the top layer of a last_only pass
+        queries = [lc["q"].shape[-2] for lc in cache["layers"]]
         # the caller's gradients are added at their own shapes, so a wrong one fails
-        dh_total = np.zeros((*lead, n, self.dim))
+        dh_total = np.zeros((*lead, queries[-1], self.dim))
         if d_hidden is not None:
             dh_total += d_hidden
         if d_logits is not None:
@@ -425,14 +449,14 @@ class TinyCausalLM:
 
         d_past_in = d_past if d_past is not None else [None] * self.n_layers
         d_past_out = []
-        for lw, lc, dp in zip(reversed(self._layers), reversed(cache["layers"]),
-                              reversed(d_past_in)):
+        for lw, lc, dp, nq in zip(reversed(self._layers), reversed(cache["layers"]),
+                                  reversed(d_past_in), reversed(queries)):
             dg1v = dx @ lw["W2"].T
             dz1 = dg1v * _gelu_prime(lc["z1"], lc["erf_z1"])
             df = dz1 @ lw["W1"].T
             dx = dx + _layernorm_backward(df, lc["ln2"], lw["g2"])
 
-            do = (dx @ lw["Wo"].T).reshape(*lead, n, H, dh).swapaxes(-2, -3)
+            do = (dx @ lw["Wo"].T).reshape(*lead, nq, H, dh).swapaxes(-2, -3)
             A, q, k, v = lc["A"], lc["q"], lc["k"], lc["v"]
             dA = do @ v.swapaxes(-1, -2)
             dv = A.swapaxes(-1, -2) @ do
@@ -445,12 +469,22 @@ class TinyCausalLM:
                 d_past_out.append((dk[..., :start, :].sum(axis=0),
                                    dv[..., :start, :].sum(axis=0)))
                 dk, dv = dk[..., start:, :], dv[..., start:, :]
-            da = rows(dq) @ lw["Wq"].T + rows(dk) @ lw["Wk"].T + rows(dv) @ lw["Wv"].T
+            da_q = rows(dq) @ lw["Wq"].T
+            if nq < n:  # back from each body's last row to every row
+                dx, da_q = _spread(dx, n), _spread(da_q, n)
+            da = da_q + rows(dk) @ lw["Wk"].T + rows(dv) @ lw["Wv"].T
             dx = dx + _layernorm_backward(da, lc["ln1"], lw["g1"])
         dx = dx.reshape(*lead, n, self.dim)
         if start:
             return dx, d_past_out[::-1]
         return dx
+
+
+def _spread(last, n):
+    """Rows ``(G, d)`` placed as the last of every ``n`` rows, zeros elsewhere."""
+    out = np.zeros((len(last) * n, last.shape[-1]))
+    out[n - 1::n] = last
+    return out
 
 
 def make_reference_model(seed: int, *, vocab: Sequence[str] | None = None,
@@ -525,6 +559,18 @@ def _restricted_softmax(logits: np.ndarray, vids) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _logsumexp(rows: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(rows)))`` over the last axis of finite rows, bitwise what
+    ``scipy.special.logsumexp(rows, axis=-1)`` gives as of scipy 1.17, without
+    its array-API dispatch: the maxima are taken out of the sum (Blanchard,
+    Higham and Higham, IMA J. Numer. Anal. 2021)."""
+    top = rows.max(axis=-1, keepdims=True)
+    at_top = rows == top
+    m = at_top.sum(axis=-1, keepdims=True, dtype=rows.dtype)
+    s = np.exp(np.where(at_top, -np.inf, rows) - top).sum(axis=-1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + top)[..., 0]
+
+
 def _extends(model) -> bool:
     """Whether the adapter's ``forward`` is the reference model's, which takes
     ``past``.  Looked up on the class: an override of ``forward(self, X)``
@@ -545,13 +591,15 @@ def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> Forward
 
     ``past`` is a pass over the leading rows of ``X``, at least one row
     short of it.  When the adapter extends passes, only the rows after it
-    are run; otherwise, and without ``past``, the whole of ``X`` is.  Either
-    way the result's rows end at ``X``'s last position and it can serve as
-    the next ``past``.
+    are run, and the top layer runs the last of them only; otherwise the
+    whole of ``X`` is run.  Either way the result's rows end at ``X``'s last
+    position and it can serve as the next ``past``.
     """
-    if past is None or not _extends(model):
+    if not _extends(model):
         return model.forward(X)
-    return model.forward(X[past.cache["L"]:], past=past.cache)
+    if past is None:
+        return model.forward(X, last_only=True)
+    return model.forward(X[past.cache["L"]:], past=past.cache, last_only=True)
 
 
 # A stack of bodies on the read path holds at most this many positions,
@@ -567,7 +615,8 @@ def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -
     rendered bodies are grouped by length and each group runs as stacks of
     at most ``_STACK_POSITIONS`` positions (prompt rows included), which
     extend the prompt's pass or, with no prompt, are full passes.  An empty
-    body reads the prompt pass's last row.  Only adapters that do not extend
+    body reads the prompt pass's last row.  Every one of these passes runs
+    its top layer on the label rows only.  Only adapters that do not extend
     passes get one full pass per example.  Every row is bitwise the one a
     full pass gives.
     """
@@ -581,7 +630,7 @@ def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -
             fw = model.forward(_input_matrix(prompt, seq, model))
             probs[i] = _restricted_softmax(fw.logits[-1], vids)
         return probs
-    head = None if prompt is None else model.forward(prompt.entries)
+    head = None if prompt is None else model.forward(prompt.entries, last_only=True)
     past, m = (None, 0) if head is None else (head.cache, prompt.length)
     for idx in _by_length(seqs):
         n = len(seqs[idx[0]])
@@ -591,7 +640,8 @@ def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -
         size = max(1, _STACK_POSITIONS // (m + n))
         for s in range(0, len(idx), size):
             stack = idx[s:s + size]
-            fw = model.forward(table.entries[np.array([seqs[i] for i in stack])], past=past)
+            fw = model.forward(table.entries[np.array([seqs[i] for i in stack])],
+                               past=past, last_only=True)
             probs[stack] = _restricted_softmax(fw.logits[:, -1], vids)
     return probs
 

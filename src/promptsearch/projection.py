@@ -19,13 +19,10 @@ __all__ = ["project", "project_subset", "allowed_token_ids"]
 
 def _nearest_rows(entries: np.ndarray, table: EmbeddingTable,
                   candidate_ids: np.ndarray) -> list[int]:
-    cand = table.entries[candidate_ids]
-    ids = []
-    for row in entries:
-        diff = cand - row
-        # argmin over ascending candidate ids: first minimum = lowest token id
-        ids.append(int(candidate_ids[np.argmin(np.einsum("vd,vd->v", diff, diff))]))
-    return ids
+    diff = table.entries[candidate_ids] - entries[:, None]
+    # argmin over ascending candidate ids: first minimum = lowest token id
+    nearest = np.argmin(np.einsum("mvd,mvd->mv", diff, diff), axis=1)
+    return candidate_ids[nearest].tolist()
 
 
 def project(prompt: SoftPrompt, table: EmbeddingTable) -> SoftPrompt:

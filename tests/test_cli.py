@@ -1508,3 +1508,22 @@ def test_label_word_or_length_past_max_len_exits_2_before_any_output(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert ("zzzz" if fault == "label word" else "max_len 160") in captured.err
     assert _record_bytes(tuned_dir) == before and not (tuned_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "eval"])
+def test_empty_config_path_exits_2_with_one_line(data_files, tmp_path, capsys, command):
+    """``--config ""`` names no file: it is refused like any other config path
+    that cannot be read, not taken as no config at all."""
+    out = tmp_path / "out"
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("the movie\n")
+    args = (tune_args(data_files, out) if command == "tune" else
+            ["eval", "--task", "synthetic-2label", "--data", data_files["val"],
+             "--prompts", str(prompts)])
+    capsys.readouterr()
+    assert main(args + ["--config", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "config file" in captured.err
+    assert not out.exists()
