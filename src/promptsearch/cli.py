@@ -53,7 +53,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .analysis import LocalContinuationGenerator, diagnostics_report
-from .energies import EnergyConfig
+from .energies import EnergyConfig, _rendered
 from .errors import (
     DataError,
     ModelFault,
@@ -73,8 +73,8 @@ from .sampler import (
     save_record,
 )
 from .synthetic import synthetic_task
-from .tasks import (Example, _read_input, _read_json_object, builtin_tasks, load_dataset,
-                    render, task_from_file, verbalizer_token_ids)
+from .tasks import (Example, _read_input, _read_json_object, _token_ids, builtin_tasks,
+                    load_dataset, task_from_file, verbalizer_token_ids)
 
 __all__ = ["main", "cmd_tune", "cmd_eval", "cmd_analyze"]
 
@@ -87,11 +87,12 @@ def _list(parse):
 
 
 def _may_be_directory(value) -> bool:
-    """Whether ``value`` holds no NUL and it and each of its parents is a
-    directory or absent."""
+    """Whether ``value`` is not empty (``Path("")`` is the current
+    directory), holds no NUL, and it and each of its parents is a directory
+    or absent."""
     path = Path(value)
-    return "\0" not in str(value) and all(p.is_dir() or not p.exists()
-                                         for p in (path, *path.parents))
+    return value != "" and "\0" not in str(value) and all(
+        p.is_dir() or not p.exists() for p in (path, *path.parents))
 
 
 def _file_in_directory(value) -> bool:
@@ -116,6 +117,8 @@ def _distinct(values) -> bool:
 
 _GRID = (_distinct, "non-empty and distinct")
 _REPORT = (_file_in_directory, "a file path in an existing directory")
+# ``Path("")`` is the current directory, so an empty path would read it
+_PATH = (lambda path: path != "", "a non-empty path")
 
 # One row per option: (key, parse, default, check, help).  The flag is
 # ``--key`` with dashes and the config-file key is ``key``; its text is
@@ -126,14 +129,14 @@ _REPORT = (_file_in_directory, "a file path in an existing directory")
 # (``energy_sign``, ``optimizer``, ``allowed_vocab``) are checked there.
 _COMMON = (
     ("task", str, None, None, "built-in task name"),
-    ("task_file", str, None, None, "JSON task definition file"),
+    ("task_file", str, None, _PATH, "JSON task definition file"),
     ("model", str, "reference:0", None, "adapter locator, e.g. reference:0"),
 )
 
 _COMMANDS = {
     "tune": ("run the sampler grid and persist chains", _COMMON + (
-        ("data", str, None, None, "training examples (JSONL)"),
-        ("val_data", str, None, None, "validation examples (JSONL)"),
+        ("data", str, None, _PATH, "training examples (JSONL)"),
+        ("val_data", str, None, _PATH, "validation examples (JSONL)"),
         ("out_dir", str, "runs", (_may_be_directory, "a directory or a new path"),
          "directory for chain records + manifest"),
         ("mode", str, "supervised", (lambda mode: mode in ("supervised", "unsupervised"),
@@ -158,16 +161,16 @@ _COMMANDS = {
         ("jobs", int, 1, (lambda n: n >= 1, ">= 1"), "parallel chain workers"),
     )),
     "eval": ("score chains or a prompt file", _COMMON + (
-        ("chains", str, None, None, "directory of chain record JSON files"),
-        ("prompts", str, None, None, "text file, one prompt per line"),
-        ("data", str, None, None, "labeled eval examples (JSONL)"),
+        ("chains", str, None, _PATH, "directory of chain record JSON files"),
+        ("prompts", str, None, _PATH, "text file, one prompt per line"),
+        ("data", str, None, _PATH, "labeled eval examples (JSONL)"),
         ("include_empty", bool, False, None, "add the no-prompt baseline row"),
     )),
     "analyze": ("write the diagnostics report JSON", _COMMON + (
-        ("chains", str, None, None, "directory of chain record JSON files"),
-        ("data", str, None, None, "labeled examples for baseline accuracy (JSONL)"),
-        ("human_prompts", str, None, None, "text file of human-written prompts"),
-        ("random_prompts", str, None, None, "text file of random baseline prompts"),
+        ("chains", str, None, _PATH, "directory of chain record JSON files"),
+        ("data", str, None, _PATH, "labeled examples for baseline accuracy (JSONL)"),
+        ("human_prompts", str, None, _PATH, "text file of human-written prompts"),
+        ("random_prompts", str, None, _PATH, "text file of random baseline prompts"),
         ("include_empty", bool, False, None, "add the no-prompt baseline row"),
         ("report", str, None, _REPORT, "output report path (default: <chains>/report.json)"),
         ("effective_quantile", float, 0.9, (lambda q: 0.0 <= q <= 1.0, "in [0, 1]"),
@@ -295,7 +298,7 @@ def _check_fit(task, model, prompt_length: int, examples) -> None:
     ``model``, or a prompt of ``prompt_length`` tokens that with the longest
     rendered example would exceed the model's ``max_len``."""
     verbalizer_token_ids(task, model)
-    longest = max((len(render(task, ex.text, model)) for ex in examples), default=0)
+    longest = max((len(_token_ids(task, ex, model)) for ex in examples), default=0)
     if prompt_length + longest > model.max_len:
         raise UsageError(
             f"prompt length {prompt_length} plus the longest rendered example "
@@ -368,6 +371,10 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     if opts["val_data"] is not None:
         val = _load_data(opts["val_data"], task, "validation")
     model = load_adapter(opts["model"])
+    # each text is rendered once: the fit check, every chain and every
+    # validation score read the same ids
+    data = _rendered(data, task, model)
+    val = None if val is None else _rendered(val, task, model)
     _check_fit(task, model, max(opts["m"]), data + (val or []))
 
     out_dir = Path(opts["out_dir"])
@@ -473,6 +480,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if not rows:
         raise UsageError(f"no prompts in {opts['prompts']} and no --include-empty")
     model = load_adapter(opts["model"])
+    data = _rendered(data, task, model)  # once for the fit check and every row
     texts = [text for _, text in rows if text]
     _check_fit(task, model, max((len(model.tokenize(t)) for t in texts), default=0), data)
     set_dist1 = dist1(texts) if texts else None
@@ -524,6 +532,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if opts["data"] is not None:
         val = _load_data(opts["data"], task, "analysis baselines")
     model = load_adapter(opts["model"])
+    val = None if val is None else _rendered(val, task, model)  # once for every score
     prompts = [rec.final_prompt_text for rec in chains] + [*human, *rand]
     _check_fit(task, model, max((len(model.tokenize(t)) for t in prompts), default=0),
                [*(val or []), Example(task.domain_string)])

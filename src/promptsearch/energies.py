@@ -16,9 +16,9 @@ reference model), each evaluation runs the prompt's own pass once, then one
 stacked ``model.forward`` per distinct rendered body length, each stack
 extending the prompt's pass (grouping by length needs no padding).  The
 gradient takes one ``model.backward_input`` per stack, which also returns
-the gradient w.r.t. the prompt's cached keys and values summed over the
-stack, and one over the prompt's pass with those added (exact by
-linearity).  Other adapters (wrappers overriding ``forward(self, X)``,
+the gradient w.r.t. the prompt's cached keys and values per stack member,
+and one over the prompt's pass with those added (exact by linearity), summed
+per stack in member order and then stack by stack.  Other adapters (wrappers overriding ``forward(self, X)``,
 registered adapters) run one full pass over ``prompt + render(task, text)``
 per example instead.  Either way the readouts see one array of rows: rows
 ``m-1 .. L-1`` of each example's pass, in batch order, so they never loop
@@ -36,6 +36,21 @@ energy sums the weighted hidden-state gradients of its terms into the same
 backwards and adds the direct fluency gradient once.  ``fluency_nll`` is the
 same shared pass with no batch: the prompt's own pass and one backward over
 it, for a one-row prompt too.
+
+A supervised chain scores each example once per prompt.  ``run_chain``
+hands every example a private memo of its chain (``_ChainMemo``), valid for
+one prompt's token ids, model, task, term weights and batch size.  When
+only ``task`` and ``fluency`` are weighted, an example's label row and its
+key/value gradient depend on nothing else, so the memo keeps both per
+example, and the prompt's own pass.  A step whose every member is held runs
+no stack: it sums the held gradients in the stacks' order and runs one
+backward over the prompt's pass.  Any other step runs the stacks and stores
+its members.  On one-length batches this gives every bit of a memo-free
+step; on mixed lengths a held gradient may come from a stack of another row
+count, and moves within 1e-14 relative.  The memo never serves adapters
+that do not extend passes, unprojected prompts, calls without a gradient,
+or ``entropy`` and ``domain``: the entropy gradient of an example depends
+on the batch mean.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -63,7 +78,8 @@ from .model import (
     _restricted_softmax,
 )
 from .model import _logsumexp as logsumexp
-from .tasks import Example, TaskSpec, render, verbalizer_token_ids
+from .tasks import (Example, TaskSpec, _Rendered, _token_ids, render,
+                    verbalizer_token_ids)
 
 __all__ = [
     "EnergyConfig",
@@ -143,17 +159,53 @@ def term_weights(cfg: EnergyConfig) -> dict[str, float]:
     return {"entropy": s * cfg.lambda_calibration, "domain": s * cfg.lambda_domain}
 
 
-@dataclass(frozen=True)
-class _Rendered(Example):
-    """An example with its rendered token ids under one task and model, so
-    that a chain renders each of its examples once, not on every step."""
+def _rendered(examples, task: TaskSpec, model, memo=None) -> list[_Rendered]:
+    """``examples`` rendered once, each at its position as ``slot`` and
+    carrying ``memo``; an example rendered earlier keeps its ids."""
+    return [_Rendered(ex.text, ex.label, ex.ids if isinstance(ex, _Rendered)
+                      else tuple(render(task, ex.text, model)), slot, memo)
+            for slot, ex in enumerate(examples)]
 
-    ids: tuple[int, ...] = ()
+
+# A chain memo holds at most this many examples, so a large training set
+# pays at most the memory of this many (about 8 KB each at M=10 on the
+# reference model).
+_MEMO_EXAMPLES = 2048
 
 
-def _rendered(examples, task: TaskSpec, model) -> list[_Rendered]:
-    return [_Rendered(ex.text, ex.label, tuple(render(task, ex.text, model)))
-            for ex in examples]
+class _ChainMemo:
+    """What one chain's supervised steps computed under its current prompt.
+
+    Valid for one key: the prompt's token ids, the model, the task, the term
+    weights and the batch size; any change to one of them empties it.  It
+    holds the prompt's own pass and, per example slot with a non-empty body,
+    the label-row logits and the gradients w.r.t. the prompt pass's keys and
+    values, one contiguous ``(n_layers, 2, H, m, dh)`` array.  These depend
+    on nothing else when only ``task`` and ``fluency`` are weighted, so a
+    step whose every member is held reruns no stacked pass.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.head = None
+        self.entries = {}  # slot -> (label-row logits, key/value gradients)
+
+
+def _chain_memo(prompt: SoftPrompt, batch, task, model, weights, grad: bool):
+    """The memo ``batch``'s examples carry (a chain's examples all carry its
+    one memo), emptied unless its key is this evaluation's; None where a
+    memo cannot serve.  It never serves an
+    adapter that does not extend passes, an unprojected prompt, a call
+    without a gradient, or the ``entropy`` and ``domain`` terms, whose
+    per-example gradient depends on the rest of the batch."""
+    memo = getattr(batch[0], "memo", None) if batch else None
+    if (memo is None or not grad or prompt.token_ids is None or not _extends(model)
+            or weights.keys() - {"task", "fluency"}):
+        return None
+    key = (prompt.token_ids, model, task, tuple(weights.items()), len(batch))
+    if memo.key != key:
+        memo.key, memo.head, memo.entries = key, None, {}
+    return memo
 
 
 def _check_batch(batch, task: TaskSpec, need_labels: bool):
@@ -184,7 +236,8 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
 
 
-def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False):
+def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
+                    memo: _ChainMemo | None = None, slots=()):
     """The prompt's own pass, then one stacked extension per body length.
 
     Returns ``(head, rows, backward)``.  ``head`` is a pass whose first ``m``
@@ -199,31 +252,61 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False):
     the gradient w.r.t. the prompt rows.  Grouping by length happens only
     here: each stack's logits are scattered into ``rows`` and its slice of
     ``d_rows`` is gathered back.
+
+    With a ``memo`` (``label_only``, and ``slots`` giving each example's
+    slot), the prompt's pass is the memo's when it holds one.  When the memo
+    holds every example with a non-empty body, no stack runs: ``rows`` takes
+    the held label rows, and ``backward`` sums the held key and value
+    gradients as the stacks' backwards would return them.  Otherwise every
+    stack runs and its members are stored.
     """
     table = model.embedding_table().entries
     m = prompt.length
-    head = model.forward(prompt.entries)
+    head = memo.head if memo is not None else None
+    if head is None:
+        head = model.forward(prompt.entries)
     lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
     firsts = np.cumsum(lens) - lens + np.arange(len(seqs))
     rows = np.full((len(seqs) + lens.sum(), head.logits.shape[-1]), np.nan)
     rows[firsts] = head.logits[m - 1]
+    groups = [idx for idx in _by_length(seqs) if len(seqs[idx[0]])]
+    held = memo is not None and all(slots[i] in memo.entries for idx in groups for i in idx)
     stacks = []
-    for idx in _by_length(seqs):
+    for idx in groups:
         n = len(seqs[idx[0]])
-        if n:
+        at = firsts[idx, None] + np.arange(n if label_only else 1, n + 1)
+        if held:
+            rows[at[:, 0]] = [memo.entries[slots[i]][0] for i in idx]
+            fw = None
+        else:
             fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache,
                                last_only=label_only)
-            at = firsts[idx, None] + np.arange(n if label_only else 1, n + 1)
             rows[at] = fw.logits
-            stacks.append((fw, at))
+        stacks.append((idx, fw, at))
+    if memo is not None:
+        memo.head = head
 
     def backward(d_head, d_rows):
-        d_head, d_past = d_head.copy(), None
+        d_head = d_head.copy()
         d_head[m - 1] += d_rows[firsts].sum(axis=0)
-        for fw, at in stacks:
-            _, d_kv = model.backward_input(fw.cache, d_hidden=d_rows[at])
-            d_past = d_kv if d_past is None else [
-                (dk + dk2, dv + dv2) for (dk, dv), (dk2, dv2) in zip(d_past, d_kv)]
+        sums = []  # per stack, its members' (n_layers, 2, H, m, dh) gradients summed
+        for idx, fw, at in stacks:
+            if fw is None:
+                members = np.stack([memo.entries[slots[i]][1] for i in idx])
+            else:
+                _, d_kv = model.backward_input(fw.cache, d_hidden=d_rows[at])
+                members = np.stack([np.stack(kv, axis=1) for kv in d_kv], axis=1)
+                if memo is not None:  # copies, so no entry keeps its whole stack alive
+                    for j, i in enumerate(idx):
+                        if len(memo.entries) < _MEMO_EXAMPLES:
+                            memo.entries[slots[i]] = (fw.logits[j, -1].copy(),
+                                                      members[j].copy())
+            sums.append(members.sum(axis=0))
+        d_past = None
+        if sums:  # the head sums the stacks' gradients in stack order
+            total = np.stack(sums)
+            d_past = [(total[:, layer, 0], total[:, layer, 1])
+                      for layer in range(total.shape[1])]
         return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
 
     return head, rows, backward
@@ -277,11 +360,12 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     table = model.embedding_table().entries
     m, b = prompt.length, len(batch)
     w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
-    seqs = [ex.ids if isinstance(ex, _Rendered) else render(task, ex.text, model)
-            for ex in batch]
+    seqs = [_token_ids(task, ex, model) for ex in batch]
+    memo = _chain_memo(prompt, batch, task, model, weights, grad)
     if _extends(model):  # only domain_nll reads rows other than the label rows
-        head, rows, backward = _stacked_passes(prompt, seqs, model,
-                                               label_only="domain" not in weights)
+        head, rows, backward = _stacked_passes(
+            prompt, seqs, model, label_only="domain" not in weights, memo=memo,
+            slots=[ex.slot for ex in batch] if memo is not None else ())
     else:
         head, rows, backward = _full_passes(prompt, seqs, model)
     lens = np.array([len(seq) for seq in seqs], dtype=np.intp)

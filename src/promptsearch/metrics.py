@@ -33,8 +33,7 @@ def accuracy(prompt: SoftPrompt | str | None, dataset: Sequence[Example],
     for ex in dataset:
         if ex.label is None:
             raise UsageError(f"unlabeled example in accuracy dataset: {ex.text!r}")
-    probs = _label_probs(as_soft_prompt(prompt, model), [ex.text for ex in dataset],
-                         task, model)
+    probs = _label_probs(as_soft_prompt(prompt, model), dataset, task, model)
     hits = sum(task.labels[y] == ex.label
                for y, ex in zip(np.argmax(probs, axis=1), dataset))
     return hits / len(dataset)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigurationError, ModelFault, UsageError
-from .tasks import render, verbalizer_token_ids
+from .tasks import _token_ids, verbalizer_token_ids
 
 __all__ = [
     "EmbeddingTable",
@@ -220,7 +220,11 @@ def _layernorm_backward(dy, cache, gamma):
 # one sums its softmax with the running sum.  So the last row of a
 # ``last_only`` pass has the bits of the same row of a full pass.  2-D
 # extensions, the per-token read path, are not exact and may differ in the last
-# bits; their products stay plain ``@``.
+# bits; their products stay plain ``@``.  The backward of a stacked extension
+# keeps the stack axis on its key and value gradients, and a full pass sums a
+# ``d_past`` over its leading axis: numpy adds the slices of a leading axis one
+# after another, for a sliced and a contiguous layout alike, so per-member
+# gradients held apart and stacked again later sum to the same bits.
 
 def _exact_matmul(a, b):
     """``a @ b``, with a one-row left operand run on two copies of its row."""
@@ -410,15 +414,17 @@ class TinyCausalLM:
 
         On the cache of a full pass it returns the gradient w.r.t. the input
         rows.  ``d_past`` then adds, per layer, gradients ``(dk, dv)`` w.r.t.
-        the pass's own attention keys and values, ``(H, L, dh)`` each: the
-        ones a stacked extension of this pass returns.
+        the pass's own attention keys and values, ``(K, H, L, dh)`` each:
+        ``K`` gradients, summed over that leading axis one after another, in
+        order.  A stacked extension of this pass returns such a ``d_past``.
 
         On the cache of a stacked extension it returns ``(d_rows, d_past)``:
         the gradient w.r.t. the stacked rows, and per layer the gradients
-        w.r.t. the keys and values of the extended pass, summed over the
-        stack.  Passing that ``d_past`` to the extended pass's own backward
-        completes the gradient (exact by linearity).  A 2-D extension is a
-        read: its cache is refused.
+        w.r.t. the keys and values of the extended pass, one per stack
+        member, ``(G, H, start, dh)``.  Passing that ``d_past`` to the
+        extended pass's own backward completes the gradient (exact by
+        linearity), with the bits of summing it over the stack first.  A 2-D
+        extension is a read: its cache is refused.
 
         On a ``last_only`` cache the rows the top layer did not run past its
         keys and values get no gradient through its queries and outputs.
@@ -464,10 +470,9 @@ class TinyCausalLM:
             dq = dscores @ k * scale
             dk = dscores.swapaxes(-1, -2) @ q * scale
             if dp is not None:
-                dk, dv = dk + dp[0], dv + dp[1]
+                dk, dv = dk + dp[0].sum(axis=0), dv + dp[1].sum(axis=0)
             if start:
-                d_past_out.append((dk[..., :start, :].sum(axis=0),
-                                   dv[..., :start, :].sum(axis=0)))
+                d_past_out.append((dk[..., :start, :], dv[..., :start, :]))
                 dk, dv = dk[..., start:, :], dv[..., start:, :]
             da_q = rows(dq) @ lw["Wq"].T
             if nq < n:  # back from each body's last row to every row
@@ -608,8 +613,11 @@ def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> Forward
 _STACK_POSITIONS = 128
 
 
-def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -> np.ndarray:
+def _label_probs(prompt: SoftPrompt | None, texts: Sequence, task, model) -> np.ndarray:
     """Restricted label softmax after prompt + each rendered text, ``(len(texts), |Y|)``.
+
+    ``texts`` holds texts or examples; an example rendered earlier keeps its
+    token ids (see :func:`~promptsearch.tasks._token_ids`).
 
     On an adapter that extends passes, a prompt's own pass is run once; the
     rendered bodies are grouped by length and each group runs as stacks of
@@ -621,7 +629,7 @@ def _label_probs(prompt: SoftPrompt | None, texts: Sequence[str], task, model) -
     full pass gives.
     """
     vids = verbalizer_token_ids(task, model)
-    seqs = [render(task, text, model) for text in texts]
+    seqs = [_token_ids(task, text, model) for text in texts]
     probs = np.empty((len(seqs), len(vids)))
     table = model.embedding_table()
     _check_input(prompt, seqs, table)

@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energies import EnergyBreakdown, EnergyConfig, _rendered, energy_and_grad
+from .energies import (EnergyBreakdown, EnergyConfig, _ChainMemo, _rendered,
+                       energy_and_grad)
 from .errors import ConfigurationError, DataError, ModelFault, NumericalFault, UsageError
 from .model import SoftPrompt, prompt_from_ids
 from .projection import allowed_token_ids, project_subset
@@ -326,9 +327,10 @@ def run_chain(task: TaskSpec, model, cfg: SamplerConfig,
     noise_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     noise_rng = np.random.default_rng(noise_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    # each example is rendered once per chain, not once per step
-    batches = _epoch_batches(_rendered(data_stream, task, model), cfg.batch_size,
-                             shuffle_rng)
+    # each example is rendered once per chain, not once per step, and the
+    # chain's own memo serves steps that repeat what it computed
+    batches = _epoch_batches(_rendered(data_stream, task, model, _ChainMemo()),
+                             cfg.batch_size, shuffle_rng)
 
     prompt = _initial_prompt(cfg, model)
     adam_m = np.zeros_like(prompt.entries)

@@ -12,7 +12,7 @@ in, here and in ``sampler`` and ``cli``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, TaskSpecError
@@ -29,9 +29,11 @@ __all__ = [
 
 
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> str:
-    """The text of the user-given file ``path``.  A file that cannot be read
-    (missing, a directory, unreadable) or is not UTF-8 is ``error`` naming
-    ``what`` and the path."""
+    """The text of the user-given file ``path``.  An empty path, or a file
+    that cannot be read (missing, a directory, unreadable) or is not UTF-8,
+    is ``error`` naming ``what`` and the path."""
+    if path == "":  # ``Path("")`` is the current directory
+        raise error(f"cannot read {what}: the path is empty")
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
@@ -98,6 +100,18 @@ class Example:
     label: str | None = None
 
 
+@dataclass(frozen=True)
+class _Rendered(Example):
+    """An example with its token ids rendered under one task and model, so
+    that a run renders each text once.  A chain's examples also carry the
+    chain's memo (``energies._ChainMemo``) and their position ``slot`` in the
+    chain's data, by which the memo keys what it holds for them."""
+
+    ids: tuple[int, ...] = ()
+    slot: int = 0
+    memo: object = field(default=None, compare=False, repr=False)
+
+
 def render(task: TaskSpec, x: str, model) -> list[int]:
     """Token sequence of the input with the template applied.
 
@@ -109,6 +123,14 @@ def render(task: TaskSpec, x: str, model) -> list[int]:
     """
     before, after = task.template.split("{x}")
     return model.tokenize(before + x) + model.tokenize(after)
+
+
+def _token_ids(task: TaskSpec, item, model) -> list[int] | tuple[int, ...]:
+    """The rendered token ids of ``item``, a text or an example: those a
+    ``_Rendered`` carries, else :func:`render`'s."""
+    if isinstance(item, _Rendered):
+        return item.ids
+    return render(task, item if isinstance(item, str) else item.text, model)
 
 
 def verbalizer_token_ids(task: TaskSpec, model) -> list[int]:

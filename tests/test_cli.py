@@ -1527,3 +1527,66 @@ def test_empty_config_path_exits_2_with_one_line(data_files, tmp_path, capsys, c
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "config file" in captured.err
     assert not out.exists()
+
+
+_PATH_OPTIONS = [
+    ("tune", "config"), ("tune", "task_file"), ("tune", "data"), ("tune", "val_data"),
+    ("tune", "out_dir"),
+    ("eval", "config"), ("eval", "task_file"), ("eval", "chains"), ("eval", "prompts"),
+    ("eval", "data"),
+    ("analyze", "config"), ("analyze", "task_file"), ("analyze", "chains"),
+    ("analyze", "data"), ("analyze", "human_prompts"), ("analyze", "random_prompts"),
+    ("analyze", "report"),
+]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, key", _PATH_OPTIONS)
+def test_empty_path_option_exits_2_naming_it_and_writes_nothing(
+        data_files, tmp_path, monkeypatch, capsys, command, key, form):
+    """``Path("")`` is the current directory: an empty path is refused before
+    any output, not read as the directory or written into it."""
+    inputs = tmp_path / "inputs"
+    (inputs / "chains").mkdir(parents=True)
+    prompts = inputs / "prompts.txt"
+    prompts.write_text("the movie\n")
+    options = {"task": "synthetic-2label", "model": "reference:1"}
+    options.update({
+        "tune": {"data": data_files["train"], "val_data": data_files["val"],
+                 "out_dir": str(tmp_path / "out"), "steps": "2", "m": "3",
+                 "batch_size": "4", "seeds": "1"},
+        "eval": {"data": data_files["val"], "prompts": str(prompts)},
+        "analyze": {"data": data_files["val"], "chains": str(inputs / "chains"),
+                    "human_prompts": str(prompts), "random_prompts": str(prompts),
+                    "report": str(inputs / "report.json")},
+    }[command])
+    if key == "chains":
+        options.pop("prompts", None)
+    argv = [command]
+    if key == "config":
+        argv += ["--config", ""]
+    elif form == "flag":
+        options[key] = ""
+    else:
+        config = inputs / "config.json"
+        config.write_text(json.dumps({key: ""}))
+        options.pop(key, None)
+        argv += ["--config", str(config)]
+    for name, value in options.items():
+        argv += [f"--{name.replace('_', '-')}", value]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(p.name for p in inputs.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err == {
+        "config": "error: cannot read config file: the path is empty\n",
+        "out_dir": "error: out_dir must be a directory or a new path, got ''\n",
+        "report": "error: report must be a file path in an existing directory, got ''\n",
+    }.get(key, f"error: {key} must be a non-empty path, got ''\n")
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "out").exists()
+    assert sorted(p.name for p in inputs.rglob("*")) == before

@@ -169,3 +169,23 @@ def test_bench_pairs_records_failed_runs_and_exits_1(tmp_path, monkeypatch):
         assert all(run["exit_code"] == 3 and run["metrics"] == {} for run in failed)
         assert all(m["verdict"] == "unresolved" and "change" not in m
                    for m in doc["metrics"].values())
+
+
+def test_bench_pairs_prints_both_medians_and_the_relative_change(tmp_path, monkeypatch,
+                                                                 capsys):
+    _bench_pairs(tmp_path, monkeypatch, _result(round_s_p50=1.5, best_val_accuracy=0.45))
+    lines = capsys.readouterr().out.splitlines()
+    assert "tune-sup round_s_p50: better, change won 10 of 10 pairs; median 2 -> 1.5 " \
+           "(-25.0%)" in lines
+    assert "score best_val_accuracy: worse, change won 0 of 10 pairs; median 0.9 -> " \
+           "0.45 (-50.0%)" in lines
+    assert "tune-unsup setup_s: unchanged, change won 0 of 10 pairs; median 1 -> 1 " \
+           "(+0.0%)" in lines
+
+
+def test_bench_pairs_prints_no_medians_when_a_side_has_no_runs(tmp_path, monkeypatch,
+                                                              capsys):
+    _bench_pairs(tmp_path, monkeypatch, "no result", change_code=3)
+    lines = capsys.readouterr().out.splitlines()
+    assert "tune-sup round_s_p50: unresolved, change won 0 of 10 pairs" in lines
+    assert not any("median" in line for line in lines)

@@ -14,7 +14,9 @@ non-zero, ends without a JSON line, or reports ``correct: false`` is failed.
 Each workload's ``BENCH_<workload>.json``, written to the current directory,
 holds every run's metrics; per side, each metric's median, quartiles and
 spread, (q3 - q1) / median from ``statistics.quantiles(n=4)``; the pairs the
-change won (ties count for neither); and one verdict per metric:
+change won (ties count for neither); and one verdict per metric, which is
+also printed with the pairs won, both medians and the change's relative
+difference from the parent's median:
 
 - ``worse``: the change's median is worse than the parent's by more than
   the bound times the parent's median;
@@ -94,6 +96,16 @@ def _compare(metric: dict, runs: list[dict]) -> dict:
     return out
 
 
+def _medians(result: dict) -> str:
+    """``; median P -> C (+x.x%)``: the parent's and the change's medians and
+    the relative change, or nothing when a side has too few runs."""
+    if "change" not in result:
+        return ""
+    parent, change = result["parent"]["median"], result["change"]["median"]
+    relative = f" ({(change - parent) / parent:+.1%})" if parent else ""
+    return f"; median {parent:.6g} -> {change:.6g}{relative}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/bench_pairs.py PARENT CHANGE", file=sys.stderr)
@@ -123,7 +135,8 @@ def main(argv: list[str]) -> int:
                                                   encoding="utf-8")
         for name, result in doc["metrics"].items():
             print(f"{workload} {name}: {result['verdict']}, change won "
-                  f"{len(result['pairs_won'])} of {PAIRS} pairs", flush=True)
+                  f"{len(result['pairs_won'])} of {PAIRS} pairs{_medians(result)}",
+                  flush=True)
     return 1 if any_failed else 0
 
 
