@@ -189,7 +189,7 @@ class LocalContinuationGenerator:
             kept = probs[keep] / probs[keep].sum()
             choice = int(rng.choice(keep, p=kept))
             if self.record_trace:
-                trace.append((probs.copy(), choice))
+                trace.append((probs, choice))
             context.append(choice)
             generated.append(choice)
         if self.record_trace:

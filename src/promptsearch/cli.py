@@ -406,8 +406,9 @@ def cmd_tune(ns: argparse.Namespace) -> int:
 
 def _load_chains(chains_dir: str, task, model_spec: str) -> dict[Path, ChainRecord]:
     """The directory's ``chain_*.json`` records by path.  A record tuned for
-    another task, or with a ``config.model_spec`` other than ``model_spec``,
-    is a ``UsageError`` naming its file, raised before anything is written."""
+    another task, with a ``config.model_spec`` other than ``model_spec``, or
+    whose final prompt text has no words, is a ``UsageError`` naming its
+    file, raised before anything is written."""
     root = Path(chains_dir)
     if not root.is_dir():
         raise UsageError(f"not a chain directory: {root}")
@@ -423,6 +424,8 @@ def _load_chains(chains_dir: str, task, model_spec: str) -> dict[Path, ChainReco
         if record.config.model_spec not in (None, model_spec):
             raise UsageError(f"{path} was tuned with model "
                              f"{record.config.model_spec!r}, not {model_spec!r}")
+        if not record.final_prompt_text.split():
+            raise UsageError(f"{path} has a final prompt text with no words")
     return records
 
 

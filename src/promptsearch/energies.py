@@ -16,11 +16,12 @@ reference model), each evaluation runs the prompt's own pass once, then one
 stacked ``model.forward`` per distinct rendered body length, each stack
 extending the prompt's pass (grouping by length needs no padding).  The
 gradient takes one ``model.backward_input`` per stack, which also returns
-the gradient w.r.t. the prompt's cached keys and values per stack member,
-and one over the prompt's pass with those added (exact by linearity), summed
-per stack in member order and then stack by stack.  Other adapters (wrappers overriding ``forward(self, X)``,
-registered adapters) run one full pass over ``prompt + render(task, text)``
-per example instead.  Either way the readouts see one array of rows: rows
+the gradients w.r.t. the prompt's cached keys and values, one array with a
+member axis, and one over the prompt's pass with those added (exact by
+linearity), summed per stack in member order and then stack by stack.
+Other adapters (wrappers overriding ``forward(self, X)``, registered
+adapters) run one full pass over ``prompt + render(task, text)`` per
+example instead.  Either way the readouts see one array of rows: rows
 ``m-1 .. L-1`` of each example's pass, in batch order, so they never loop
 over length groups; grouping by length lives only inside the stacked pass,
 and the values of both paths agree bitwise.  The prompt fluency reads rows
@@ -180,9 +181,10 @@ class _ChainMemo:
     weights and the batch size; any change to one of them empties it.  It
     holds the prompt's own pass and, per example slot with a non-empty body,
     the label-row logits and the gradients w.r.t. the prompt pass's keys and
-    values, one contiguous ``(n_layers, 2, H, m, dh)`` array.  These depend
-    on nothing else when only ``task`` and ``fluency`` are weighted, so a
-    step whose every member is held reruns no stacked pass.
+    values, one contiguous ``(n_layers, 2, H, m, dh)`` array: a copy of the
+    example's slice of its stack's gradients.  These depend on nothing else
+    when only ``task`` and ``fluency`` are weighted, so a step whose every
+    member is held reruns no stacked pass.
     """
 
     def __init__(self):
@@ -256,9 +258,11 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
     With a ``memo`` (``label_only``, and ``slots`` giving each example's
     slot), the prompt's pass is the memo's when it holds one.  When the memo
     holds every example with a non-empty body, no stack runs: ``rows`` takes
-    the held label rows, and ``backward`` sums the held key and value
-    gradients as the stacks' backwards would return them.  Otherwise every
-    stack runs and its members are stored.
+    the held label rows, and ``backward`` stacks the held key and value
+    gradients on the member axis, as the stacks' backwards would return
+    them, and sums them.  Otherwise every stack runs and each member's slice
+    of its key/value gradients is stored.  The prompt's pass takes the stack
+    sums on that same axis, in stack order.
     """
     table = model.embedding_table().entries
     m = prompt.length
@@ -289,24 +293,20 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
     def backward(d_head, d_rows):
         d_head = d_head.copy()
         d_head[m - 1] += d_rows[firsts].sum(axis=0)
-        sums = []  # per stack, its members' (n_layers, 2, H, m, dh) gradients summed
+        sums = []  # per stack, its members' key/value gradients summed
         for idx, fw, at in stacks:
             if fw is None:
-                members = np.stack([memo.entries[slots[i]][1] for i in idx])
+                members = np.stack([memo.entries[slots[i]][1] for i in idx], axis=2)
             else:
-                _, d_kv = model.backward_input(fw.cache, d_hidden=d_rows[at])
-                members = np.stack([np.stack(kv, axis=1) for kv in d_kv], axis=1)
+                _, members = model.backward_input(fw.cache, d_hidden=d_rows[at])
                 if memo is not None:  # copies, so no entry keeps its whole stack alive
                     for j, i in enumerate(idx):
                         if len(memo.entries) < _MEMO_EXAMPLES:
                             memo.entries[slots[i]] = (fw.logits[j, -1].copy(),
-                                                      members[j].copy())
-            sums.append(members.sum(axis=0))
-        d_past = None
-        if sums:  # the head sums the stacks' gradients in stack order
-            total = np.stack(sums)
-            d_past = [(total[:, layer, 0], total[:, layer, 1])
-                      for layer in range(total.shape[1])]
+                                                      members[:, :, j].copy())
+            sums.append(members.sum(axis=2))
+        # the head sums the stacks' gradients in stack order
+        d_past = np.stack(sums, axis=2) if sums else None
         return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
 
     return head, rows, backward

@@ -221,10 +221,11 @@ def _layernorm_backward(dy, cache, gamma):
 # ``last_only`` pass has the bits of the same row of a full pass.  2-D
 # extensions, the per-token read path, are not exact and may differ in the last
 # bits; their products stay plain ``@``.  The backward of a stacked extension
-# keeps the stack axis on its key and value gradients, and a full pass sums a
-# ``d_past`` over its leading axis: numpy adds the slices of a leading axis one
-# after another, for a sliced and a contiguous layout alike, so per-member
-# gradients held apart and stacked again later sum to the same bits.
+# returns its key and value gradients as one array with the stack as its member
+# axis (the third), and a full pass sums a ``d_past`` over that axis: numpy adds
+# the slices of a contiguous array's member axis one after another, whether the
+# axis leads or not, so per-member gradients held apart and stacked again later
+# sum to the same bits.
 
 def _exact_matmul(a, b):
     """``a @ b``, with a one-row left operand run on two copies of its row."""
@@ -405,7 +406,7 @@ class TinyCausalLM:
 
     def backward_input(self, cache: dict, d_hidden: np.ndarray | None = None,
                        d_logits: np.ndarray | None = None,
-                       d_past: list | None = None):
+                       d_past: np.ndarray | None = None):
         """Vector-Jacobian product from output gradients back to the input rows.
 
         Accepts a gradient w.r.t. ``hidden``, w.r.t. ``logits`` (folded
@@ -413,16 +414,17 @@ class TinyCausalLM:
         pass returned (``(G, 1, .)`` for a ``last_only`` stack).
 
         On the cache of a full pass it returns the gradient w.r.t. the input
-        rows.  ``d_past`` then adds, per layer, gradients ``(dk, dv)`` w.r.t.
-        the pass's own attention keys and values, ``(K, H, L, dh)`` each:
-        ``K`` gradients, summed over that leading axis one after another, in
-        order.  A stacked extension of this pass returns such a ``d_past``.
+        rows.  ``d_past`` then adds gradients w.r.t. the pass's own attention
+        keys and values, one array ``(n_layers, 2, K, H, L, dh)``: per layer
+        the key and the value gradients of ``K`` members, summed over the
+        member axis one after another, in order.  A stacked extension of
+        this pass returns such a ``d_past``.
 
         On the cache of a stacked extension it returns ``(d_rows, d_past)``:
-        the gradient w.r.t. the stacked rows, and per layer the gradients
-        w.r.t. the keys and values of the extended pass, one per stack
-        member, ``(G, H, start, dh)``.  Passing that ``d_past`` to the
-        extended pass's own backward completes the gradient (exact by
+        the gradient w.r.t. the stacked rows, and the gradients w.r.t. the
+        keys and values of the extended pass, one per stack member, as one
+        array ``(n_layers, 2, G, H, start, dh)``.  Passing that ``d_past`` to
+        the extended pass's own backward completes the gradient (exact by
         linearity), with the bits of summing it over the stack first.  A 2-D
         extension is a read: its cache is refused.
 
@@ -481,7 +483,7 @@ class TinyCausalLM:
             dx = dx + _layernorm_backward(da, lc["ln1"], lw["g1"])
         dx = dx.reshape(*lead, n, self.dim)
         if start:
-            return dx, d_past_out[::-1]
+            return dx, np.stack([np.stack(kv) for kv in d_past_out[::-1]])
         return dx
 
 
@@ -676,4 +678,4 @@ def as_soft_prompt(prompt: SoftPrompt | str | None, model) -> SoftPrompt | None:
 
 def prompt_from_ids(ids: Sequence[int], model) -> SoftPrompt:
     table = model.embedding_table()
-    return SoftPrompt(entries=table.entries[list(ids)].copy(), token_ids=tuple(ids))
+    return SoftPrompt(entries=table.entries[list(ids)], token_ids=tuple(ids))

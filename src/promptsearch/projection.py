@@ -46,7 +46,7 @@ def project_subset(prompt: SoftPrompt, table: EmbeddingTable,
     if allowed[0] < 0 or allowed[-1] >= table.rows:
         raise ConfigurationError("allowed_ids contains out-of-vocabulary indices")
     ids = _nearest_rows(prompt.entries, table, allowed)
-    return SoftPrompt(entries=table.entries[ids].copy(), token_ids=tuple(ids))
+    return SoftPrompt(entries=table.entries[ids], token_ids=tuple(ids))
 
 
 def allowed_token_ids(model, policy: str = "no-special") -> np.ndarray:

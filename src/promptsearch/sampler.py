@@ -366,9 +366,8 @@ def run_chain(task: TaskSpec, model, cfg: SamplerConfig,
             break
         steps.append(StepLog(index=i, energy=breakdown, token_ids=prompt.token_ids))
 
-    final_ids = steps[-1].token_ids if steps else prompt.token_ids
     return ChainRecord(config=cfg, task_id=task.id, per_step=tuple(steps),
-                       final_prompt_text=model.decode(list(final_ids)),
+                       final_prompt_text=model.decode(list(prompt.token_ids)),
                        metrics={}, fault=fault)
 
 

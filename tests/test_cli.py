@@ -1041,6 +1041,23 @@ def test_record_field_of_the_wrong_type_exits_2_before_writing(
     assert not (tuned_dir / "report.json").exists()
 
 
+@pytest.mark.parametrize("text", ["", " "])
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_record_prompt_without_words_exits_2_before_any_output(
+        data_files, tuned_dir, capsys, command, text):
+    """An empty prompt text skipped the fit check and ``dist1``, so ``eval``
+    printed its table header and a row before failing on that record."""
+    _set_record_fields(tuned_dir / "chain_000_seed1.json", final_prompt_text=text)
+    before = _record_bytes(tuned_dir)  # the records and the manifest
+    capsys.readouterr()
+    assert main(_run_args(command, tuned_dir, data_files, None)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "chain_000_seed1.json" in err
+    assert _record_bytes(tuned_dir) == before
+    assert not (tuned_dir / "report.json").exists()
+
+
 # -- eval and analyze branches ---------------------------------------------------------
 
 def _set_record_fields(path, **fields):
@@ -1590,3 +1607,4 @@ def test_empty_path_option_exits_2_naming_it_and_writes_nothing(
     }.get(key, f"error: {key} must be a non-empty path, got ''\n")
     assert list(cwd.iterdir()) == [] and not (tmp_path / "out").exists()
     assert sorted(p.name for p in inputs.rglob("*")) == before
+

@@ -297,6 +297,26 @@ def test_stacked_extension_backward_matches_fd(model):
     assert max_rel_err(d_bodies, fd_bodies) < 1e-5
 
 
+
+@pytest.mark.parametrize("members, last_only", [(1, False), (3, False), (17, True)])
+def test_stacked_backward_returns_one_key_value_array(model, members, last_only):
+    """One array ``(n_layers, 2, G, H, start, dh)`` per stacked backward; the
+    extended pass's backward over it has the bits of one over its member sum."""
+    rng = np.random.default_rng(members)
+    prompt = rng.normal(size=(4, model.dim))
+    head = model.forward(prompt)
+    fw = model.forward(rng.normal(size=(members, 3, model.dim)), past=head.cache,
+                       last_only=last_only)
+    _, d_past = model.backward_input(fw.cache, d_hidden=rng.normal(size=fw.hidden.shape))
+    H = model.n_heads
+    assert isinstance(d_past, np.ndarray)
+    assert d_past.shape == (model.n_layers, 2, members, H, 4, model.dim // H)
+    w_head = rng.normal(size=head.hidden.shape)
+    whole = model.backward_input(head.cache, d_hidden=w_head, d_past=d_past)
+    summed = model.backward_input(head.cache, d_hidden=w_head,
+                                  d_past=d_past.sum(axis=2, keepdims=True))
+    assert whole.tobytes() == summed.tobytes()
+
 # -- stacked reads -----------------------------------------------------------
 
 _BARE = TaskSpec(id="bare", template="{x}", verbalizer={"good": "good", "bad": "bad"},

@@ -185,6 +185,20 @@ def test_held_batch_runs_no_stack_and_gives_the_same_bits(model, task):
     _bits_equal(served_grad, want_grad)
 
 
+
+def test_memo_entries_are_contiguous_copies(model, task):
+    """Each held key/value gradient owns its data, so no entry keeps the
+    array of its whole stack alive."""
+    memo = _ChainMemo()
+    items = _rendered(_mixed_data(8, seed=2), task, model, memo)
+    _evaluate(prompt_from_ids([5, 6, 7], model), items, task, model)
+    assert memo.entries
+    H = model.n_heads
+    for logits, d_kv in memo.entries.values():
+        assert d_kv.shape == (model.n_layers, 2, H, 3, model.dim // H)
+        assert d_kv.flags.c_contiguous and d_kv.base is None
+        assert logits.base is None
+
 def _counted(counts, run):
     originals = {name: getattr(TinyCausalLM, name) for name in counts}
 

@@ -55,6 +55,21 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
                                                 ["total", "7"]]
 
 
+
+def test_prints_a_column_per_directory_and_the_change_from_the_first(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.py").write_text(SOURCE)
+    (old / "gone.py").write_text("x = 1\ny = 2\n")
+    (new / "a.py").write_text(SOURCE + "z = 3\n")
+    (new / "b.py").write_text("x = 1\n")
+    assert _counter().main([str(old), str(new), str(old)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["a.py", "6", "7", "6", "+1", "+0"], ["b.py", "0", "1", "0", "+1", "+0"],
+        ["gone.py", "2", "0", "2", "-2", "+0"], ["total", "8", "8", "8", "+0", "+0"]]
+
 def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     """Warnings fail the suite, but Hypothesis's failure report must not."""
     (tmp_path / "test_falsified.py").write_text(

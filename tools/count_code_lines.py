@@ -5,9 +5,13 @@ is not part of a docstring (of a module, class or function).  Blank lines,
 comment lines and docstrings are left out; a multi-line expression counts
 every line it spans.  Prints one line per module and the package total:
 
-    python tools/count_code_lines.py [PACKAGE_DIR]
+    python tools/count_code_lines.py [PACKAGE_DIR ...]
 
-``PACKAGE_DIR`` defaults to ``src/promptsearch`` next to this script.
+``PACKAGE_DIR`` defaults to ``src/promptsearch`` next to this script.  Given
+several directories (say a parent checkout's package and a change's), each
+line holds one count per directory, in the order given, and then each later
+directory's change from the first; a module missing from a directory counts
+0 lines there.
 """
 
 from __future__ import annotations
@@ -44,14 +48,22 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def module_lines(root: Path) -> dict[str, int]:
+    """Code lines of each module directly under ``root``, by file name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).parent.parent / "src" / "promptsearch"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{path.name:<16} {n:>5}")
-    print(f"{'total':<16} {total:>5}")
+    roots = [Path(arg) for arg in argv] or [
+        Path(__file__).parent.parent / "src" / "promptsearch"]
+    counts = [module_lines(root) for root in roots]
+    rows = [(name, [c.get(name, 0) for c in counts])
+            for name in sorted(set().union(*counts))]
+    rows.append(("total", [sum(c.values()) for c in counts]))
+    for name, ns in rows:
+        changes = "".join(f" {n - ns[0]:>+6}" for n in ns[1:])
+        print(f"{name:<16}" + "".join(f" {n:>5}" for n in ns) + changes)
     return 0
 
 
