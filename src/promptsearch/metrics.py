@@ -33,6 +33,8 @@ def accuracy(prompt: SoftPrompt | str | None, dataset: Sequence[Example],
     for ex in dataset:
         if ex.label is None:
             raise UsageError(f"unlabeled example in accuracy dataset: {ex.text!r}")
+        if ex.label not in task.labels:
+            raise UsageError(f"label {ex.label!r} outside task labels {list(task.labels)}")
     probs = _label_probs(as_soft_prompt(prompt, model), dataset, task, model)
     hits = sum(task.labels[y] == ex.label
                for y, ex in zip(np.argmax(probs, axis=1), dataset))

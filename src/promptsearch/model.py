@@ -8,12 +8,13 @@ weights are never modified.
 
 The built-in adapter is ``TinyCausalLM``, a two-layer pre-norm causal
 transformer over a ~60-word vocabulary with weights drawn deterministically
-from a seed.  It is small enough that every analytic gradient in this package
-can be cross-checked against central finite differences in well under a
-minute, and it is the model used by the test suite, the demos, and the
-default CLI configuration (``--model reference:<seed>``).  Loading pretrained
-models is out of scope here; third parties can plug one in through
-:func:`register_adapter` as long as it implements the same surface.
+from a seed; its layer norms have no gain or bias.  It is small enough that
+every analytic gradient in this package can be cross-checked against central
+finite differences in well under a minute, and it is the model used by the
+test suite, the demos, and the default CLI configuration
+(``--model reference:<seed>``).  Loading pretrained models is out of scope
+here; third parties can plug one in through :func:`register_adapter` as long
+as it implements the same surface.
 """
 
 from __future__ import annotations
@@ -169,36 +170,34 @@ _GELU_C = 1.0 / np.sqrt(2.0)
 _PHI_C = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-# ``erf_z`` is ``erf(z * _GELU_C)``: the forward keeps it for the backward.
+# GELU is ``z * gate`` with ``gate = 0.5 * (1 + erf(z * _GELU_C))``, the normal
+# CDF at ``z``: the forward keeps the gate for the backward.
 
-def _gelu(z, erf_z):
-    return 0.5 * z * (1.0 + erf_z)
-
-
-def _gelu_prime(z, erf_z):
-    return 0.5 * (1.0 + erf_z) + z * _PHI_C * np.exp(-0.5 * z * z)
+def _gelu_prime(z, gate):
+    return gate + z * _PHI_C * np.exp(-0.5 * z * z)
 
 
-# Row means are written ``sum / d``: bitwise what ``ndarray.mean`` computes
-# (an add-reduce, then a true divide by the count) without its Python wrapper.
+# Layer norms have unit gain and zero bias, so they carry no parameters: the
+# affine step would be the identity.  Row means are written ``sum / d``:
+# bitwise what ``ndarray.mean`` computes (an add-reduce, then a true divide by
+# the count) without its Python wrapper.
 
-def _layernorm_forward(x, gamma, beta, eps=1e-5):
+def _layernorm_forward(x, eps=1e-5):
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv)
+    return xhat, (xhat, inv)
 
 
-def _layernorm_backward(dy, cache, gamma):
+def _layernorm_backward(dy, cache):
     xhat, inv = cache
     d = xhat.shape[-1]
-    dxhat = dy * gamma
     return inv * (
-        dxhat
-        - dxhat.sum(axis=-1, keepdims=True) / d
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+        dy
+        - dy.sum(axis=-1, keepdims=True) / d
+        - xhat * (dy * xhat).sum(axis=-1, keepdims=True) / d
     )
 
 
@@ -253,7 +252,8 @@ class TinyCausalLM:
     """A fixed-weight causal transformer small enough for desk-scale oracles.
 
     Pre-norm blocks (attention then GELU MLP), learned positional embeddings,
-    and an output layer tied to the embedding table: ``logits = hidden @ E.T``.
+    layer norms without gain or bias, and an output layer tied to the
+    embedding table: ``logits = hidden @ E.T``.
     All arithmetic is float64 and fully deterministic, so identical inputs
     give bitwise-identical outputs.  Instances are read-only after
     construction and safe to share across concurrent chains.
@@ -264,8 +264,11 @@ class TinyCausalLM:
         if dim % n_heads != 0:
             raise ConfigurationError(f"dim {dim} not divisible by n_heads {n_heads}")
         vocab = tuple(vocab)
-        if len(vocab) != len(set(vocab)):
-            raise ConfigurationError("vocabulary contains duplicate tokens")
+        self._index = {t: i for i, t in enumerate(vocab)}
+        # a repeated token is indexed at its last place, so its earlier ones differ
+        repeated = list(dict.fromkeys(t for i, t in enumerate(vocab) if self._index[t] != i))
+        if repeated:
+            raise ConfigurationError(f"vocabulary contains duplicate tokens: {repeated}")
         self.seed = seed
         self.dim = dim
         self.n_layers = n_layers
@@ -273,7 +276,6 @@ class TinyCausalLM:
         self.max_len = max_len
         self.token_text = vocab
         self.vocab_size = len(vocab)
-        self._index = {t: i for i, t in enumerate(vocab)}
         self.pad_id = self._index["<pad>"]
         self.unk_id = self._index["<unk>"]
         self.special_token_ids = frozenset({self.pad_id, self.unk_id})
@@ -296,11 +298,7 @@ class TinyCausalLM:
                 "Wo": rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)),
                 "W1": rng.normal(0.0, 1.0 / np.sqrt(d), (d, 4 * d)),
                 "W2": rng.normal(0.0, 1.0 / np.sqrt(4 * d), (4 * d, d)),
-                "g1": np.ones(d), "b1": np.zeros(d),
-                "g2": np.ones(d), "b2": np.zeros(d),
             })
-        self._gf = np.ones(d)
-        self._bf = np.zeros(d)
         self._table = EmbeddingTable(entries=self._E, token_text=vocab)
 
     # -- text interface -------------------------------------------------
@@ -367,7 +365,7 @@ class TinyCausalLM:
         mm = _exact_matmul if exact else np.matmul
         layer_caches = []
         for lw, pc in zip(self._layers, past_layers):
-            a, ln1 = _layernorm_forward(x, lw["g1"], lw["b1"])
+            a, ln1 = _layernorm_forward(x)
             k = mm(a, lw["Wk"]).reshape(per_head).swapaxes(-2, -3)
             v = mm(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
             if pc is not None:
@@ -388,14 +386,14 @@ class TinyCausalLM:
             o = mm(A, v).swapaxes(-2, -3).reshape(-1, self.dim)
             x = x + mm(o, lw["Wo"])
 
-            f, ln2 = _layernorm_forward(x, lw["g2"], lw["b2"])
+            f, ln2 = _layernorm_forward(x)
             z1 = mm(f, lw["W1"])
-            erf_z1 = erf(z1 * _GELU_C)
-            x = x + mm(_gelu(z1, erf_z1), lw["W2"])
+            gate = 0.5 * (1.0 + erf(z1 * _GELU_C))
+            x = x + mm(z1 * gate, lw["W2"])
             layer_caches.append({"ln1": ln1, "ln2": ln2, "q": q, "k": k, "v": v,
-                                 "A": A, "z1": z1, "erf_z1": erf_z1})
+                                 "A": A, "z1": z1, "gate": gate})
 
-        hidden, lnf = _layernorm_forward(x, self._gf, self._bf)
+        hidden, lnf = _layernorm_forward(x)
         logits = mm(hidden, self._E.T)
         if not np.all(np.isfinite(logits)):
             raise ModelFault("model produced non-finite logits")
@@ -453,16 +451,16 @@ class TinyCausalLM:
         if d_logits is not None:
             *at, V = d_logits.shape
             dh_total += (d_logits.reshape(-1, V) @ self._E).reshape(*at, self.dim)
-        dx = _layernorm_backward(dh_total.reshape(-1, self.dim), cache["lnf"], self._gf)
+        dx = _layernorm_backward(dh_total.reshape(-1, self.dim), cache["lnf"])
 
         d_past_in = d_past if d_past is not None else [None] * self.n_layers
         d_past_out = []
         for lw, lc, dp, nq in zip(reversed(self._layers), reversed(cache["layers"]),
                                   reversed(d_past_in), reversed(queries)):
             dg1v = dx @ lw["W2"].T
-            dz1 = dg1v * _gelu_prime(lc["z1"], lc["erf_z1"])
+            dz1 = dg1v * _gelu_prime(lc["z1"], lc["gate"])
             df = dz1 @ lw["W1"].T
-            dx = dx + _layernorm_backward(df, lc["ln2"], lw["g2"])
+            dx = dx + _layernorm_backward(df, lc["ln2"])
 
             do = (dx @ lw["Wo"].T).reshape(*lead, nq, H, dh).swapaxes(-2, -3)
             A, q, k, v = lc["A"], lc["q"], lc["k"], lc["v"]
@@ -480,7 +478,7 @@ class TinyCausalLM:
             if nq < n:  # back from each body's last row to every row
                 dx, da_q = _spread(dx, n), _spread(da_q, n)
             da = da_q + rows(dk) @ lw["Wk"].T + rows(dv) @ lw["Wv"].T
-            dx = dx + _layernorm_backward(da, lc["ln1"], lw["g1"])
+            dx = dx + _layernorm_backward(da, lc["ln1"])
         dx = dx.reshape(*lead, n, self.dim)
         if start:
             return dx, np.stack([np.stack(kv) for kv in d_past_out[::-1]])
@@ -503,13 +501,11 @@ def make_reference_model(seed: int, *, vocab: Sequence[str] | None = None,
     The same seed (and vocabulary) always yields identical weights.  Extra
     tokens are appended to the vocabulary before weights are drawn, so adding
     tokens changes the draw; pass the full token set up front when
-    reproducibility across runs matters.
+    reproducibility across runs matters.  An extra token already in the
+    vocabulary is refused as a duplicate.
     """
     base = tuple(vocab) if vocab is not None else REFERENCE_VOCAB
     extras = tuple(t.lower() for t in extra_tokens)
-    for t in extras:
-        if t in base:
-            raise ConfigurationError(f"extra token {t!r} already in vocabulary")
     return TinyCausalLM(seed=seed, vocab=base + extras, dim=dim,
                         n_layers=n_layers, n_heads=n_heads, max_len=max_len)
 

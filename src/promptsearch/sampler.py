@@ -261,17 +261,21 @@ def langevin_step(prompt: SoftPrompt, grad: np.ndarray, eta: float, beta: float,
 
     The noise is drawn unconditionally (even for ``beta == 0``) so the noise
     stream advances identically across schedules.  With ``beta == 0`` the
-    result equals ``project(prompt - eta * grad)`` exactly.  A non-finite
-    gradient or proposal (a finite but huge ``eta`` or ``beta`` can overflow
-    the noise scale) is a ``NumericalFault``, which faults the chain.
+    result equals ``project(prompt - eta * grad)`` exactly.  An ``eta``
+    outside ``(0, inf)`` or a ``beta`` outside ``[0, inf)`` is a
+    ``ConfigurationError``, raised before the draw.  A non-finite gradient or
+    proposal (a finite but huge ``eta`` or ``beta`` can overflow the noise
+    scale) is a ``NumericalFault``, which faults the chain.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.shape != prompt.entries.shape:
         raise ConfigurationError(
             f"gradient shape {grad.shape} != prompt shape {prompt.entries.shape}"
         )
-    if beta < 0:
-        raise ConfigurationError(f"beta must be >= 0, got {beta}")
+    if not 0 < eta < math.inf:
+        raise ConfigurationError(f"eta must be positive and finite, got {eta}")
+    if not 0 <= beta < math.inf:
+        raise ConfigurationError(f"beta must be finite and >= 0, got {beta}")
     z = noise_source.standard_normal(size=prompt.entries.shape)
     where = "" if step_index is None else f" at step {step_index}"
     if not np.all(np.isfinite(grad)):

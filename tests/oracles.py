@@ -27,14 +27,14 @@ def scratch_forward(model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dh = d // H
     scale = 1.0 / math.sqrt(dh)
 
-    def layernorm(vec, gamma, beta, eps=1e-5):
+    def layernorm(vec, eps=1e-5):  # the model's layer norms have no gain or bias
         mu = sum(vec) / d
         var = sum((v - mu) ** 2 for v in vec) / d
-        return gamma * ((vec - mu) / math.sqrt(var + eps)) + beta
+        return (vec - mu) / math.sqrt(var + eps)
 
     x = np.array([X[i] + model._pos[i] for i in range(L)])
     for lw in model._layers:
-        a = np.array([layernorm(x[i], lw["g1"], lw["b1"]) for i in range(L)])
+        a = np.array([layernorm(x[i]) for i in range(L)])
         q = a @ lw["Wq"]
         k = a @ lw["Wk"]
         v = a @ lw["Wv"]
@@ -50,12 +50,12 @@ def scratch_forward(model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     attn_out[i, sl] += (ws[j] / z) * v[j, sl]
         x = x + attn_out @ lw["Wo"]
 
-        f = np.array([layernorm(x[i], lw["g2"], lw["b2"]) for i in range(L)])
+        f = np.array([layernorm(x[i]) for i in range(L)])
         z1 = f @ lw["W1"]
         gelu = 0.5 * z1 * (1.0 + np.vectorize(math.erf)(z1 / math.sqrt(2.0)))
         x = x + gelu @ lw["W2"]
 
-    hidden = np.array([layernorm(x[i], model._gf, model._bf) for i in range(L)])
+    hidden = np.array([layernorm(x[i]) for i in range(L)])
     logits = hidden @ model._E.T
     return hidden, logits
 

@@ -291,6 +291,12 @@ def test_paired_ttest_symmetry_property(xs):
 
 # -- diagnostics rows ---------------------------------------------------------------------
 
+def test_prompt_diagnostics_refuses_a_negative_label_entropy():
+    with pytest.raises(UsageError, match="label_entropy out of range: -0.1"):
+        PromptDiagnostics(prompt_text="x", accuracy=0.5, perplexity=None,
+                          label_entropy=-0.1, domain_word_count=0, source="tuned")
+
+
 def test_prompt_diagnostics_source_validation():
     with pytest.raises(UsageError):
         PromptDiagnostics(prompt_text="x", accuracy=0.5, perplexity=None,
@@ -360,6 +366,12 @@ def test_report_requires_val_data_when_metrics_missing(model, task):
     rec = tuned_record(model, task, "the movie was great")
     with pytest.raises(UsageError):
         diagnostics_report([rec], task, model)
+
+
+def test_report_refuses_val_data_with_a_label_outside_the_task(model, task):
+    rec = tuned_record(model, task, "the movie was great")
+    with pytest.raises(UsageError, match="label 'zzz' outside task labels"):
+        diagnostics_report([rec], task, model, val_data=[Example("great fun", "zzz")])
 
 
 def test_report_baselines_require_val_data(model, task):

@@ -52,6 +52,13 @@ def test_accuracy_input_validation(model, task):
         accuracy(None, [Example("great")], task, model)
 
 
+def test_accuracy_refuses_a_label_outside_the_task(model, task):
+    """An example whose label is no task label is refused, not scored a miss."""
+    with pytest.raises(UsageError, match="label 'zzz' outside task labels"):
+        accuracy("the", [Example("great fun", "good"), Example("great fun", "zzz")],
+                 task, model)
+
+
 def test_accuracy_on_separable_data_beats_chance_with_cue_prompt(model, task):
     """Sanity: the synthetic task is learnable at all on this model."""
     from promptsearch.synthetic import synthetic_dataset

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fd_grad, max_rel_err, scratch_forward
-from promptsearch.errors import ConfigurationError, UsageError
+from promptsearch.errors import ConfigurationError, ModelFault, UsageError
 from promptsearch.tasks import TaskSpec
 from promptsearch.model import (
     REFERENCE_VOCAB,
@@ -62,6 +62,14 @@ def test_forward_at_max_length(model):
     X = rng.normal(size=(model.max_len, model.dim))
     fw = model.forward(X)
     assert fw.logits.shape == (model.max_len, model.vocab_size)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_faults_on_non_finite_logits(model):
+    """Inputs at the edge of float64 overflow the residual stream; the pass
+    refuses the logits rather than return them."""
+    with pytest.raises(ModelFault, match="non-finite logits"):
+        model.forward(np.full((3, model.dim), 1e308))
 
 
 def test_forward_rejects_bad_shapes(model):
@@ -169,6 +177,15 @@ def test_duplicate_vocab_rejected():
         make_reference_model(0, vocab=("<pad>", "<unk>", "a", "a"))
 
 
+def test_duplicate_tokens_are_named():
+    """One check refuses a repeated base token and an extra token already in
+    the vocabulary, naming each repeated token once."""
+    with pytest.raises(ConfigurationError, match=r"duplicate tokens: \['a', 'b'\]$"):
+        make_reference_model(0, vocab=("<pad>", "<unk>", "a", "b", "a", "b", "a"))
+    with pytest.raises(ConfigurationError, match=r"duplicate tokens: \['the'\]$"):
+        make_reference_model(0, extra_tokens=("zork", "THE"))
+
+
 # -- tokenizer ---------------------------------------------------------------
 
 def test_tokenize_lowercases_and_maps_unk(model):
@@ -206,6 +223,11 @@ def test_embedding_table_validation():
                        token_text=("a", "b"))
     with pytest.raises(ConfigurationError):
         EmbeddingTable(entries=np.zeros((3, 2, 1)), token_text=("a", "b", "c"))
+
+
+def test_embedding_table_needs_two_rows():
+    with pytest.raises(ConfigurationError, match="too small: V=1"):
+        EmbeddingTable(entries=np.zeros((1, 2)), token_text=("a",))
 
 
 def test_soft_prompt_validation():

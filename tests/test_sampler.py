@@ -228,6 +228,15 @@ def test_step_shape_and_beta_guards(model):
     with pytest.raises(ConfigurationError):
         langevin_step(prompt, np.zeros((2, table.dim)), 0.1, -0.1,
                       np.random.default_rng(0), table)
+    # a step size outside (0, inf) or a noise variance outside [0, inf) is a
+    # configuration error, refused before the noise draw (and before any
+    # warning, which the suite's settings would turn into a failure)
+    for eta, beta in [(-1.0, 0.0), (0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                      (0.1, math.nan), (0.1, math.inf)]:
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="eta|beta"):
+            langevin_step(prompt, np.zeros((2, table.dim)), eta, beta, rng, table)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
 # -- run_chain -----------------------------------------------------------------------

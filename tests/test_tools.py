@@ -108,6 +108,60 @@ def test_fingerprints_repeat_with_one_line_per_workload_and_seed(capsys):
     assert all(len(line.split()[2]) == 64 for line in runs[0])
 
 
+def test_fingerprints_of_two_checkouts_compare_line_by_line(capsys):
+    tool = _tool("fingerprints")
+    assert tool.main([str(_ROOT), str(_ROOT)], sizes=TINY) == 0
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert total == "8 of 8 identical"
+    assert [line.split()[:2] for line in lines][-2:] == [["mixed-sup", "seed1"],
+                                                         ["mixed-unsup", "seed1"]]
+    assert all(len(line.split()) == 5 and line.split()[2] == line.split()[3]
+               and line.endswith(" same") for line in lines)
+
+
+# A stand-in for the fingerprint run: the checkout named ``change`` prints a
+# different digest for ``b seed1`` and ``c seed1`` only; ``parent`` prints
+# ``d seed1`` too, and each exits with the code in its own ``code.txt``.
+_STUB_CHILD = """import pathlib, sys
+checkout = pathlib.Path(sys.argv[1])
+print("a seed1 0000")
+print("b seed1 " + ("2222" if checkout.name == "change" else "1111"))
+if checkout.name == "parent":
+    print("d seed1 4444")
+print("c seed1 " + checkout.name)
+sys.exit(int((checkout / "code.txt").read_text()))
+"""
+
+
+def _stub_fingerprints(tmp_path, monkeypatch, codes):
+    tool = _tool("fingerprints")
+    monkeypatch.setattr(tool, "_CHILD", _STUB_CHILD)
+    for name, code in zip(("parent", "change"), codes):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "workloads.py").write_text("")
+        (tmp_path / name / "code.txt").write_text(str(code))
+    return tool.main([str(tmp_path / "parent"), str(tmp_path / "change")])
+
+
+def test_fingerprints_mark_each_differing_line_and_exit_1(tmp_path, monkeypatch, capsys):
+    assert _stub_fingerprints(tmp_path, monkeypatch, (0, 0)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a seed1 0000 0000 same", "b seed1 1111 2222 DIFFERENT",
+        "d seed1 4444 - DIFFERENT", "c seed1 parent change DIFFERENT",
+        "1 of 4 identical"]
+
+
+def test_fingerprints_exit_1_when_a_checkout_fails(tmp_path, monkeypatch, capsys):
+    assert _stub_fingerprints(tmp_path, monkeypatch, (0, 3)) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 4 identical"
+    assert _stub_fingerprints(tmp_path / "again", monkeypatch, (2, 0)) == 1
+
+
+def test_fingerprints_refuse_a_third_checkout(capsys):
+    assert _tool("fingerprints").main([str(_ROOT)] * 3) == 2
+    assert "usage" in capsys.readouterr().err
+
+
 # A stand-in for a checkout's perfbench/run.py: it logs its checkout and
 # arguments to calls.txt beside the checkout, prints an env line, then the
 # given last line, and exits with the given code.

@@ -1,6 +1,7 @@
 """Print the benchmark fingerprints of a checkout, one line per workload and seed.
 
     python tools/fingerprints.py CHECKOUT
+    python tools/fingerprints.py PARENT CHANGE
 
 For each perfbench workload (``tune-sup``, ``tune-unsup``, ``score``) and
 seed (3 and 4), the checkout's own ``perfbench/workloads.py`` prepares the
@@ -20,6 +21,12 @@ Equal lines for two checkouts mean byte-identical outputs.  Everything runs
 in one fresh Python process with BLAS at one thread, in a temporary
 directory that is removed afterwards; a round whose outputs fail the
 workload's checks, or a mixed chain that does not exit 0, exits 1 instead.
+
+Given two checkouts, each runs in its own process, one after the other, and
+the tool prints one line per label (``<workload> seed<seed>``): the label,
+the parent's digest, the change's digest (``-`` for a line a checkout did
+not print) and ``same`` or ``DIFFERENT``, then ``N of M identical``.  It
+exits 1 when any line differs or either checkout's run fails.
 """
 
 from __future__ import annotations
@@ -82,22 +89,42 @@ with tempfile.TemporaryDirectory() as tmp:
 """ % (WORKLOADS, SEEDS)
 
 
-def main(argv: list[str], sizes: dict | None = None) -> int:
-    """Print the checkout's fingerprint lines; ``sizes``, a dict of the
-    fields of perfbench's ``Sizes``, overrides the benchmark's input sizes
-    (tests pass tiny ones).  Returns the child process's exit code."""
-    if len(argv) != 1:
-        print("usage: python tools/fingerprints.py CHECKOUT", file=sys.stderr)
-        return 2
-    checkout = Path(argv[0]).resolve()
-    if not (checkout / "perfbench" / "workloads.py").is_file():
-        print(f"error: no perfbench/workloads.py under {checkout}", file=sys.stderr)
-        return 2
+def _fingerprints(checkout: Path, sizes: dict | None) -> tuple[int, str]:
+    """The checkout's exit code and fingerprint lines; its stderr is passed on."""
     child = subprocess.run([sys.executable, "-c", _CHILD, str(checkout), json.dumps(sizes)],
                            capture_output=True, text=True, check=False)
-    print(child.stdout, end="")
     print(child.stderr, end="", file=sys.stderr)
-    return child.returncode
+    return child.returncode, child.stdout
+
+
+def main(argv: list[str], sizes: dict | None = None) -> int:
+    """Print the fingerprint lines of one checkout, or compare two; ``sizes``,
+    a dict of the fields of perfbench's ``Sizes``, overrides the benchmark's
+    input sizes (tests pass tiny ones).  Returns the exit code."""
+    if len(argv) not in (1, 2):
+        print("usage: python tools/fingerprints.py CHECKOUT | PARENT CHANGE", file=sys.stderr)
+        return 2
+    checkouts = [Path(arg).resolve() for arg in argv]
+    for checkout in checkouts:
+        if not (checkout / "perfbench" / "workloads.py").is_file():
+            print(f"error: no perfbench/workloads.py under {checkout}", file=sys.stderr)
+            return 2
+    runs = [_fingerprints(checkout, sizes) for checkout in checkouts]
+    if len(runs) == 1:
+        code, out = runs[0]
+        print(out, end="")
+        return code
+    parent, change = ({label: digest for label, _, digest in
+                       (line.rpartition(" ") for line in out.splitlines())}
+                      for _, out in runs)
+    labels = {**parent, **change}  # in the parent's order, then the change's new ones
+    same = 0
+    for label in labels:
+        a, b = parent.get(label, "-"), change.get(label, "-")
+        same += a == b
+        print(f"{label} {a} {b} {'same' if a == b else 'DIFFERENT'}")
+    print(f"{same} of {len(labels)} identical")
+    return 1 if same < len(labels) or any(code for code, _ in runs) else 0
 
 
 if __name__ == "__main__":
