@@ -250,7 +250,8 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided paired t-test p-value.
 
     Zero variance of the differences is degenerate: p = 1 when the means
-    also agree, p = 0 when they differ.
+    also agree, p = 0 when they differ.  Fewer than 2 entries or a
+    non-finite entry is a ``UsageError``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -259,6 +260,8 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     n = a.size
     if n < 2:
         raise UsageError(f"paired_ttest needs length >= 2, got {n}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise UsageError("paired_ttest needs finite inputs")
     d = a - b
     mean = float(d.mean())
     sd = float(d.std(ddof=1))

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigurationError, ModelFault, UsageError
+from .synthetic import POOL_A, POOL_B
 from .tasks import _token_ids, verbalizer_token_ids
 
 __all__ = [
@@ -142,7 +143,7 @@ class ForwardPass:
 
 # Word-level vocabulary for the reference model: two specials, common filler,
 # every word used by the built-in task templates / verbalizers / domain word
-# lists, and two disjoint ten-word pools that synthetic datasets draw from.
+# lists, and the two disjoint ten-word pools that synthetic datasets draw from.
 REFERENCE_VOCAB: tuple[str, ...] = (
     "<pad>", "<unk>",
     "the", ".", ",",
@@ -152,12 +153,7 @@ REFERENCE_VOCAB: tuple[str, ...] = (
     "positive", "negative", "politics", "sports", "business", "technology",
     "film", "cinima", "cinema", "director", "book", "furniture",
     "topic", "category",
-    # synthetic pool A
-    "great", "fun", "bright", "sharp", "crisp", "fresh", "warm", "rich",
-    "clean", "new",
-    # synthetic pool B
-    "terrible", "boring", "dull", "slow", "dark", "cold", "stale", "messy",
-    "poor", "old",
+    *POOL_A, *POOL_B,
     # judgment words and filler
     "good", "bad",
     "and", "story", "plot", "actor", "scene", "music", "not",
@@ -257,18 +253,33 @@ class TinyCausalLM:
     All arithmetic is float64 and fully deterministic, so identical inputs
     give bitwise-identical outputs.  Instances are read-only after
     construction and safe to share across concurrent chains.
+
+    The defaults are the reference configuration, which
+    ``make_reference_model`` names.  The same seed and vocabulary always
+    yield identical weights.  The vocabulary's size is part of the draw, so
+    a vocabulary extended through ``vocab=`` (``REFERENCE_VOCAB + ("zork",)``)
+    gives other weights; pass the full token set up front when
+    reproducibility across runs matters.  Every entry must read back as
+    itself, one token, through :meth:`tokenize`, and ``<pad>`` and ``<unk>``
+    must be present, so that ``tokenize(decode(ids)) == ids`` holds for any
+    ids.
     """
 
-    def __init__(self, seed: int, vocab: Sequence[str], dim: int, n_layers: int,
-                 n_heads: int, max_len: int):
+    def __init__(self, seed: int, vocab: Sequence[str] = REFERENCE_VOCAB, dim: int = 24,
+                 n_layers: int = 2, n_heads: int = 4, max_len: int = 160):
         if dim % n_heads != 0:
             raise ConfigurationError(f"dim {dim} not divisible by n_heads {n_heads}")
         vocab = tuple(vocab)
         self._index = {t: i for i, t in enumerate(vocab)}
         # a repeated token is indexed at its last place, so its earlier ones differ
         repeated = list(dict.fromkeys(t for i, t in enumerate(vocab) if self._index[t] != i))
-        if repeated:
-            raise ConfigurationError(f"vocabulary contains duplicate tokens: {repeated}")
+        unread = [t for t in vocab if _WORD_RE.findall(t.lower()) != [t]]
+        missing = [t for t in ("<pad>", "<unk>") if t not in self._index]
+        for problem, tokens in (("contains duplicate tokens", repeated),
+                                ("has tokens that do not tokenize as themselves", unread),
+                                ("lacks special tokens", missing)):
+            if tokens:
+                raise ConfigurationError(f"vocabulary {problem}: {tokens}")
         self.seed = seed
         self.dim = dim
         self.n_layers = n_layers
@@ -281,9 +292,7 @@ class TinyCausalLM:
         self.special_token_ids = frozenset({self.pad_id, self.unk_id})
         # stand-in for "most frequent non-special token"; the toy vocabulary
         # has no corpus statistics, so the first non-special entry plays that role
-        self.neutral_token_id = min(
-            i for i in range(self.vocab_size) if i not in self.special_token_ids
-        )
+        self.neutral_token_id = min(set(range(self.vocab_size)) - self.special_token_ids)
 
         rng = np.random.default_rng(seed)
         d, v = dim, self.vocab_size
@@ -492,22 +501,8 @@ def _spread(last, n):
     return out
 
 
-def make_reference_model(seed: int, *, vocab: Sequence[str] | None = None,
-                         extra_tokens: Sequence[str] = (), dim: int = 24,
-                         n_layers: int = 2, n_heads: int = 4,
-                         max_len: int = 160) -> TinyCausalLM:
-    """Build the deterministic tiny reference model.
-
-    The same seed (and vocabulary) always yields identical weights.  Extra
-    tokens are appended to the vocabulary before weights are drawn, so adding
-    tokens changes the draw; pass the full token set up front when
-    reproducibility across runs matters.  An extra token already in the
-    vocabulary is refused as a duplicate.
-    """
-    base = tuple(vocab) if vocab is not None else REFERENCE_VOCAB
-    extras = tuple(t.lower() for t in extra_tokens)
-    return TinyCausalLM(seed=seed, vocab=base + extras, dim=dim,
-                        n_layers=n_layers, n_heads=n_heads, max_len=max_len)
+# the deterministic tiny reference model, built with the reference defaults
+make_reference_model = TinyCausalLM
 
 
 _ADAPTER_SCHEMES: dict[str, Callable[[str], object]] = {

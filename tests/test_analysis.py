@@ -280,6 +280,11 @@ def test_paired_ttest_validation():
         paired_ttest([1.0], [2.0])
     with pytest.raises(UsageError):
         paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="paired_ttest needs finite inputs"):
+            paired_ttest([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(UsageError, match="paired_ttest needs finite inputs"):
+            paired_ttest([1.0, 2.0, 3.0], [1.0, bad, 2.0])
 
 
 @settings(max_examples=50, deadline=None)

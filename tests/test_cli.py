@@ -116,12 +116,18 @@ def test_tune_unsupervised_mode(data_files, tmp_path):
     assert set(rec.per_step[0].energy.per_term) == {"entropy", "domain"}
 
 
-def test_tune_parallel_matches_serial(data_files, tmp_path):
+@pytest.mark.parametrize("mode, data", [("supervised", "train"),
+                                        ("unsupervised", "unlabeled")])
+def test_tune_parallel_matches_serial(data_files, tmp_path, mode, data):
+    """Unsupervised chains skip the chain memo and take the other energy path."""
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    assert main(tune_args(data_files, serial)) == 0
-    assert main(tune_args(data_files, parallel, jobs="2")) == 0
-    for f in sorted(serial.glob("chain_*.json")):
+    args = dict(mode=mode, data=data_files[data])
+    assert main(tune_args(data_files, serial, **args)) == 0
+    assert main(tune_args(data_files, parallel, jobs="2", **args)) == 0
+    files = sorted(serial.glob("chain_*.json"))
+    assert len(files) == 2
+    for f in files:
         assert f.read_bytes() == (parallel / f.name).read_bytes()
 
 

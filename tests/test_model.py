@@ -1,5 +1,7 @@
 """Reference model: forward oracle, VJP fidelity, tokenizer, adapter registry."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,11 +162,11 @@ def test_reference_vocab_shape_and_specials(model):
 
 
 def test_extra_tokens_extend_vocabulary():
-    m = make_reference_model(0, extra_tokens=("zork",))
+    m = make_reference_model(0, vocab=REFERENCE_VOCAB + ("zork",))
     assert m.vocab_size == len(REFERENCE_VOCAB) + 1
     assert m.tokenize("zork") == [m.vocab_size - 1]
     with pytest.raises(ConfigurationError):
-        make_reference_model(0, extra_tokens=("the",))
+        make_reference_model(0, vocab=REFERENCE_VOCAB + ("the",))
 
 
 def test_dim_head_divisibility_guard():
@@ -177,13 +179,33 @@ def test_duplicate_vocab_rejected():
         make_reference_model(0, vocab=("<pad>", "<unk>", "a", "a"))
 
 
+@pytest.mark.parametrize("token", ["The", "good bad", "don't", "...", "", "<PAD>"])
+def test_vocab_token_the_tokenizer_cannot_read_back_is_named(token):
+    """An entry that does not tokenize as itself, one token, could never be
+    produced, so ``tokenize(decode(ids)) == ids`` would fail for it."""
+    vocab = REFERENCE_VOCAB + (token, "zork", "Zork")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"tokenize as themselves: {[token, 'Zork']}")):
+        make_reference_model(0, vocab=vocab)
+
+
+@pytest.mark.parametrize("vocab, missing", [
+    (("<unk>", "the", "movie"), ["<pad>"]),
+    (("<pad>", "the", "movie"), ["<unk>"]),
+    (("the", "movie"), ["<pad>", "<unk>"]),
+])
+def test_vocab_without_a_special_token_is_named(vocab, missing):
+    with pytest.raises(ConfigurationError, match=re.escape(f"special tokens: {missing}")):
+        make_reference_model(0, vocab=vocab)
+
+
 def test_duplicate_tokens_are_named():
-    """One check refuses a repeated base token and an extra token already in
-    the vocabulary, naming each repeated token once."""
+    """One check refuses a repeated token, within a vocabulary or added to
+    one that holds it, naming each repeated token once."""
     with pytest.raises(ConfigurationError, match=r"duplicate tokens: \['a', 'b'\]$"):
         make_reference_model(0, vocab=("<pad>", "<unk>", "a", "b", "a", "b", "a"))
     with pytest.raises(ConfigurationError, match=r"duplicate tokens: \['the'\]$"):
-        make_reference_model(0, extra_tokens=("zork", "THE"))
+        make_reference_model(0, vocab=REFERENCE_VOCAB + ("zork", "the"))
 
 
 # -- tokenizer ---------------------------------------------------------------

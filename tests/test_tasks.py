@@ -5,6 +5,7 @@ import json
 import pytest
 
 from promptsearch.errors import DataError, TaskSpecError, UsageError
+from promptsearch.synthetic import synthetic_task
 from promptsearch.tasks import (
     Example,
     TaskSpec,
@@ -108,10 +109,16 @@ def test_colliding_label_words_rejected(model):
 # -- built-in tasks -----------------------------------------------------------------
 
 def test_builtin_tasks_all_validate_on_reference(model):
+    """Every word a built-in or the synthetic task renders (template,
+    domain string, domain words, label words) is a reference token."""
     tasks = builtin_tasks()
     assert [t.id for t in tasks] == ["sst2", "amazon", "agnews"]
-    for t in tasks:
+    for t in tasks + [synthetic_task()]:
         assert len(verbalizer_token_ids(t, model)) == len(t.labels)
+        texts = [t.template.replace("{x}", ""), t.domain_string, *t.domain_words,
+                 *t.verbalizer.values()]
+        words = " ".join(texts).split()
+        assert words and [w for w in words if model.unk_id in model.tokenize(w)] == []
 
 
 def builtin(name):

@@ -1,5 +1,6 @@
 """The repository's tooling: the code-line counter
-(``tools/count_code_lines.py``), the benchmark fingerprints
+(``tools/count_code_lines.py``), the unreached-statement lister
+(``tools/unreached.py``), the benchmark fingerprints
 (``tools/fingerprints.py``), the paired benchmark comparison
 (``tools/bench_pairs.py``, on stub checkouts only) and the pytest settings in
 ``pyproject.toml``."""
@@ -69,6 +70,30 @@ def test_prints_a_column_per_directory_and_the_change_from_the_first(tmp_path, c
     assert [line.split() for line in lines] == [
         ["a.py", "6", "7", "6", "+1", "+0"], ["b.py", "0", "1", "0", "+1", "+0"],
         ["gone.py", "2", "0", "2", "-2", "+0"], ["total", "8", "8", "8", "+0", "+0"]]
+
+
+def test_unreached_lists_what_one_test_file_does_not_reach(tmp_path):
+    """A test calling ``paired_ttest`` on good input reaches its arithmetic
+    but none of its raise sites."""
+    (tmp_path / "test_one.py").write_text(
+        "from promptsearch.analysis import paired_ttest\n\n\n"
+        "def test_one():\n"
+        "    assert paired_ttest([1.0, 2.0, 4.0], [1.0, 2.0, 3.0]) < 1\n")
+    run = subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "unreached.py"), "-p", "no:cacheprovider",
+         "test_one.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    source = (_ROOT / "src" / "promptsearch" / "analysis.py").read_text().splitlines()
+
+    def listed(text):
+        line = next(i for i, s in enumerate(source, 1) if s.strip() == text)
+        return f"src/promptsearch/analysis.py:{line}: {text}" in run.stdout.splitlines()
+
+    assert listed('raise UsageError("paired_ttest needs finite inputs")')
+    assert not listed("t_stat = mean / (sd / math.sqrt(n))")
+    assert "1 passed" in run.stdout
+    assert run.stdout.splitlines()[-1].endswith(" unreached statements")
+
 
 def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     """Warnings fail the suite, but Hypothesis's failure report must not."""
