@@ -11,6 +11,8 @@
 
 # In[1]:
 
+import sys
+
 import numpy as np
 
 from promptsearch.model import (
@@ -99,16 +101,18 @@ for j in top:
 # ## Gradients with respect to the input rows
 #
 # Prompt search needs d(loss)/d(input embeddings).  `backward_input`
-# implements the exact reverse pass; here we verify one coordinate against
-# a central finite difference.
+# implements the exact reverse pass from a gradient w.r.t. the hidden
+# states; a gradient w.r.t. the logits enters through the tied output layer,
+# times the embedding table.  Here we verify one coordinate against a central
+# finite difference, and stop with an error if they disagree.
 
 # In[7]:
 
 X = table.entries[full].astype(float).copy()
 fw = model.forward(X)
-d_logits = np.zeros_like(fw.logits)
-d_logits[-1, 7] = 1.0  # gradient of one particular logit
-g = model.backward_input(fw.cache, np.zeros_like(fw.hidden), d_logits)
+logit_grad = np.zeros_like(fw.logits)
+logit_grad[-1, 7] = 1.0  # gradient of one particular logit
+g = model.backward_input(fw.cache, logit_grad @ table.entries)
 
 eps = 1e-6
 Xp, Xm = X.copy(), X.copy()
@@ -116,6 +120,8 @@ Xp[1, 3] += eps
 Xm[1, 3] -= eps
 fd = (model.forward(Xp).logits[-1, 7] - model.forward(Xm).logits[-1, 7]) / (2 * eps)
 print(f"analytic {g[1, 3]:+.8f}  vs  finite difference {fd:+.8f}")
+if abs(g[1, 3] - fd) > 1e-6:
+    sys.exit("the analytic gradient does not match its finite difference")
 
 
 # ## Model specs

@@ -208,8 +208,6 @@ def generate_continuations(prompt_text: str, generator: Callable, k: int,
     callable ``(prompt_text, *, p, length, rng) -> str``; generator failures
     are surfaced with the draw count.
     """
-    if k == 0:
-        return []
     if rng is None:
         rng = np.random.default_rng(seed)
     results: list[str] = []
@@ -354,7 +352,7 @@ def diagnostics_report(chains: Sequence[ChainRecord], task: TaskSpec, model, *,
         except UsageError:  # under two tokens, as for the empty row
             ppl = None
         continuations = []
-        if generator is not None and continuations_per_prompt > 0 and prompt is not None:
+        if generator is not None and prompt is not None:
             continuations = generate_continuations(
                 text, generator, continuations_per_prompt, nucleus_p,
                 continuation_length, rng=rng)

@@ -254,52 +254,32 @@ class TinyCausalLM:
     give bitwise-identical outputs.  Instances are read-only after
     construction and safe to share across concurrent chains.
 
-    The defaults are the reference configuration, which
-    ``make_reference_model`` names.  The same seed and vocabulary always
-    yield identical weights.  The vocabulary's size is part of the draw, so
-    a vocabulary extended through ``vocab=`` (``REFERENCE_VOCAB + ("zork",)``)
-    gives other weights; pass the full token set up front when
-    reproducibility across runs matters.  Every entry must read back as
-    itself, one token, through :meth:`tokenize`, and ``<pad>`` and ``<unk>``
-    must be present, so that ``tokenize(decode(ids)) == ids`` holds for any
-    ids.
+    There is one configuration, the class constants below: ``REFERENCE_VOCAB``,
+    24 dimensions, 2 layers, 4 heads and 160 positions.  Only the weights
+    vary, drawn from the seed, and the same seed always yields identical
+    weights; ``make_reference_model`` names the class.  Every vocabulary
+    entry reads back as itself, one token, through :meth:`tokenize`, so
+    ``tokenize(decode(ids)) == ids`` holds for any ids.
     """
 
-    def __init__(self, seed: int, vocab: Sequence[str] = REFERENCE_VOCAB, dim: int = 24,
-                 n_layers: int = 2, n_heads: int = 4, max_len: int = 160):
-        if dim % n_heads != 0:
-            raise ConfigurationError(f"dim {dim} not divisible by n_heads {n_heads}")
-        vocab = tuple(vocab)
-        self._index = {t: i for i, t in enumerate(vocab)}
-        # a repeated token is indexed at its last place, so its earlier ones differ
-        repeated = list(dict.fromkeys(t for i, t in enumerate(vocab) if self._index[t] != i))
-        unread = [t for t in vocab if _WORD_RE.findall(t.lower()) != [t]]
-        missing = [t for t in ("<pad>", "<unk>") if t not in self._index]
-        for problem, tokens in (("contains duplicate tokens", repeated),
-                                ("has tokens that do not tokenize as themselves", unread),
-                                ("lacks special tokens", missing)):
-            if tokens:
-                raise ConfigurationError(f"vocabulary {problem}: {tokens}")
-        self.seed = seed
-        self.dim = dim
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.max_len = max_len
-        self.token_text = vocab
-        self.vocab_size = len(vocab)
-        self.pad_id = self._index["<pad>"]
-        self.unk_id = self._index["<unk>"]
-        self.special_token_ids = frozenset({self.pad_id, self.unk_id})
-        # stand-in for "most frequent non-special token"; the toy vocabulary
-        # has no corpus statistics, so the first non-special entry plays that role
-        self.neutral_token_id = min(set(range(self.vocab_size)) - self.special_token_ids)
+    dim, n_layers, n_heads, max_len = 24, 2, 4, 160
+    token_text = REFERENCE_VOCAB
+    vocab_size = len(REFERENCE_VOCAB)
+    _index = {t: i for i, t in enumerate(REFERENCE_VOCAB)}
+    pad_id, unk_id = _index["<pad>"], _index["<unk>"]
+    special_token_ids = frozenset({pad_id, unk_id})
+    # stand-in for "most frequent non-special token"; the toy vocabulary
+    # has no corpus statistics, so the first non-special entry plays that role
+    neutral_token_id = min(set(range(vocab_size)) - special_token_ids)
 
+    def __init__(self, seed: int):
+        self.seed = seed
         rng = np.random.default_rng(seed)
-        d, v = dim, self.vocab_size
+        d, v = self.dim, self.vocab_size
         self._E = rng.normal(0.0, 1.0 / np.sqrt(d), (v, d))
-        self._pos = rng.normal(0.0, 0.5 / np.sqrt(d), (max_len, d))
+        self._pos = rng.normal(0.0, 0.5 / np.sqrt(d), (self.max_len, d))
         self._layers = []
-        for _ in range(n_layers):
+        for _ in range(self.n_layers):
             self._layers.append({
                 "Wq": rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)),
                 "Wk": rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)),
@@ -308,7 +288,7 @@ class TinyCausalLM:
                 "W1": rng.normal(0.0, 1.0 / np.sqrt(d), (d, 4 * d)),
                 "W2": rng.normal(0.0, 1.0 / np.sqrt(4 * d), (4 * d, d)),
             })
-        self._table = EmbeddingTable(entries=self._E, token_text=vocab)
+        self._table = EmbeddingTable(entries=self._E, token_text=self.token_text)
 
     # -- text interface -------------------------------------------------
 
@@ -411,14 +391,15 @@ class TinyCausalLM:
                            cache={"layers": layer_caches, "lnf": lnf, "L": L,
                                   "start": start, "lead": lead})
 
-    def backward_input(self, cache: dict, d_hidden: np.ndarray | None = None,
-                       d_logits: np.ndarray | None = None,
+    def backward_input(self, cache: dict, d_hidden: np.ndarray, *,
                        d_past: np.ndarray | None = None):
-        """Vector-Jacobian product from output gradients back to the input rows.
+        """Vector-Jacobian product from a gradient w.r.t. ``hidden`` back to
+        the input rows.
 
-        Accepts a gradient w.r.t. ``hidden``, w.r.t. ``logits`` (folded
-        through the tied output layer), or both summed, at the shapes the
-        pass returned (``(G, 1, .)`` for a ``last_only`` stack).
+        ``d_hidden`` has exactly the shape of the pass's ``hidden``
+        (``(G, 1, d)`` for a ``last_only`` stack); any other shape is a
+        ``ConfigurationError``.  A gradient w.r.t. the logits enters it
+        through the tied output layer, times the embedding table ``E``.
 
         On the cache of a full pass it returns the gradient w.r.t. the input
         rows.  ``d_past`` then adds gradients w.r.t. the pass's own attention
@@ -453,14 +434,13 @@ class TinyCausalLM:
 
         # a layer's queries per body: n, or 1 for the top layer of a last_only pass
         queries = [lc["q"].shape[-2] for lc in cache["layers"]]
-        # the caller's gradients are added at their own shapes, so a wrong one fails
-        dh_total = np.zeros((*lead, queries[-1], self.dim))
-        if d_hidden is not None:
-            dh_total += d_hidden
-        if d_logits is not None:
-            *at, V = d_logits.shape
-            dh_total += (d_logits.reshape(-1, V) @ self._E).reshape(*at, self.dim)
-        dx = _layernorm_backward(dh_total.reshape(-1, self.dim), cache["lnf"])
+        d_hidden = np.ascontiguousarray(d_hidden, dtype=np.float64)
+        if d_hidden.shape != (*lead, queries[-1], self.dim):
+            raise ConfigurationError(
+                f"d_hidden has shape {d_hidden.shape}, the pass returned hidden "
+                f"states of shape {(*lead, queries[-1], self.dim)}"
+            )
+        dx = _layernorm_backward(d_hidden.reshape(-1, self.dim), cache["lnf"])
 
         d_past_in = d_past if d_past is not None else [None] * self.n_layers
         d_past_out = []
@@ -501,7 +481,7 @@ def _spread(last, n):
     return out
 
 
-# the deterministic tiny reference model, built with the reference defaults
+# the reference model under its documented name: ``make_reference_model(seed)``
 make_reference_model = TinyCausalLM
 
 

@@ -70,7 +70,7 @@ class FixedHeadModel:
         return ForwardPass(hidden=np.zeros((L, self.dim)), logits=logits,
                            cache={"L": L})
 
-    def backward_input(self, cache, d_hidden=None, d_logits=None):
+    def backward_input(self, cache, d_hidden):
         return np.zeros((cache["L"], self.dim))
 
 
@@ -97,10 +97,9 @@ class CountingModel:
             raise ModelFault("model produced non-finite logits")
         return self._inner.forward(X)
 
-    def backward_input(self, cache, d_hidden=None, d_logits=None):
+    def backward_input(self, cache, d_hidden):
         self.backwards += 1
-        return self._inner.backward_input(cache, d_hidden=d_hidden,
-                                          d_logits=d_logits)
+        return self._inner.backward_input(cache, d_hidden)
 
 
 @pytest.fixture

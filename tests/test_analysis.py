@@ -197,7 +197,8 @@ def test_generator_empty_prompt_rejected(model):
 
 def test_generator_sliding_window_near_max_len():
     from promptsearch.model import make_reference_model
-    small = make_reference_model(0, max_len=12)
+    small = make_reference_model(0)
+    small.max_len = 12
     gen = LocalContinuationGenerator(small)
     out = gen("the movie was great and the plot was not", p=0.95, length=8,
               rng=np.random.default_rng(1))

@@ -1,12 +1,17 @@
-"""The demos import only names the package still defines."""
+"""The demos import only names the package still defines, and demo 01's
+gradient check passes."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+_ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -25,3 +30,14 @@ def test_every_imported_promptsearch_name_exists(path):
             for alias in node.names:
                 if alias.name.startswith("promptsearch"):
                     importlib.import_module(alias.name)
+
+
+def test_reference_model_demo_exits_0(tmp_path):
+    """Demo 01 exits non-zero when its analytic gradient and its finite
+    difference disagree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(_ROOT / "demos" / "01_reference_model.py")],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "finite difference" in run.stdout

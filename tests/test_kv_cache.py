@@ -14,7 +14,6 @@ from promptsearch.analysis import LocalContinuationGenerator
 from promptsearch.errors import ConfigurationError
 from promptsearch.metrics import accuracy
 from promptsearch.model import (
-    REFERENCE_VOCAB,
     SoftPrompt,
     TinyCausalLM,
     _input_matrix,
@@ -55,7 +54,8 @@ def test_chained_cached_forward_matches_full_and_oracle(model, cuts):
 
 
 def test_cached_forward_respects_max_len():
-    small = make_reference_model(0, max_len=8)
+    small = make_reference_model(0)
+    small.max_len = 8
     X = np.random.default_rng(0).normal(size=(9, small.dim))
     fw = small.forward(X[:6])
     small.forward(X[6:8], past=fw.cache)  # exactly max_len positions
@@ -84,7 +84,8 @@ def test_cached_generation_matches_full_passes(max_len, length, seed):
     """``CountingModel`` overrides ``forward(self, X)``, so it re-runs every
     context in full; the bare model extends its cache.  With ``max_len=12``
     the window slides after a few tokens."""
-    lm = make_reference_model(0, max_len=max_len)
+    lm = make_reference_model(0)
+    lm.max_len = max_len
     text = "the movie was great and the plot"
     cached, cached_trace = _generate(lm, text, length, seed)
     full, full_trace = _generate(CountingModel(lm), text, length, seed)
@@ -120,7 +121,8 @@ def test_generation_extends_one_row_per_token_through_wrapped_forward(row_log):
 
 
 def test_generation_slides_window_with_full_passes(row_log):
-    small = make_reference_model(0, max_len=8)
+    small = make_reference_model(0)
+    small.max_len = 8
     LocalContinuationGenerator(small)("the movie was great", p=0.9, length=8,
                                       rng=np.random.default_rng(0))
     # contexts 4..7 grow by one row; from then on every step slides the window
@@ -205,8 +207,7 @@ class _LoggedLM(TinyCausalLM):
     full passes, and logs how many rows each runs."""
 
     def __init__(self):
-        super().__init__(seed=0, vocab=REFERENCE_VOCAB, dim=24, n_layers=2,
-                         n_heads=4, max_len=160)
+        super().__init__(seed=0)
         self.rows = []
 
     def forward(self, X):

@@ -10,6 +10,7 @@ from oracles import fd_grad, max_rel_err
 from promptsearch import energies
 from promptsearch.analysis import LocalContinuationGenerator
 from promptsearch.energies import EnergyConfig, energy_and_grad
+from promptsearch.errors import ConfigurationError
 from promptsearch.model import (
     SoftPrompt,
     TinyCausalLM,
@@ -89,13 +90,13 @@ def test_last_only_backward_matches_the_full_cache(model, stack, n):
     w_hidden = rng.normal(size=(stack, 1, model.dim))
     w_logits = rng.normal(size=(stack, 1, model.vocab_size))
     w_head = rng.normal(size=(4, model.dim))
+    # a gradient w.r.t. the logits enters through the tied output layer
+    w_last = w_hidden + w_logits @ model.embedding_table().entries
     head = model.forward(prompt)
     full = model.forward(bodies, past=head.cache)
     last = model.forward(bodies, past=head.cache, last_only=True)
-    d_rows, d_past = model.backward_input(last.cache, d_hidden=w_hidden,
-                                          d_logits=w_logits)
-    want_rows, want_past = model.backward_input(full.cache, d_hidden=_padded(w_hidden, n),
-                                                d_logits=_padded(w_logits, n))
+    d_rows, d_past = model.backward_input(last.cache, d_hidden=w_last)
+    want_rows, want_past = model.backward_input(full.cache, d_hidden=_padded(w_last, n))
     assert d_rows.shape == bodies.shape
     assert _rel(d_rows, want_rows) < 1e-12
     for (dk, dv), (want_k, want_v) in zip(d_past, want_past):
@@ -116,7 +117,7 @@ def test_last_only_backward_matches_the_full_cache(model, stack, n):
 def test_last_only_backward_refuses_gradients_at_the_full_shape(model):
     bodies = np.random.default_rng(2).normal(size=(2, 3, model.dim))
     last = model.forward(bodies, last_only=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"shape \(2, 3, 24\)"):
         model.backward_input(last.cache, d_hidden=np.ones((2, 3, model.dim)))
 
 

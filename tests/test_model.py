@@ -15,6 +15,7 @@ from promptsearch.model import (
     EmbeddingTable,
     LabelDistribution,
     SoftPrompt,
+    TinyCausalLM,
     as_soft_prompt,
     label_word_distribution,
     load_adapter,
@@ -108,29 +109,32 @@ def test_backward_hidden_vjp_matches_fd(model):
     assert max_rel_err(analytic, fd_grad(scalar, X)) < 1e-5
 
 
-def test_backward_logits_vjp_matches_fd(model):
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(4, model.dim))
-    W = rng.normal(size=(4, model.vocab_size))
+@pytest.mark.parametrize("rows, shape", [
+    ((5,), (24,)), ((5,), (1, 24)), ((3, 4), (4, 24)),
+    ((5,), (4, 24)), ((5,), (5, 23)), ((5,), (1, 5, 24)), ((3, 4), (2, 4, 24)),
+], ids=["row", "one-row", "stack-without-member-axis", "too-few-rows", "wrong-width",
+        "extra-leading-axis", "wrong-member-count"])
+def test_backward_refuses_a_gradient_not_at_the_shape_of_hidden(model, rows, shape):
+    fw = model.forward(np.ones((*rows, model.dim)))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"d_hidden has shape {shape}, the pass returned hidden states of "
+            f"shape {fw.hidden.shape}")):
+        model.backward_input(fw.cache, np.ones(shape))
 
-    def scalar(x):
-        return float(np.sum(W * model.forward(x).logits))
 
+def test_backward_reads_a_gradient_of_another_dtype_as_float64(model):
+    X = np.random.default_rng(10).normal(size=(4, model.dim))
     fw = model.forward(X)
-    analytic = model.backward_input(fw.cache, d_logits=W)
-    assert max_rel_err(analytic, fd_grad(scalar, X)) < 1e-5
+    W = np.arange(fw.hidden.size).reshape(fw.hidden.shape) % 5 - 2
+    want = model.backward_input(fw.cache, W.astype(np.float64))
+    for g in (W, W.astype(np.float32), W.tolist()):
+        assert np.array_equal(model.backward_input(fw.cache, g), want)
 
 
-def test_backward_combined_vjp_is_sum(model):
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(3, model.dim))
-    Wh = rng.normal(size=(3, model.dim))
-    Wl = rng.normal(size=(3, model.vocab_size))
-    fw = model.forward(X)
-    combined = model.backward_input(fw.cache, d_hidden=Wh, d_logits=Wl)
-    separate = (model.backward_input(fw.cache, d_hidden=Wh)
-                + model.backward_input(fw.cache, d_logits=Wl))
-    np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-14)
+def test_backward_takes_d_past_by_keyword_only(model):
+    fw = model.forward(np.ones((3, model.dim)))
+    with pytest.raises(TypeError):
+        model.backward_input(fw.cache, np.ones_like(fw.hidden), None)
 
 
 # -- determinism and construction -------------------------------------------
@@ -150,6 +154,40 @@ def test_different_seed_different_weights():
                               b.embedding_table().entries)
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("vocab", REFERENCE_VOCAB), ("dim", 24), ("n_layers", 2), ("n_heads", 4), ("max_len", 160),
+])
+def test_constructor_takes_the_seed_only(knob, value):
+    with pytest.raises(TypeError):
+        TinyCausalLM(0, **{knob: value})
+
+
+def test_make_reference_model_names_the_class():
+    assert make_reference_model is TinyCausalLM
+    m = make_reference_model(seed=3)
+    assert m.seed == 3
+    assert np.array_equal(m.embedding_table().entries,
+                          TinyCausalLM(3).embedding_table().entries)
+
+
+def test_reference_configuration_is_readable_on_class_and_instance(model):
+    for owner in (TinyCausalLM, model):
+        assert (owner.dim, owner.n_layers, owner.n_heads, owner.max_len) == (24, 2, 4, 160)
+        assert owner.token_text == REFERENCE_VOCAB
+        assert owner.vocab_size == len(REFERENCE_VOCAB)
+    assert model.embedding_table().entries.shape == (len(REFERENCE_VOCAB), 24)
+
+
+def test_max_len_set_on_one_instance_leaves_the_others_alone():
+    """Tests shrink the window of one instance; another keeps 160 positions."""
+    small, other = make_reference_model(0), make_reference_model(0)
+    small.max_len = 8
+    with pytest.raises(ConfigurationError, match=r"outside \[1, 8\]"):
+        small.forward(np.ones((9, small.dim)))
+    assert TinyCausalLM.max_len == other.max_len == 160
+    assert other.forward(np.ones((9, other.dim))).hidden.shape == (9, other.dim)
+
+
 def test_reference_vocab_shape_and_specials(model):
     assert model.vocab_size == len(REFERENCE_VOCAB)
     assert model.token_text[model.pad_id] == "<pad>"
@@ -161,51 +199,11 @@ def test_reference_vocab_shape_and_specials(model):
     )
 
 
-def test_extra_tokens_extend_vocabulary():
-    m = make_reference_model(0, vocab=REFERENCE_VOCAB + ("zork",))
-    assert m.vocab_size == len(REFERENCE_VOCAB) + 1
-    assert m.tokenize("zork") == [m.vocab_size - 1]
-    with pytest.raises(ConfigurationError):
-        make_reference_model(0, vocab=REFERENCE_VOCAB + ("the",))
-
-
-def test_dim_head_divisibility_guard():
-    with pytest.raises(ConfigurationError):
-        make_reference_model(0, dim=25, n_heads=4)
-
-
-def test_duplicate_vocab_rejected():
-    with pytest.raises(ConfigurationError):
-        make_reference_model(0, vocab=("<pad>", "<unk>", "a", "a"))
-
-
-@pytest.mark.parametrize("token", ["The", "good bad", "don't", "...", "", "<PAD>"])
-def test_vocab_token_the_tokenizer_cannot_read_back_is_named(token):
-    """An entry that does not tokenize as itself, one token, could never be
-    produced, so ``tokenize(decode(ids)) == ids`` would fail for it."""
-    vocab = REFERENCE_VOCAB + (token, "zork", "Zork")
-    with pytest.raises(ConfigurationError,
-                       match=re.escape(f"tokenize as themselves: {[token, 'Zork']}")):
-        make_reference_model(0, vocab=vocab)
-
-
-@pytest.mark.parametrize("vocab, missing", [
-    (("<unk>", "the", "movie"), ["<pad>"]),
-    (("<pad>", "the", "movie"), ["<unk>"]),
-    (("the", "movie"), ["<pad>", "<unk>"]),
-])
-def test_vocab_without_a_special_token_is_named(vocab, missing):
-    with pytest.raises(ConfigurationError, match=re.escape(f"special tokens: {missing}")):
-        make_reference_model(0, vocab=vocab)
-
-
-def test_duplicate_tokens_are_named():
-    """One check refuses a repeated token, within a vocabulary or added to
-    one that holds it, naming each repeated token once."""
-    with pytest.raises(ConfigurationError, match=r"duplicate tokens: \['a', 'b'\]$"):
-        make_reference_model(0, vocab=("<pad>", "<unk>", "a", "b", "a", "b", "a"))
-    with pytest.raises(ConfigurationError, match=r"duplicate tokens: \['the'\]$"):
-        make_reference_model(0, vocab=REFERENCE_VOCAB + ("zork", "the"))
+def test_every_vocabulary_entry_reads_back_as_its_own_single_token(model):
+    """Holds only for a vocabulary with no entry twice, each entry one token
+    that tokenizes as itself, and ``<pad>`` and ``<unk>`` present."""
+    assert [model.tokenize(t) for t in REFERENCE_VOCAB] == [
+        [i] for i in range(len(REFERENCE_VOCAB))]
 
 
 # -- tokenizer ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The repository's tooling: the code-line counter
-(``tools/count_code_lines.py``), the unreached-statement lister
-(``tools/unreached.py``), the benchmark fingerprints
+(``tools/count_code_lines.py``), the unreached-statement listers
+(``tools/unreached.py`` over tests, ``tools/bench_traffic.py`` over the
+benchmark's workloads), the benchmark fingerprints
 (``tools/fingerprints.py``), the paired benchmark comparison
 (``tools/bench_pairs.py``, on stub checkouts only) and the pytest settings in
 ``pyproject.toml``."""
@@ -115,6 +116,22 @@ def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
 TINY = dict(train=8, val=8, steps=3, batch=4, prompt_len=3, score_examples=6,
             score_min_words=2, score_max_words=5, setup_chains=2, setup_steps=2,
             continuations=1, continuation_length=3)
+
+
+def test_bench_traffic_lists_what_no_workload_reaches(capsys):
+    """Every workload's round runs the model's forward pass, and none makes
+    it produce non-finite logits."""
+    assert _tool("bench_traffic").main([], sizes=TINY) == 0
+    *listed, total = capsys.readouterr().out.splitlines()
+    source = (_ROOT / "src" / "promptsearch" / "model.py").read_text().splitlines()
+
+    def line_of(text):
+        line = next(i for i, s in enumerate(source, 1) if s.strip() == text)
+        return f"src/promptsearch/model.py:{line}: {text}"
+
+    assert line_of('raise ModelFault("model produced non-finite logits")') in listed
+    assert line_of("logits = mm(hidden, self._E.T)") not in listed
+    assert total == f"{len(listed)} unreached statements"
 
 
 def test_fingerprints_repeat_with_one_line_per_workload_and_seed(capsys):

@@ -77,15 +77,10 @@ def function_statements(source: str) -> list[tuple[int, range]]:
     return sorted(out, key=lambda item: item[0])
 
 
-def main(argv: list[str]) -> int:
-    src = str(_ROOT / "src")
-    sys.path.insert(0, src)
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
-    import promptsearch
-    import pytest
-
-    package = Path(promptsearch.__file__).parent
+def run_traced(package: Path, call):
+    """``call()``'s result and the ``(file, line)`` pairs of ``package``'s
+    files that ran while it ran.  The tracer in place before, if any (an
+    outer run of this one), is put back afterwards."""
     prefix = os.path.join(package, "")
     ran: set[tuple[str, int]] = set()
 
@@ -97,12 +92,17 @@ def main(argv: list[str]) -> int:
     def trace_calls(frame, event, arg):
         return trace_lines if frame.f_code.co_filename.startswith(prefix) else None
 
+    outer = sys.gettrace()
     sys.settrace(trace_calls)
     try:
-        code = pytest.main(argv or [str(_ROOT / "tests")])
+        return call(), ran
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
 
+
+def print_unreached(package: Path, ran: set[tuple[str, int]]) -> int:
+    """Print each function statement of ``package`` that no line of ``ran``
+    reaches, then their number; return that number."""
     count = 0
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -112,6 +112,20 @@ def main(argv: list[str]) -> int:
                 count += 1
                 print(f"{path.relative_to(_ROOT)}:{first}: {source_lines[first - 1].strip()}")
     print(f"{count} unreached statements")
+    return count
+
+
+def main(argv: list[str]) -> int:
+    src = str(_ROOT / "src")
+    sys.path.insert(0, src)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    import promptsearch
+    import pytest
+
+    package = Path(promptsearch.__file__).parent
+    code, ran = run_traced(package, lambda: pytest.main(argv or [str(_ROOT / "tests")]))
+    count = print_unreached(package, ran)
     return int(code) or (1 if count else 0)
 
 
