@@ -147,16 +147,25 @@ def domain_word_frequency(prompt_text: str, continuations: Sequence[str],
 class LocalContinuationGenerator:
     """Nucleus sampling from a local adapter; records per-step distributions.
 
-    For each step the full pre-filter next-token distribution and the chosen
-    token id are appended to a trace (one trace per call, in ``self.traces``)
-    so tests can replay the nucleus filter.  The kept set is the smallest
-    prefix of the probability-sorted vocabulary (stable sort, ties toward
-    lower ids) whose mass reaches ``p``, renormalized before drawing.
+    A call samples ``k >= 1`` continuations of one prompt.  For each step the
+    full pre-filter next-token distribution and the chosen token id are
+    appended to a trace (one trace per continuation, in order, in
+    ``self.traces``) so tests can replay the nucleus filter.  The kept set
+    is the smallest prefix of the probability-sorted vocabulary (stable
+    sort, ties toward lower ids) whose mass reaches ``p``, renormalized
+    before drawing.
 
-    The context is run once, then extended one token per step through the
-    adapter's ``past`` cache when it has one.  Once the context fills
-    ``max_len`` the window slides, which moves every position, so each such
-    step runs the truncated window in full.
+    The call first draws ``(k, length)`` uniforms, and continuation ``j``
+    reads row ``j``: it gets the text ``k`` draws of one continuation each
+    give from the same stream.  Its token ``t`` is the kept token whose
+    cumulative mass first exceeds ``uniforms[j, t]``, the token
+    ``Generator.choice`` picks with that uniform.
+
+    The ``k`` contexts run as one stack: one pass, then one one-row
+    extension per token through the adapter's ``past`` cache when it has
+    one; an adapter without one gets a full pass per context per token.
+    Once the contexts fill ``max_len`` the window slides, which moves every
+    position, so each such step runs the truncated windows in full.
     """
 
     def __init__(self, model, record_trace: bool = True):
@@ -164,37 +173,40 @@ class LocalContinuationGenerator:
         self.record_trace = record_trace
         self.traces: list[list[tuple[np.ndarray, int]]] = []
 
-    def __call__(self, prompt_text: str, *, p: float, length: int,
-                 rng: np.random.Generator) -> str:
+    def __call__(self, prompt_text: str, k: int, *, p: float, length: int,
+                 rng: np.random.Generator) -> list[str]:
+        if k < 1:
+            raise UsageError(f"continuation count must be >= 1, got {k}")
         ids = self.model.tokenize(prompt_text)
         if not ids:
             raise UsageError("continuation prompt tokenizes to nothing")
+        uniforms = rng.random((k, length))
         table = self.model.embedding_table()
-        context = list(ids)
-        generated: list[int] = []
-        trace: list[tuple[np.ndarray, int]] = []
-        fw = None
-        for _ in range(length):
-            if len(context) >= self.model.max_len:
-                context = context[-(self.model.max_len - 1):]
-                fw = None
-            fw = _read_pass(self.model, table.entries[context], fw)
-            row = fw.logits[-1]
-            probs = np.exp(row - row.max())
-            probs /= probs.sum()
-            order = np.argsort(-probs, kind="stable")
-            csum = np.cumsum(probs[order])
-            cutoff = min(int(np.searchsorted(csum, p)) + 1, probs.size)
-            keep = order[:cutoff]
-            kept = probs[keep] / probs[keep].sum()
-            choice = int(rng.choice(keep, p=kept))
-            if self.record_trace:
-                trace.append((probs, choice))
-            context.append(choice)
-            generated.append(choice)
+        contexts = np.array([ids] * k)
+        generated = np.empty((k, length), dtype=np.intp)
+        traces: list[list[tuple[np.ndarray, int]]] = [[] for _ in range(k)]
+        cache = None
+        for t in range(length):
+            if contexts.shape[1] >= self.model.max_len:
+                contexts, cache = contexts[:, -(self.model.max_len - 1):], None
+            cache, logits = _read_pass(self.model, table.entries[contexts], cache)
+            for j, row in enumerate(logits):
+                probs = np.exp(row - row.max())
+                probs /= probs.sum()
+                order = np.argsort(-probs, kind="stable")
+                csum = np.cumsum(probs[order])
+                cutoff = min(int(np.searchsorted(csum, p)) + 1, probs.size)
+                keep = order[:cutoff]
+                cdf = (probs[keep] / probs[keep].sum()).cumsum()
+                cdf /= cdf[-1]
+                choice = int(keep[cdf.searchsorted(uniforms[j, t], side="right")])
+                if self.record_trace:
+                    traces[j].append((probs, choice))
+                generated[j, t] = choice
+            contexts = np.concatenate([contexts, generated[:, t:t + 1]], axis=1)
         if self.record_trace:
-            self.traces.append(trace)
-        return self.model.decode(generated)
+            self.traces.extend(traces)
+        return [self.model.decode(row.tolist()) for row in generated]
 
 
 def generate_continuations(prompt_text: str, generator: Callable, k: int,
@@ -203,10 +215,12 @@ def generate_continuations(prompt_text: str, generator: Callable, k: int,
                            max_retries: int = 20) -> list[str]:
     """Sample ``k`` continuations of the prompt, preferring distinct ones.
 
-    Duplicates trigger resampling up to ``max_retries`` total retries, after
-    which duplicates are accepted with a warning.  ``generator`` is any
-    callable ``(prompt_text, *, p, length, rng) -> str``; generator failures
-    are surfaced with the draw count.
+    ``generator`` is any callable ``(prompt_text, k, *, p, length, rng) ->
+    list[str]`` returning ``k`` texts.  Each round asks it for the missing
+    count and takes the texts in order.  A duplicate is dropped and counts
+    as a retry, up to ``max_retries`` in total; after that duplicates are
+    accepted with a warning.  A generator failure, or a return other than a
+    list of the count asked for, is a ``ModelFault`` naming the draw.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -214,21 +228,23 @@ def generate_continuations(prompt_text: str, generator: Callable, k: int,
     retries = 0
     draws = 0
     while len(results) < k:
-        draws += 1
+        want = k - len(results)
         try:
-            text = generator(prompt_text, p=p, length=length, rng=rng)
+            texts = generator(prompt_text, want, p=p, length=length, rng=rng)
         except Exception as exc:
-            raise ModelFault(
-                f"continuation generator failed on draw {draws}: {exc}"
-            ) from exc
-        if text in results and retries < max_retries:
-            retries += 1
-            continue
-        if text in results:
-            logger.warning(
-                "accepting duplicate continuation after %d retries", retries
-            )
-        results.append(text)
+            raise ModelFault(f"continuation generator failed on draw {draws + 1}: {exc}") from exc
+        if not isinstance(texts, list) or len(texts) != want:
+            got = f"{len(texts)} texts" if isinstance(texts, list) else type(texts).__name__
+            raise ModelFault(f"continuation generator returned {got} on draw {draws + 1}, "
+                             f"expected a list of {want}")
+        for text in texts:
+            draws += 1
+            if text in results and retries < max_retries:
+                retries += 1
+                continue
+            if text in results:
+                logger.warning("accepting duplicate continuation after %d retries", retries)
+            results.append(text)
     return results
 
 

@@ -200,27 +200,21 @@ def _layernorm_backward(dy, cache):
 # Every pass, a stack included, runs its residual stream as one row per
 # position, ``(rows, d)``: the inputs plus positions, both layer norms, every
 # dense product, GELU, the final norm and the logits.  Only attention reshapes,
-# to ``(*lead, n, H, dh)``.  Every row of a full pass or of a stack gets
-# bitwise the states the same position gets in any longer full pass, so a
-# stack of bodies can stand in for per-example passes.  numpy sends a product
-# whose left operand has one row to BLAS's matrix-vector routine, which rounds
-# differently from the same row inside a matrix product, so such a product runs
-# on two copies of the row (``_exact_matmul``); and the transposed copy of a
-# one-query softmax ends in a unit axis, which numpy would sum pairwise, so
-# that normalizer is a running sum.  One rule picks both: a pass is exact when
-# it is a stack or has no ``past``, and every product of an exact pass is an
-# ``_exact_matmul``.  A layer that runs one query per body (an ``n == 1`` pass,
-# or the top layer of a ``last_only`` pass, which runs each body's last row
-# only) builds no causal mask, since that query sees every key, and an exact
-# one sums its softmax with the running sum.  So the last row of a
-# ``last_only`` pass has the bits of the same row of a full pass.  2-D
-# extensions, the per-token read path, are not exact and may differ in the last
-# bits; their products stay plain ``@``.  The backward of a stacked extension
-# returns its key and value gradients as one array with the stack as its member
-# axis (the third), and a full pass sums a ``d_past`` over that axis: numpy adds
-# the slices of a contiguous array's member axis one after another, whether the
-# axis leads or not, so per-member gradients held apart and stacked again later
-# sum to the same bits.
+# to ``(*lead, n, H, dh)``.  Every row of a pass, whether full, stacked or
+# extending a ``past``, gets bitwise the states the same position gets in any
+# longer full pass, so a stack of bodies can stand in for per-example passes.
+# numpy sends a product whose left operand has one row to BLAS's
+# matrix-vector routine, which rounds differently from the same row inside a
+# matrix product, so every product of a pass runs on two copies of such a row
+# (``_exact_matmul``).  A layer that runs one query per body (an ``n == 1``
+# pass, or the top layer of a ``last_only`` pass, which runs each body's last
+# row only) builds no causal mask, since that query sees every key.  So the
+# last row of a ``last_only`` pass has the bits of the same row of a full pass.
+# The backward of an extension returns its key and value gradients as one array
+# with the stack as its member axis (the third), and a full pass sums a
+# ``d_past`` over that axis: numpy adds the slices of a contiguous array's
+# member axis one after another, whether the axis leads or not, so per-member
+# gradients held apart and stacked again later sum to the same bits.
 
 def _exact_matmul(a, b):
     """``a @ b``, with a one-row left operand run on two copies of its row."""
@@ -229,19 +223,14 @@ def _exact_matmul(a, b):
     return a @ b
 
 
-def _softmax_rows(scores, running_sum):
+def _softmax_rows(scores):
     # rows may contain -inf from the causal mask; every row keeps >= 1 finite entry.
-    # The normalizer is summed key by key in order (over a transposed copy), so
-    # the masked zeros after a query never regroup the sum: a causal prefix gets
-    # bitwise the same states whatever follows it, which lets energies read the
-    # prompt segment of any example's pass as the prompt's own pass.
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    if running_sum:
-        total = np.cumsum(e, axis=-1)[..., -1]
-    else:
-        total = np.ascontiguousarray(np.swapaxes(e, -1, -2)).sum(axis=-2)
-    return e / total[..., None]
+    # The normalizer is a running sum, key by key in order, so the masked zeros
+    # after a query never regroup the sum: a causal prefix gets bitwise the same
+    # states whatever follows it, which lets energies read the prompt segment of
+    # any example's pass as the prompt's own pass.
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
 class TinyCausalLM:
@@ -312,17 +301,18 @@ class TinyCausalLM:
         ``X`` has one row per position; prompt rows may be arbitrary soft
         vectors while body rows are usually copies of embedding-table rows.
 
-        ``past`` is the ``cache`` of an earlier 2-D pass over the positions
-        that precede ``X``.  Only the rows of ``X`` are then run: they sit at
+        ``past`` is the ``cache`` of an earlier pass over the positions that
+        precede ``X``.  Only the rows of ``X`` are then run: they sit at
         positions ``past["L"]`` onwards and attend over the cached keys and
         values.  The result holds hidden states and logits for those rows
-        only, and a cache covering every position, so 2-D passes chain.
+        only, and a cache covering every position, so passes chain.
 
         ``X`` may also be a stack ``(G, n, d)`` of ``G`` equal-length
-        bodies, each run as its own pass, or each extending the same pass
-        when ``past`` is given; hidden states and logits are then
-        ``(G, n, d)`` and ``(G, n, V)``.  Cached keys and values are
-        broadcast over a stack only, so a 2-D extension copies none of them.
+        bodies, each run as its own pass; hidden states and logits are then
+        ``(G, n, d)`` and ``(G, n, V)``.  With ``past``, every body extends
+        the same 2-D pass, or, when ``past`` is the cache of a stack of the
+        same ``G`` members, each body extends its own member.  Any other
+        ``past`` is a ``ConfigurationError``.
 
         With ``last_only``, the top layer runs each body's last row only past
         its keys and values: hidden states and logits are ``(G, 1, .)``, or
@@ -336,6 +326,11 @@ class TinyCausalLM:
                 f"input must be L x {self.dim} or G x n x {self.dim}, got shape {X.shape}"
             )
         lead, n = X.shape[:-2], X.shape[-2]
+        if past is not None and past["lead"] not in ((), lead):
+            raise ConfigurationError(
+                f"past is the cache of a stack of {past['lead'][0]}; it extends "
+                f"a stack of the same members, not input of shape {X.shape}"
+            )
         start = 0 if past is None else past["L"]
         L = start + n
         if n < 1 or L > self.max_len:
@@ -350,40 +345,36 @@ class TinyCausalLM:
         top = self._layers[-1] if last_only and n > 1 else None
 
         x = (X + self._pos[start:L]).reshape(-1, self.dim)
-        exact = bool(lead) or past is None
-        mm = _exact_matmul if exact else np.matmul
         layer_caches = []
         for lw, pc in zip(self._layers, past_layers):
             a, ln1 = _layernorm_forward(x)
-            k = mm(a, lw["Wk"]).reshape(per_head).swapaxes(-2, -3)
-            v = mm(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
+            k = _exact_matmul(a, lw["Wk"]).reshape(per_head).swapaxes(-2, -3)
+            v = _exact_matmul(a, lw["Wv"]).reshape(per_head).swapaxes(-2, -3)
             if pc is not None:
-                pk, pv = pc["k"], pc["v"]
-                if lead:
-                    pk = np.broadcast_to(pk, (*lead, *pk.shape))
-                    pv = np.broadcast_to(pv, (*lead, *pv.shape))
+                pk = np.broadcast_to(pc["k"], (*lead, *pc["k"].shape[-3:]))
+                pv = np.broadcast_to(pc["v"], (*lead, *pc["v"].shape[-3:]))
                 k = np.concatenate([pk, k], axis=-2)
                 v = np.concatenate([pv, v], axis=-2)
             queries = n
             if lw is top:  # one query per body: each body's last row
                 x, a, queries = x[n - 1::n], a[n - 1::n], 1
-            q = mm(a, lw["Wq"]).reshape(*lead, queries, H, dh).swapaxes(-2, -3)
-            scores = mm(q, k.swapaxes(-1, -2)) * scale
+            q = _exact_matmul(a, lw["Wq"]).reshape(*lead, queries, H, dh).swapaxes(-2, -3)
+            scores = _exact_matmul(q, k.swapaxes(-1, -2)) * scale
             if queries > 1:
                 scores += mask
-            A = _softmax_rows(scores, exact and queries == 1)
-            o = mm(A, v).swapaxes(-2, -3).reshape(-1, self.dim)
-            x = x + mm(o, lw["Wo"])
+            A = _softmax_rows(scores)
+            o = _exact_matmul(A, v).swapaxes(-2, -3).reshape(-1, self.dim)
+            x = x + _exact_matmul(o, lw["Wo"])
 
             f, ln2 = _layernorm_forward(x)
-            z1 = mm(f, lw["W1"])
+            z1 = _exact_matmul(f, lw["W1"])
             gate = 0.5 * (1.0 + erf(z1 * _GELU_C))
-            x = x + mm(z1 * gate, lw["W2"])
+            x = x + _exact_matmul(z1 * gate, lw["W2"])
             layer_caches.append({"ln1": ln1, "ln2": ln2, "q": q, "k": k, "v": v,
                                  "A": A, "z1": z1, "gate": gate})
 
         hidden, lnf = _layernorm_forward(x)
-        logits = mm(hidden, self._E.T)
+        logits = _exact_matmul(hidden, self._E.T)
         if not np.all(np.isfinite(logits)):
             raise ModelFault("model produced non-finite logits")
         return ForwardPass(hidden=hidden.reshape(*lead, -1, self.dim),
@@ -405,26 +396,24 @@ class TinyCausalLM:
         rows.  ``d_past`` then adds gradients w.r.t. the pass's own attention
         keys and values, one array ``(n_layers, 2, K, H, L, dh)``: per layer
         the key and the value gradients of ``K`` members, summed over the
-        member axis one after another, in order.  A stacked extension of
-        this pass returns such a ``d_past``.
+        member axis one after another, in order.  An extension of this pass
+        returns such a ``d_past``.
 
-        On the cache of a stacked extension it returns ``(d_rows, d_past)``:
-        the gradient w.r.t. the stacked rows, and the gradients w.r.t. the
-        keys and values of the extended pass, one per stack member, as one
-        array ``(n_layers, 2, G, H, start, dh)``.  Passing that ``d_past`` to
-        the extended pass's own backward completes the gradient (exact by
-        linearity), with the bits of summing it over the stack first.  A 2-D
-        extension is a read: its cache is refused.
+        On the cache of an extension it returns ``(d_rows, d_past)``: the
+        gradient w.r.t. the rows it ran, and the gradients w.r.t. the keys
+        and values of the extended pass, one per member, as one array
+        ``(n_layers, 2, G, H, start, dh)`` (``G = 1`` for a 2-D extension).
+        Passing that ``d_past`` to the extended pass's own backward completes
+        the gradient (exact by linearity), with the bits of summing it over
+        the stack first.  A stack's cache takes no ``d_past``: that is a
+        ``ConfigurationError``.
 
         On a ``last_only`` cache the rows the top layer did not run past its
         keys and values get no gradient through its queries and outputs.
         """
         start, L, lead = cache["start"], cache["L"], cache["lead"]
-        if start and not lead:
-            raise ConfigurationError(
-                "backward_input needs the cache of a full pass or of a stacked "
-                "extension, not a 2-D extension"
-            )
+        if d_past is not None and lead:
+            raise ConfigurationError("d_past needs the cache of a 2-D pass, not of a stack")
         n = L - start
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
@@ -470,7 +459,8 @@ class TinyCausalLM:
             dx = dx + _layernorm_backward(da, lc["ln1"])
         dx = dx.reshape(*lead, n, self.dim)
         if start:
-            return dx, np.stack([np.stack(kv) for kv in d_past_out[::-1]])
+            d_past = np.stack([np.stack(kv) for kv in d_past_out[::-1]])
+            return dx, d_past.reshape(self.n_layers, 2, -1, H, start, dh)
         return dx
 
 
@@ -564,20 +554,22 @@ def _by_length(seqs: Sequence[Sequence[int]]) -> list[list[int]]:
     return [groups[n] for n in sorted(groups)]
 
 
-def _read_pass(model, X: np.ndarray, past: ForwardPass | None = None) -> ForwardPass:
-    """A forward-only pass whose last row reads out ``X``'s last position.
+def _read_pass(model, X: np.ndarray, past: dict | None = None):
+    """A forward-only pass over a stack ``X`` ``(G, n, d)`` of equal-length
+    contexts that reads out each one's last position.
 
-    ``past`` is a pass over the leading rows of ``X``, at least one row
-    short of it.  When the adapter extends passes, only the rows after it
-    are run, and the top layer runs the last of them only; otherwise the
-    whole of ``X`` is run.  Either way the result's rows end at ``X``'s last
-    position and it can serve as the next ``past``.
+    Returns ``(cache, logits)``: a cache that can serve as the next
+    ``past``, and the ``(G, V)`` last-row logits.  ``past`` is such a cache
+    over the leading rows of ``X``, at least one row short of it.  When the
+    adapter extends passes, only the rows after it are run, as one stack
+    whose top layer runs the last row only; otherwise each context is run as
+    a full 2-D pass, and the cache is None.
     """
     if not _extends(model):
-        return model.forward(X)
-    if past is None:
-        return model.forward(X, last_only=True)
-    return model.forward(X[past.cache["L"]:], past=past.cache, last_only=True)
+        return None, np.stack([model.forward(x).logits[-1] for x in X])
+    start = 0 if past is None else past["L"]
+    fw = model.forward(X[:, start:], past=past, last_only=True)
+    return fw.cache, fw.logits[:, -1]
 
 
 # A stack of bodies on the read path holds at most this many positions,

@@ -158,26 +158,28 @@ def test_domain_word_frequency_needs_words():
 
 def test_generator_is_deterministic_given_rng(model):
     gen = LocalContinuationGenerator(model)
-    a = gen("the movie", p=0.9, length=12, rng=np.random.default_rng(5))
-    b = gen("the movie", p=0.9, length=12, rng=np.random.default_rng(5))
+    a = gen("the movie", 2, p=0.9, length=12, rng=np.random.default_rng(5))
+    b = gen("the movie", 2, p=0.9, length=12, rng=np.random.default_rng(5))
     assert a == b
-    assert len(a.split()) == 12
+    assert [len(text.split()) for text in a] == [12, 12]
 
 
 def test_generator_trace_supports_nucleus_replay(model):
     """Every chosen token must lie in the smallest prefix of the sorted
-    distribution whose cumulative mass reaches p."""
+    distribution whose cumulative mass reaches p, and is the one
+    ``Generator.choice`` draws from the kept set, continuation by
+    continuation, on the same stream."""
     gen = LocalContinuationGenerator(model)
     p = 0.8
-    gen("the movie was", p=p, length=20, rng=np.random.default_rng(9))
-    trace = gen.traces[-1]
-    assert len(trace) == 20
-    for probs, choice in trace:
+    gen("the movie was", 2, p=p, length=20, rng=np.random.default_rng(9))
+    assert len(gen.traces) == 2
+    replay = np.random.default_rng(9)
+    for probs, choice in (step for trace in gen.traces for step in trace):
         order = np.argsort(-probs, kind="stable")
         csum = np.cumsum(probs[order])
         cutoff = min(int(np.searchsorted(csum, p)) + 1, probs.size)
-        kept = set(int(i) for i in order[:cutoff])
-        assert choice in kept
+        keep = order[:cutoff]
+        assert choice == replay.choice(keep, p=probs[keep] / probs[keep].sum())
         # minimality: dropping the last kept token leaves mass < p
         if cutoff > 1:
             assert csum[cutoff - 2] < p
@@ -185,14 +187,21 @@ def test_generator_trace_supports_nucleus_replay(model):
 
 def test_generator_trace_off(model):
     gen = LocalContinuationGenerator(model, record_trace=False)
-    gen("the movie", p=0.9, length=3, rng=np.random.default_rng(0))
+    gen("the movie", 1, p=0.9, length=3, rng=np.random.default_rng(0))
     assert gen.traces == []
 
 
 def test_generator_empty_prompt_rejected(model):
     gen = LocalContinuationGenerator(model)
     with pytest.raises(UsageError):
-        gen("", p=0.9, length=3, rng=np.random.default_rng(0))
+        gen("", 1, p=0.9, length=3, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_generator_count_below_one_rejected(model, k):
+    gen = LocalContinuationGenerator(model)
+    with pytest.raises(UsageError):
+        gen("the movie", k, p=0.9, length=3, rng=np.random.default_rng(0))
 
 
 def test_generator_sliding_window_near_max_len():
@@ -200,28 +209,29 @@ def test_generator_sliding_window_near_max_len():
     small = make_reference_model(0)
     small.max_len = 12
     gen = LocalContinuationGenerator(small)
-    out = gen("the movie was great and the plot was not", p=0.95, length=8,
+    out = gen("the movie was great and the plot was not", 2, p=0.95, length=8,
               rng=np.random.default_rng(1))
-    assert len(out.split()) == 8  # generation continues past the window
+    # generation continues past the window
+    assert [len(text.split()) for text in out] == [8, 8]
 
 
 def test_generate_continuations_zero_k(model):
-    assert generate_continuations("the", lambda *a, **k: "x", 0) == []
+    assert generate_continuations("the", lambda text, k, **kw: ["x"] * k, 0) == []
 
 
 def test_generate_continuations_prefers_distinct():
     canned = iter(["a", "a", "b", "c"])
 
-    def gen(prompt_text, *, p, length, rng):
-        return next(canned)
+    def gen(prompt_text, k, *, p, length, rng):
+        return [next(canned) for _ in range(k)]
 
     out = generate_continuations("the", gen, 3, seed=0)
     assert out == ["a", "b", "c"]
 
 
 def test_generate_continuations_accepts_duplicates_after_retries(caplog):
-    def gen(prompt_text, *, p, length, rng):
-        return "same"
+    def gen(prompt_text, k, *, p, length, rng):
+        return ["same"] * k
 
     with caplog.at_level("WARNING"):
         out = generate_continuations("the", gen, 3, seed=0, max_retries=4)
@@ -230,12 +240,34 @@ def test_generate_continuations_accepts_duplicates_after_retries(caplog):
 
 
 def test_generate_continuations_wraps_generator_errors():
-    def gen(prompt_text, *, p, length, rng):
+    def gen(prompt_text, k, *, p, length, rng):
         raise ValueError("boom")
 
     with pytest.raises(ModelFault) as err:
         generate_continuations("the", gen, 2, seed=0)
     assert "draw 1" in str(err.value)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_generate_continuations_refuses_a_wrong_count(extra):
+    """A generator returning fewer texts than asked would otherwise loop
+    forever; one returning more would overfill the result."""
+    canned = iter(["a", "a"])
+
+    def gen(prompt_text, k, *, p, length, rng):
+        if k == 2:  # the first round: "a" and a duplicate "a"
+            return [next(canned) for _ in range(k)]
+        return ["b"] * (k + extra)
+
+    with pytest.raises(ModelFault) as err:
+        generate_continuations("the", gen, 2, seed=0)
+    assert "draw 3" in str(err.value)
+
+
+def test_generate_continuations_refuses_a_text_for_a_list():
+    with pytest.raises(ModelFault) as err:
+        generate_continuations("the", lambda text, k, **kw: "x", 1, seed=0)
+    assert "draw 1" in str(err.value) and "str" in str(err.value)
 
 
 # -- pmi baseline -----------------------------------------------------------------------

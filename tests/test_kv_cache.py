@@ -46,8 +46,8 @@ def test_chained_cached_forward_matches_full_and_oracle(model, cuts):
     X = rng.normal(size=(24, model.dim))
     hidden, logits, _ = _chained(model, X, cuts)
     full = model.forward(X)
-    np.testing.assert_allclose(hidden, full.hidden, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(logits, full.logits, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(hidden, full.hidden)
+    np.testing.assert_array_equal(logits, full.logits)
     ref_hidden, ref_logits = scratch_forward(model, X)
     np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
     np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
@@ -63,36 +63,99 @@ def test_cached_forward_respects_max_len():
         small.forward(X[6:9], past=fw.cache)
 
 
-def test_backward_input_rejects_extended_cache(model):
-    X = np.random.default_rng(1).normal(size=(6, model.dim))
-    fw = model.forward(X[4:], past=model.forward(X[:4]).cache)
+@pytest.mark.parametrize("last_only", [False, True])
+def test_2d_extension_backward_equals_a_stack_of_one(model, last_only):
+    rng = np.random.default_rng(7)
+    head = model.forward(rng.normal(size=(4, model.dim)))
+    X = rng.normal(size=(3, model.dim))
+    flat = model.forward(X, past=head.cache, last_only=last_only)
+    stack = model.forward(X[None], past=head.cache, last_only=last_only)
+    d_hidden = rng.normal(size=flat.hidden.shape)
+    d_rows, d_past = model.backward_input(flat.cache, d_hidden=d_hidden)
+    s_rows, s_past = model.backward_input(stack.cache, d_hidden=d_hidden[None])
+    H = model.n_heads
+    assert d_past.shape == (model.n_layers, 2, 1, H, 4, model.dim // H)
+    assert d_rows.tobytes() == s_rows.tobytes()
+    assert d_past.tobytes() == s_past.tobytes()
+
+
+def test_d_past_on_a_stacked_cache_is_refused(model):
+    rng = np.random.default_rng(9)
+    head = model.forward(rng.normal(size=(2, 3, model.dim)))
+    fw = model.forward(rng.normal(size=(2, 1, model.dim)), past=head.cache)
+    _, d_past = model.backward_input(fw.cache, d_hidden=np.ones_like(fw.hidden))
     with pytest.raises(ConfigurationError):
-        model.backward_input(fw.cache, d_hidden=np.ones_like(fw.hidden))
+        model.backward_input(head.cache, d_hidden=np.ones_like(head.hidden),
+                             d_past=d_past)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (1,)])
+def test_a_stacked_past_extends_only_a_stack_of_its_members(model, shape):
+    rng = np.random.default_rng(10)
+    head = model.forward(rng.normal(size=(2, 3, model.dim)))
+    with pytest.raises(ConfigurationError):
+        model.forward(rng.normal(size=(*shape, model.dim)), past=head.cache)
+
+
+def test_a_stacked_past_extends_each_member_to_the_bits_of_its_full_pass(model):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(3, 7, model.dim))
+    head = model.forward(X[:, :4], last_only=True)
+    fw = model.forward(X[:, 4:], past=head.cache)
+    full = model.forward(X)
+    np.testing.assert_array_equal(fw.hidden, full.hidden[:, 4:])
+    np.testing.assert_array_equal(fw.logits, full.logits[:, 4:])
 
 
 # -- generation ------------------------------------------------------------
 
-def _generate(adapter, text, length, seed):
+def _generate(adapter, text, length, seed, k=1):
     gen = LocalContinuationGenerator(adapter)
-    out = gen(text, p=0.9, length=length, rng=np.random.default_rng(seed))
-    return out, gen.traces[0]
+    out = gen(text, k, p=0.9, length=length, rng=np.random.default_rng(seed))
+    return out, gen.traces
 
 
 @pytest.mark.parametrize("max_len, length", [(160, 30), (12, 20)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cached_generation_matches_full_passes(max_len, length, seed):
+@pytest.mark.parametrize("k", [1, 3])
+def test_cached_generation_matches_full_passes(max_len, length, seed, k):
     """``CountingModel`` overrides ``forward(self, X)``, so it re-runs every
     context in full; the bare model extends its cache.  With ``max_len=12``
     the window slides after a few tokens."""
     lm = make_reference_model(0)
     lm.max_len = max_len
     text = "the movie was great and the plot"
-    cached, cached_trace = _generate(lm, text, length, seed)
-    full, full_trace = _generate(CountingModel(lm), text, length, seed)
+    cached, cached_traces = _generate(lm, text, length, seed, k)
+    full, full_traces = _generate(CountingModel(lm), text, length, seed, k)
     assert cached == full
-    assert [c for _, c in cached_trace] == [c for _, c in full_trace]
-    for (p_cached, _), (p_full, _) in zip(cached_trace, full_trace):
-        np.testing.assert_allclose(p_cached, p_full, rtol=0, atol=1e-12)
+    assert len(cached_traces) == len(full_traces) == k
+    for cached_trace, full_trace in zip(cached_traces, full_traces):
+        assert [c for _, c in cached_trace] == [c for _, c in full_trace]
+        for (p_cached, _), (p_full, _) in zip(cached_trace, full_trace):
+            np.testing.assert_array_equal(p_cached, p_full)
+
+
+@pytest.mark.parametrize("max_len", [160, 12])
+def test_a_stack_of_continuations_equals_one_at_a_time(max_len):
+    """Continuation ``j`` of a stack reads block ``j`` of the stream, so a
+    stack of three gives the texts and traces of three single draws."""
+    lm = make_reference_model(1)
+    lm.max_len = max_len
+    text = "the movie was great and the plot"
+    gen = LocalContinuationGenerator(lm)
+    rng = np.random.default_rng(4)
+    stacked = gen(text, 3, p=0.95, length=15, rng=rng)
+    after_stack = rng.random()
+    one_gen = LocalContinuationGenerator(lm)
+    rng = np.random.default_rng(4)
+    single = [one_gen(text, 1, p=0.95, length=15, rng=rng)[0] for _ in range(3)]
+    assert stacked == single
+    assert rng.random() == after_stack
+    assert len(gen.traces) == len(one_gen.traces) == 3
+    for trace, one in zip(gen.traces, one_gen.traces):
+        assert [c for _, c in trace] == [c for _, c in one]
+        for (p_stack, _), (p_one, _) in zip(trace, one):
+            assert p_stack.tobytes() == p_one.tobytes()
 
 
 @pytest.fixture
@@ -115,18 +178,18 @@ def row_log(monkeypatch):
 
 def test_generation_extends_one_row_per_token_through_wrapped_forward(row_log):
     lm = make_reference_model(0)
-    LocalContinuationGenerator(lm)("the movie was great", p=0.9, length=10,
+    LocalContinuationGenerator(lm)("the movie was great", 1, p=0.9, length=10,
                                    rng=np.random.default_rng(0))
-    assert row_log == [4] + [1] * 9
+    assert row_log == [(1, 4)] + [(1, 1)] * 9
 
 
 def test_generation_slides_window_with_full_passes(row_log):
     small = make_reference_model(0)
     small.max_len = 8
-    LocalContinuationGenerator(small)("the movie was great", p=0.9, length=8,
+    LocalContinuationGenerator(small)("the movie was great", 1, p=0.9, length=8,
                                       rng=np.random.default_rng(0))
     # contexts 4..7 grow by one row; from then on every step slides the window
-    assert row_log == [4, 1, 1, 1, 7, 7, 7, 7]
+    assert row_log == [(1, 4), (1, 1), (1, 1), (1, 1), (1, 7), (1, 7), (1, 7), (1, 7)]
 
 
 # -- accuracy --------------------------------------------------------------
@@ -184,8 +247,8 @@ def test_forward_override_takes_effect_in_accuracy_with_prompt(model, task):
 def test_forward_override_takes_effect_in_generation(model):
     target = model.tokenize("cinema")[0]
     gen = LocalContinuationGenerator(_BoostToken(model, target))
-    out = gen("the movie", p=0.9, length=6, rng=np.random.default_rng(0))
-    assert out == " ".join(["cinema"] * 6)
+    out = gen("the movie", 2, p=0.9, length=6, rng=np.random.default_rng(0))
+    assert out == [" ".join(["cinema"] * 6)] * 2
 
 
 def test_prefix_cached_accuracy_with_empty_body(model):
@@ -279,12 +342,13 @@ def _stacked_objective(model, prompt, bodies, w_head, w_stack):
     return float(np.sum(w_head * head.hidden) + np.sum(w_stack * fw.hidden))
 
 
-def test_stacked_extension_backward_matches_fd(model):
+@pytest.mark.parametrize("shape", [(2, 2), (2,)])  # a stack, a 2-D extension
+def test_stacked_extension_backward_matches_fd(model, shape):
     rng = np.random.default_rng(3)
     prompt = rng.normal(size=(3, model.dim))
-    bodies = rng.normal(size=(2, 2, model.dim))
+    bodies = rng.normal(size=(*shape, model.dim))
     w_head = rng.normal(size=(3, model.dim))
-    w_stack = rng.normal(size=(2, 2, model.dim))
+    w_stack = rng.normal(size=(*shape, model.dim))
     head = model.forward(prompt)
     fw = model.forward(bodies, past=head.cache)
     d_bodies, d_past = model.backward_input(fw.cache, d_hidden=w_stack)

@@ -176,10 +176,10 @@ def test_label_reads_run_the_top_layer_on_label_rows_only(pass_shapes, model):
     for x, hidden in stacks:
         assert hidden == (x[0], 1, model.dim)
     pass_shapes.clear()
-    LocalContinuationGenerator(model)("the movie was great", p=0.9, length=3,
+    LocalContinuationGenerator(model)("the movie was great", 1, p=0.9, length=3,
                                       rng=np.random.default_rng(0))
-    assert pass_shapes == [((4, model.dim), (1, model.dim))] + \
-        [((1, model.dim), (1, model.dim))] * 2
+    assert pass_shapes == [((1, 4, model.dim), (1, 1, model.dim))] + \
+        [((1, 1, model.dim), (1, 1, model.dim))] * 2
 
 
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])

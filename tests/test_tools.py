@@ -130,7 +130,7 @@ def test_bench_traffic_lists_what_no_workload_reaches(capsys):
         return f"src/promptsearch/model.py:{line}: {text}"
 
     assert line_of('raise ModelFault("model produced non-finite logits")') in listed
-    assert line_of("logits = mm(hidden, self._E.T)") not in listed
+    assert line_of("logits = _exact_matmul(hidden, self._E.T)") not in listed
     assert total == f"{len(listed)} unreached statements"
 
 
