@@ -199,10 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="promptsearch",
         description="Gradient-guided search for discrete, readable prompts.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (about, table) in _COMMANDS.items():
-        p = sub.add_parser(command, help=about)
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags take precedence")
         for key, parse, _, _, text in table:
             flag = "--" + key.replace("_", "-")
@@ -370,6 +371,12 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     val = None
     if opts["val_data"] is not None:
         val = _load_data(opts["val_data"], task, "validation")
+    out_dir = Path(opts["out_dir"])
+    stale = sorted({p.name for p in out_dir.glob("chain_*.json")}
+                   - {fname for fname, _ in jobs_spec})
+    if stale:
+        raise UsageError(f"{out_dir / stale[0]} is not a record of this grid; remove "
+                         "it or choose another out_dir")
     model = load_adapter(opts["model"])
     # each text is rendered once: the fit check, every chain and every
     # validation score read the same ids
@@ -377,7 +384,6 @@ def cmd_tune(ns: argparse.Namespace) -> int:
     val = None if val is None else _rendered(val, task, model)
     _check_fit(task, model, max(opts["m"]), data + (val or []))
 
-    out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _chain_records(task, model, [cfg for _, cfg in jobs_spec], data,
                              opts["jobs"])

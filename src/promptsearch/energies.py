@@ -18,7 +18,7 @@ extending the prompt's pass (grouping by length needs no padding).  The
 gradient takes one ``model.backward_input`` per stack, which also returns
 the gradients w.r.t. the prompt's cached keys and values, one array with a
 member axis, and one over the prompt's pass with those added (exact by
-linearity), summed per stack in member order and then stack by stack.
+linearity), one member per example, summed in batch order.
 Other adapters (wrappers overriding ``forward(self, X)``, registered
 adapters) run one full pass over ``prompt + render(task, text)`` per
 example instead.  Either way the readouts see one array of rows: rows
@@ -43,12 +43,11 @@ hands every example a private memo of its chain (``_ChainMemo``), valid for
 one prompt's token ids, model, task, term weights and batch size.  When
 only ``task`` and ``fluency`` are weighted, an example's label row and its
 key/value gradient depend on nothing else, so the memo keeps both per
-example, and the prompt's own pass.  A step whose every member is held runs
-no stack: it sums the held gradients in the stacks' order and runs one
-backward over the prompt's pass.  Any other step runs the stacks and stores
-its members.  On one-length batches this gives every bit of a memo-free
-step; on mixed lengths a held gradient may come from a stack of another row
-count, and moves within 1e-14 relative.  The memo never serves adapters
+example, and the prompt's own pass.  A step reads the examples the memo
+holds from it and runs stacks of only the others, storing them.  A member's
+backward has the same bits in any stack, and the prompt's pass sums one
+key/value gradient per example in batch order, so every step has every bit
+of a memo-free one, on batches of any lengths.  The memo never serves adapters
 that do not extend passes, unprojected prompts, calls without a gradient,
 or ``entropy`` and ``domain``: the entropy gradient of an example depends
 on the batch mean.
@@ -118,8 +117,8 @@ class EnergyConfig:
             raise ConfigurationError(f"unknown energy mode {self.mode!r}")
         if self.sign not in ("intent", "literal"):
             raise ConfigurationError(f"unknown energy sign {self.sign!r}")
-        for name in ("lambda_task", "lambda_fluency", "lambda_calibration",
-                     "lambda_domain"):
+        for name in ("lambda_fluency", "lambda_domain", "lambda_task",
+                     "lambda_calibration"):
             w = getattr(self, name)
             if not 0.0 <= w <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {w}")
@@ -183,8 +182,8 @@ class _ChainMemo:
     the label-row logits and the gradients w.r.t. the prompt pass's keys and
     values, one contiguous ``(n_layers, 2, H, m, dh)`` array: a copy of the
     example's slice of its stack's gradients.  These depend on nothing else
-    when only ``task`` and ``fluency`` are weighted, so a step whose every
-    member is held reruns no stacked pass.
+    when only ``task`` and ``fluency`` are weighted, so a step's stacks run
+    only the examples the memo lacks.
     """
 
     def __init__(self):
@@ -240,7 +239,8 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
 
 def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
                     memo: _ChainMemo | None = None, slots=()):
-    """The prompt's own pass, then one stacked extension per body length.
+    """The prompt's own pass, then one stacked extension per body length of
+    the examples a memo does not hold.
 
     Returns ``(head, rows, backward)``.  ``head`` is a pass whose first ``m``
     rows are the prompt's.  ``rows`` holds, in batch order, the logits of
@@ -255,14 +255,14 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
     here: each stack's logits are scattered into ``rows`` and its slice of
     ``d_rows`` is gathered back.
 
-    With a ``memo`` (``label_only``, and ``slots`` giving each example's
-    slot), the prompt's pass is the memo's when it holds one.  When the memo
-    holds every example with a non-empty body, no stack runs: ``rows`` takes
-    the held label rows, and ``backward`` stacks the held key and value
-    gradients on the member axis, as the stacks' backwards would return
-    them, and sums them.  Otherwise every stack runs and each member's slice
-    of its key/value gradients is stored.  The prompt's pass takes the stack
-    sums on that same axis, in stack order.
+    ``backward`` takes one key/value gradient per example with a non-empty
+    body, its member slice of its stack's, and the prompt's pass sums them
+    in batch order.  With a ``memo`` (``label_only``, and ``slots`` giving
+    each example's slot), the prompt's pass is the memo's when it holds one,
+    and an example the memo holds takes its label row and key/value gradient
+    from it; the stacks run only the others and store them.  A member's
+    backward has the same bits in any stack, so a held example gives the
+    bits of a fresh one.
     """
     table = model.embedding_table().entries
     m = prompt.length
@@ -273,40 +273,37 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
     firsts = np.cumsum(lens) - lens + np.arange(len(seqs))
     rows = np.full((len(seqs) + lens.sum(), head.logits.shape[-1]), np.nan)
     rows[firsts] = head.logits[m - 1]
-    groups = [idx for idx in _by_length(seqs) if len(seqs[idx[0]])]
-    held = memo is not None and all(slots[i] in memo.entries for idx in groups for i in idx)
+    # batch index -> the (label-row logits, key/value gradients) the memo holds
+    held = {} if memo is None else {i: memo.entries[slot] for i, slot in enumerate(slots)
+                                    if lens[i] and slot in memo.entries}
+    for i, (logits, _) in held.items():
+        rows[firsts[i] + lens[i]] = logits
     stacks = []
-    for idx in groups:
-        n = len(seqs[idx[0]])
-        at = firsts[idx, None] + np.arange(n if label_only else 1, n + 1)
-        if held:
-            rows[at[:, 0]] = [memo.entries[slots[i]][0] for i in idx]
-            fw = None
-        else:
+    for idx in _by_length(seqs):
+        idx = [i for i in idx if lens[i] and i not in held]
+        if idx:
+            n = lens[idx[0]]
+            at = firsts[idx, None] + np.arange(n if label_only else 1, n + 1)
             fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache,
                                last_only=label_only)
             rows[at] = fw.logits
-        stacks.append((idx, fw, at))
+            stacks.append((idx, fw, at))
     if memo is not None:
         memo.head = head
 
     def backward(d_head, d_rows):
         d_head = d_head.copy()
         d_head[m - 1] += d_rows[firsts].sum(axis=0)
-        sums = []  # per stack, its members' key/value gradients summed
+        d_kv = {i: d for i, (_, d) in held.items()}
         for idx, fw, at in stacks:
-            if fw is None:
-                members = np.stack([memo.entries[slots[i]][1] for i in idx], axis=2)
-            else:
-                _, members = model.backward_input(fw.cache, d_hidden=d_rows[at])
-                if memo is not None:  # copies, so no entry keeps its whole stack alive
-                    for j, i in enumerate(idx):
-                        if len(memo.entries) < _MEMO_EXAMPLES:
-                            memo.entries[slots[i]] = (fw.logits[j, -1].copy(),
-                                                      members[:, :, j].copy())
-            sums.append(members.sum(axis=2))
-        # the head sums the stacks' gradients in stack order
-        d_past = np.stack(sums, axis=2) if sums else None
+            _, members = model.backward_input(fw.cache, d_hidden=d_rows[at])
+            for j, i in enumerate(idx):
+                d_kv[i] = members[:, :, j]
+                if memo is not None and len(memo.entries) < _MEMO_EXAMPLES:
+                    # copies, so no entry keeps its whole stack alive
+                    memo.entries[slots[i]] = (fw.logits[j, -1].copy(), d_kv[i].copy())
+        # the head sums one member per example, in batch order
+        d_past = np.stack([d_kv[i] for i in sorted(d_kv)], axis=2) if d_kv else None
         return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
 
     return head, rows, backward

@@ -210,6 +210,11 @@ def _layernorm_backward(dy, cache):
 # pass, or the top layer of a ``last_only`` pass, which runs each body's last
 # row only) builds no causal mask, since that query sees every key.  So the
 # last row of a ``last_only`` pass has the bits of the same row of a full pass.
+# The backward runs its six dense products the same way, on contiguous
+# transposed copies of the weights built once (on a transposed view, a row's
+# bits would depend on how many rows its product has).  Its attention
+# products run per body and head.  So a member's backward rows and key/value
+# gradients have the same bits in any stack, a stack of one included.
 # The backward of an extension returns its key and value gradients as one array
 # with the stack as its member axis (the third), and a full pass sums a
 # ``d_past`` over that axis: numpy adds the slices of a contiguous array's
@@ -277,6 +282,8 @@ class TinyCausalLM:
                 "W1": rng.normal(0.0, 1.0 / np.sqrt(d), (d, 4 * d)),
                 "W2": rng.normal(0.0, 1.0 / np.sqrt(4 * d), (4 * d, d)),
             })
+        for lw in self._layers:  # the backward's operands: contiguous transposes
+            lw.update({name + "T": np.ascontiguousarray(lw[name].T) for name in list(lw)})
         self._table = EmbeddingTable(entries=self._E, token_text=self.token_text)
 
     # -- text interface -------------------------------------------------
@@ -435,12 +442,12 @@ class TinyCausalLM:
         d_past_out = []
         for lw, lc, dp, nq in zip(reversed(self._layers), reversed(cache["layers"]),
                                   reversed(d_past_in), reversed(queries)):
-            dg1v = dx @ lw["W2"].T
+            dg1v = _exact_matmul(dx, lw["W2T"])
             dz1 = dg1v * _gelu_prime(lc["z1"], lc["gate"])
-            df = dz1 @ lw["W1"].T
+            df = _exact_matmul(dz1, lw["W1T"])
             dx = dx + _layernorm_backward(df, lc["ln2"])
 
-            do = (dx @ lw["Wo"].T).reshape(*lead, nq, H, dh).swapaxes(-2, -3)
+            do = _exact_matmul(dx, lw["WoT"]).reshape(*lead, nq, H, dh).swapaxes(-2, -3)
             A, q, k, v = lc["A"], lc["q"], lc["k"], lc["v"]
             dA = do @ v.swapaxes(-1, -2)
             dv = A.swapaxes(-1, -2) @ do
@@ -452,10 +459,11 @@ class TinyCausalLM:
             if start:
                 d_past_out.append((dk[..., :start, :], dv[..., :start, :]))
                 dk, dv = dk[..., start:, :], dv[..., start:, :]
-            da_q = rows(dq) @ lw["Wq"].T
+            da_q = _exact_matmul(rows(dq), lw["WqT"])
             if nq < n:  # back from each body's last row to every row
                 dx, da_q = _spread(dx, n), _spread(da_q, n)
-            da = da_q + rows(dk) @ lw["Wk"].T + rows(dv) @ lw["Wv"].T
+            da = (da_q + _exact_matmul(rows(dk), lw["WkT"])
+                  + _exact_matmul(rows(dv), lw["WvT"]))
             dx = dx + _layernorm_backward(da, lc["ln1"])
         dx = dx.reshape(*lead, n, self.dim)
         if start:

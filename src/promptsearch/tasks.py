@@ -75,6 +75,9 @@ class TaskSpec:
                 isinstance(w, str) for w in self.domain_words):
             raise TaskSpecError(f"task {self.id!r}: domain_words must be a list of "
                                 "strings")
+        if any(w.split() != [w] for w in self.domain_words):
+            raise TaskSpecError(f"task {self.id!r}: domain_words must be words, each "
+                                "non-empty and without whitespace")
         if self.template.count("{x}") != 1:
             raise TaskSpecError(
                 f"task {self.id!r}: template must contain exactly one {{x}} slot"

@@ -619,6 +619,45 @@ def test_tune_out_dir_naming_a_file_exits_2_before_loading_a_model(
     assert loaded == [] and existing.read_text() == "not a directory"
 
 
+def test_tune_refuses_an_out_dir_holding_records_of_another_grid(
+        monkeypatch, data_files, tmp_path, capsys):
+    """A stale record once stayed beside the new grid's, and ``eval --chains``
+    scored it with them; a rerun of the same grid still overwrites its own."""
+    from promptsearch import cli
+
+    out = tmp_path / "runs"
+    assert main(tune_args(data_files, out, seeds="3")) == 0
+    before = _record_bytes(out)
+    with monkeypatch.context() as patch:
+        loaded = []
+        patch.setattr(cli, "load_adapter", lambda spec: loaded.append(spec))
+        capsys.readouterr()
+        assert main(tune_args(data_files, out, seeds="1", eta="0.4")) == 2
+        _one_error_line(capsys, str(out / "chain_000_seed1.json"))
+        assert loaded == [] and _record_bytes(out) == before
+    assert main(tune_args(data_files, out, seeds="3")) == 0
+    assert sorted(_record_bytes(out)) == sorted(before)
+
+
+@pytest.mark.parametrize("command, flag, abbreviation", [
+    ("tune", "--steps", "--step"), ("tune", "--batch-size", "--batch"),
+    ("eval", "--chains", "--chain"), ("analyze", "--data", "--dat"),
+])
+def test_an_abbreviated_flag_exits_2_before_loading_a_model(
+        data_files, tuned_dir, tmp_path, capsys, no_model, command, flag, abbreviation):
+    """``tune --step 3`` was once read as ``--steps 3``, though a config file
+    takes full keys only."""
+    out = tmp_path / "out"
+    args = _run_args(command, tuned_dir, data_files, out)
+    args[args.index(flag)] = abbreviation
+    before = _record_bytes(tuned_dir)
+    capsys.readouterr()
+    assert main(args) == 2
+    _one_error_line(capsys, f"unrecognized arguments: {abbreviation}")
+    assert no_model == [] and not out.exists()
+    assert _record_bytes(tuned_dir) == before and not (tuned_dir / "report.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("steps", 2.7), ("seeds", 2.5), ("m", [2.5]), ("batch_size", True), ("jobs", 1.0),
     ("eta", "abc"), ("steps", None), ("beta_start", "x"),
@@ -1024,6 +1063,20 @@ def test_task_file_field_of_the_wrong_type_exits_2(data_files, tmp_path, capsys,
     out = tmp_path / "out"
     assert main(tune_args(data_files, out, task=None, task_file=str(task))) == 2
     _one_error_line(capsys, field)
+    assert no_model == [] and not out.exists()
+
+
+@pytest.mark.parametrize("word", ["", "good movie"])
+def test_task_file_with_a_domain_word_that_is_not_a_word_exits_2(
+        data_files, tmp_path, capsys, no_model, word):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"id": "custom", "template": "{x} it was",
+                                "verbalizer": {"good": "good", "bad": "bad"},
+                                "domain_string": "this is a review",
+                                "domain_words": ["review", word]}))
+    out = tmp_path / "out"
+    assert main(tune_args(data_files, out, task=None, task_file=str(task))) == 2
+    _one_error_line(capsys, "domain_words must be words")
     assert no_model == [] and not out.exists()
 
 
@@ -1459,7 +1512,9 @@ def test_tune_huge_batch_exits_2_before_loading_a_model(monkeypatch, data_files,
     ({"m": "0"}, "steps, batch_size and prompt_length must be >= 1"),
     ({"optimizer": "x"}, "unknown optimizer 'x'"),
     ({"allowed_vocab": "x"}, "unknown allowed_vocab 'x'"),
-    ({"lambda_fluency": "2"}, "lambda_task must lie in [0, 1], got -1.0"),
+    ({"lambda_fluency": "2"}, "lambda_fluency must lie in [0, 1], got 2.0"),
+    ({"mode": "unsupervised", "lambda_domain": "-0.5"},
+     "lambda_domain must lie in [0, 1], got -0.5"),
     ({"mode": "unsupervised", "energy_sign": "x"}, "unknown energy sign 'x'"),
 ])
 def test_tune_chain_value_errors_come_before_any_file_is_read(monkeypatch, data_files,

@@ -382,6 +382,32 @@ def test_stacked_backward_returns_one_key_value_array(model, members, last_only)
                                   d_past=d_past.sum(axis=2, keepdims=True))
     assert whole.tobytes() == summed.tobytes()
 
+
+@pytest.mark.parametrize("last_only", [False, True])
+@pytest.mark.parametrize("m, n, members", [(1, 1, 5), (3, 6, 16), (10, 8, 16),
+                                           (4, 1, 40), (13, 30, 9), (7, 13, 69)])
+def test_a_members_backward_has_the_same_bits_in_any_stack(model, m, n, members,
+                                                           last_only):
+    """A member's row gradients and key/value gradients are bitwise those it
+    gets in a random sub-stack and in a stack of one."""
+    rng = np.random.default_rng(m * n + members)
+    head = model.forward(rng.normal(size=(m, model.dim)))
+    X = rng.normal(size=(members, n, model.dim))
+
+    def backward(pick):
+        fw = model.forward(X[pick], past=head.cache, last_only=last_only)
+        return model.backward_input(fw.cache, d_hidden=d_hidden[pick])
+
+    d_hidden = rng.normal(size=(members, 1 if last_only else n, model.dim))
+    rows, kv = backward(np.arange(members))
+    sub = np.sort(rng.choice(members, size=max(1, members // 3), replace=False))
+    sub_rows, sub_kv = backward(sub)
+    for j, g in enumerate(sub):
+        one_rows, one_kv = backward([g])
+        assert rows[g].tobytes() == sub_rows[j].tobytes() == one_rows[0].tobytes()
+        assert (kv[:, :, g].tobytes() == sub_kv[:, :, j].tobytes()
+                == one_kv[:, :, 0].tobytes())
+
 # -- stacked reads -----------------------------------------------------------
 
 _BARE = TaskSpec(id="bare", template="{x}", verbalizer={"good": "good", "bad": "bad"},

@@ -1,10 +1,9 @@
 """The chain memo: a supervised chain scores each example once per prompt.
 
-A step whose every batch member was already scored under the unchanged
-prompt reads the label rows and the key/value gradients from the chain's
-memo and runs no stacked pass; every other step runs the stacks and stores
-its members.  These tests hold the memo to the bits of memo-free
-evaluation, and check where it must stay off.
+A batch member already scored under the unchanged prompt reads its label
+row and its key/value gradients from the chain's memo; a step's stacks run
+only the members the memo lacks and store them.  These tests hold the memo
+to the bits of memo-free evaluation, and check where it must stay off.
 """
 
 import functools
@@ -85,10 +84,6 @@ def _memo_free(monkeypatch, task, model, cfg, data):
         return run_chain(task, model, cfg, data)
 
 
-def _rel(a, b):
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-
-
 # -- exactness ------------------------------------------------------------------
 
 def test_supervised_chain_matches_a_memo_free_replay_bit_for_bit(monkeypatch, model,
@@ -110,9 +105,9 @@ def test_supervised_chain_matches_a_memo_free_replay_bit_for_bit(monkeypatch, mo
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_mixed_length_chain_keeps_energies_and_records(monkeypatch, model, task, seed):
-    """Several length groups per batch: a held member's gradient comes from a
-    stack of another size, so gradients may move in the last bits, within
-    1e-14 relative; energies stay bitwise and the record is the memo-free one."""
+    """Several length groups per batch: a held member's gradient may come
+    from a stack of another size, yet energies and gradients are bitwise
+    those of memo-free evaluation, and so is the record."""
     data = _mixed_data(12, seed)
     cfg = _config(steps=40, batch=5, seed=seed)
     record, steps = _traced_chain(monkeypatch, task, model, cfg, data)
@@ -121,7 +116,7 @@ def test_mixed_length_chain_keeps_energies_and_records(monkeypatch, model, task,
         plain = [Example(ex.text, ex.label) for ex in batch]
         want, want_grad = energy_and_grad(prompt, plain, task, model, cfg.energy)
         assert breakdown == want
-        assert _rel(grad, want_grad) <= 1e-14
+        _bits_equal(grad, want_grad)
     assert record.to_dict() == _memo_free(monkeypatch, task, model, cfg, data).to_dict()
 
 
@@ -181,6 +176,35 @@ def test_held_batch_runs_no_stack_and_gives_the_same_bits(model, task):
     assert counting == {"forward": 0, "backward_input": 1}
     plain = [Example(ex.text, ex.label) for ex in batch]
     want, want_grad = _evaluate(prompt, plain, task, model)
+    assert served == want
+    _bits_equal(served_grad, want_grad)
+
+
+def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, task):
+    """Mixed lengths: the stacks run the members the memo lacks, and no
+    other, and the step keeps the bits of memo-free evaluation."""
+    memo = _ChainMemo()
+    items = _rendered(_mixed_data(10, seed=4), task, model, memo)
+    prompt = prompt_from_ids([9, 10, 11], model)
+    _evaluate(prompt, items[:5], task, model)
+    batch = [items[7], items[1], items[5], items[3], items[9]]
+    stacked = []
+    original = TinyCausalLM.forward
+
+    def forward(self, X, past=None, **kwargs):
+        if np.ndim(X) == 3:
+            stacked.extend(X)
+        return original(self, X, past=past, **kwargs)
+
+    monkeypatch.setattr(TinyCausalLM, "forward", forward)
+    served, served_grad = _evaluate(prompt, batch, task, model)
+    monkeypatch.undo()
+    table = model.embedding_table().entries
+    missed = sorted(table[list(ex.ids)].tobytes() for ex in (items[7], items[5], items[9]))
+    assert sorted(x.tobytes() for x in stacked) == missed
+    assert sorted(memo.entries) == [0, 1, 2, 3, 4, 5, 7, 9]
+    want, want_grad = _evaluate(prompt, [Example(ex.text, ex.label) for ex in batch],
+                                task, model)
     assert served == want
     _bits_equal(served_grad, want_grad)
 

@@ -247,6 +247,14 @@ def test_task_spec_takes_domain_words_as_a_list():
     assert make_task(domain_words=["Review"]).domain_words == ("review",)
 
 
+@pytest.mark.parametrize("word", ["", " review ", "good movie", "a\tb", "\n"])
+def test_task_spec_refuses_a_domain_word_that_is_not_a_word(word):
+    """An empty word once counted every word boundary of a text, and a word
+    holding a space never matched."""
+    with pytest.raises(TaskSpecError, match="domain_words must be words"):
+        make_task(domain_words=["review", word])
+
+
 # -- reading input files -----------------------------------------------------------------
 
 def test_load_dataset_splits_lines_as_file_iteration_does(tmp_path):
