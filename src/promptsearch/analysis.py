@@ -133,10 +133,14 @@ def domain_word_frequency(prompt_text: str, continuations: Sequence[str],
 
     Counts over the concatenation of the prompt and all continuations
     (newline-joined), using Unicode word boundaries; additive over
-    continuations by construction.
+    continuations by construction.  Each domain word must be a word:
+    non-empty and without whitespace, as ``TaskSpec`` requires.
     """
     if not domain_words:
         raise UsageError("domain_words must be nonempty")
+    if any(w.split() != [w] for w in domain_words):
+        raise UsageError("domain_words must be words, each non-empty and without "
+                         f"whitespace, got {list(domain_words)!r}")
     text = "\n".join([prompt_text, *continuations])
     total = 0
     for word in domain_words:

@@ -29,6 +29,7 @@ Reproducibility contract (what an independent reimplementation needs):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,8 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energies import (EnergyBreakdown, EnergyConfig, _ChainMemo, _rendered,
-                       energy_and_grad)
+from .energies import (EnergyBreakdown, EnergyConfig, _ChainMemo, _check_batch,
+                       _rendered, energy_and_grad)
 from .errors import ConfigurationError, DataError, ModelFault, NumericalFault, UsageError
 from .model import SoftPrompt, prompt_from_ids
 from .projection import allowed_token_ids, project_subset
@@ -290,42 +291,36 @@ def langevin_step(prompt: SoftPrompt, grad: np.ndarray, eta: float, beta: float,
 
 def _epoch_batches(data: Sequence[Example], batch_size: int,
                    shuffle_rng: np.random.Generator):
-    """Yield fixed-size batches forever, reshuffling per epoch, carrying over."""
-    n = len(data)
-    order = shuffle_rng.permutation(n)
-    pos = 0
+    """Yield fixed-size batches forever: consecutive slices of one stream
+    that walks the data in a fresh permutation per epoch."""
+    stream = (data[i] for _ in itertools.count()
+              for i in shuffle_rng.permutation(len(data)))
     while True:
-        batch = []
-        while len(batch) < batch_size:
-            if pos == n:
-                order = shuffle_rng.permutation(n)
-                pos = 0
-            batch.append(data[order[pos]])
-            pos += 1
-        yield batch
+        yield list(itertools.islice(stream, batch_size))
 
 
 def _initial_prompt(cfg: SamplerConfig, model) -> SoftPrompt:
-    if cfg.init_text is None:
-        ids = [model.neutral_token_id] * cfg.prompt_length
-    else:
-        ids = model.tokenize(cfg.init_text)[: cfg.prompt_length]
-        ids += [model.neutral_token_id] * (cfg.prompt_length - len(ids))
-    return prompt_from_ids(ids, model)
+    """``cfg.init_text``'s tokens, truncated or neutral-padded to length M."""
+    m = cfg.prompt_length
+    ids = [] if cfg.init_text is None else model.tokenize(cfg.init_text)[:m]
+    return prompt_from_ids(ids + [model.neutral_token_id] * (m - len(ids)), model)
 
 
 def run_chain(task: TaskSpec, model, cfg: SamplerConfig,
               data_stream: Sequence[Example]) -> ChainRecord:
     """Run one full chain; see the module docstring for the exact contract.
 
-    ``data_stream`` is a finite sequence of examples (labeled for supervised
-    energies); it is shuffled and cycled internally.  A non-finite energy,
-    gradient or Adam moment, or a model fault, aborts the chain and returns
-    the partial record with ``fault`` set; on a clean run ``per_step`` has
-    exactly ``cfg.steps`` entries.
+    ``data_stream`` is a finite sequence of examples; it is shuffled and
+    cycled internally.  For supervised energies every example must carry one
+    of the task's labels, else a ``DataError`` is raised before step 0.  A
+    non-finite energy, gradient or Adam moment, or a model fault, aborts the
+    chain and returns the partial record with ``fault`` set; on a clean run
+    ``per_step`` has exactly ``cfg.steps`` entries.
     """
     if not data_stream:
         raise UsageError("data_stream must be nonempty")
+    if cfg.energy.mode == "supervised":
+        _check_batch(data_stream, task, need_labels=True)
     table = model.embedding_table()
     allowed = allowed_token_ids(model, cfg.allowed_vocab)
     noise_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)

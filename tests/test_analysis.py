@@ -154,6 +154,15 @@ def test_domain_word_frequency_needs_words():
         domain_word_frequency("text", [], ())
 
 
+@pytest.mark.parametrize("words", [[""], [" review "], ["review", "two words"],
+                                   ["tab\tword"]])
+def test_domain_word_frequency_refuses_what_is_no_word(words):
+    # an empty word would match every word boundary, and a padded one only
+    # between two other words
+    with pytest.raises(UsageError, match="domain_words must be words"):
+        domain_word_frequency("one two review three", [], words)
+
+
 # -- continuation generation -----------------------------------------------------------
 
 def test_generator_is_deterministic_given_rng(model):

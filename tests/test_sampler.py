@@ -27,6 +27,7 @@ from promptsearch.sampler import (
     select_best,
 )
 from promptsearch.synthetic import synthetic_dataset, synthetic_task
+from promptsearch.tasks import Example
 
 
 def small_cfg(**overrides):
@@ -300,26 +301,28 @@ def test_chain_first_step_tokens_replayed(model, task, small_data):
     assert rec.per_step[0].token_ids == stepped.token_ids
 
 
-def test_chain_batches_carry_across_epochs(model, task):
+@pytest.mark.parametrize("n, size", [(7, 5), (3, 8)])
+def test_chain_batches_carry_across_epochs(model, task, n, size):
     """Batch boundaries follow the documented permutation-with-carry rule.
 
     With 7 examples and batch size 5, batch 1 must straddle the epoch
-    boundary (2 leftovers + 3 from a fresh permutation); matching per-step
+    boundary (2 leftovers + 3 from a fresh permutation); with 3 examples and
+    batch size 8, every batch spans three epochs.  Matching per-step
     energies against re-derived batches pins the exact consumption order.
     """
-    data = synthetic_dataset(7, seed=9)
-    cfg = small_cfg(seed=11, batch_size=5,
+    data = synthetic_dataset(n, seed=9)
+    cfg = small_cfg(seed=11, batch_size=size,
                     schedule=NoiseSchedule(0.0, 0.0, 6), steps=6, eta=5.0)
     rec = run_chain(task, model, cfg, data)
 
     noise_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    order = list(shuffle_rng.permutation(7))
+    order = list(shuffle_rng.permutation(n))
     stream = []
-    while len(stream) < 6 * 5:
+    while len(stream) < 6 * size:
         stream.extend(order)
-        order = list(shuffle_rng.permutation(7))
-    batches = [[data[i] for i in stream[k * 5:(k + 1) * 5]] for k in range(6)]
+        order = list(shuffle_rng.permutation(n))
+    batches = [[data[i] for i in stream[k * size:(k + 1) * size]] for k in range(6)]
 
     prompt = prompt_from_ids([model.neutral_token_id] * cfg.prompt_length, model)
     noise_rng = np.random.default_rng(noise_ss)
@@ -344,6 +347,13 @@ def test_chain_init_text_truncates_and_pads(model, task, small_data):
     rec = run_chain(task, model, cfg, small_data)
     want = tuple(model.tokenize("great")) + (model.neutral_token_id,) * 2
     assert rec.per_step[0].token_ids == want
+
+    # an empty seed string pads to the all-neutral prompt, as no seed does
+    for init_text in ("", None):
+        cfg = small_cfg(init_text=init_text, prompt_length=3,
+                        schedule=NoiseSchedule(0.0, 0.0, 1), steps=1, eta=1e-9)
+        rec = run_chain(task, model, cfg, small_data)
+        assert rec.per_step[0].token_ids == (model.neutral_token_id,) * 3
 
 
 def test_chain_adaptive_first_step_is_sign_step(model, task, small_data):
@@ -377,6 +387,27 @@ def test_chain_adaptive_and_plain_differ(model, task, small_data):
 def test_chain_empty_data_rejected(model, task):
     with pytest.raises(UsageError):
         run_chain(task, model, small_cfg(), [])
+
+
+@pytest.mark.parametrize("bad", [Example("great fun"), Example("great fun", "maybe")],
+                         ids=["unlabeled", "foreign-label"])
+def test_supervised_chain_refuses_bad_data_before_step_0(model, task, small_data,
+                                                         monkeypatch, bad):
+    calls = {"n": 0}
+
+    def counting(*args):
+        calls["n"] += 1
+        return energy_and_grad(*args)
+
+    monkeypatch.setattr("promptsearch.sampler.energy_and_grad", counting)
+    data = [*small_data, bad]
+    with pytest.raises(DataError):
+        run_chain(task, model, small_cfg(steps=50, schedule=NoiseSchedule(1.0, 1e-4, 50),
+                                         batch_size=4), data)
+    assert calls["n"] == 0
+    # an unsupervised chain reads no label, so the same data runs
+    rec = run_chain(task, model, small_cfg(energy=EnergyConfig.unsupervised()), data)
+    assert rec.fault is None and calls["n"] == 12
 
 
 def test_chain_nonfinite_energy_aborts_with_partial_record(model, task,

@@ -3,8 +3,8 @@
 (``tools/unreached.py`` over tests, ``tools/bench_traffic.py`` over the
 benchmark's workloads), the benchmark fingerprints
 (``tools/fingerprints.py``), the paired benchmark comparison
-(``tools/bench_pairs.py``, on stub checkouts only) and the pytest settings in
-``pyproject.toml``."""
+(``tools/bench_pairs.py``, on stub checkouts only), the chain profiler
+(``tools/chain_profile.py``) and the pytest settings in ``pyproject.toml``."""
 
 import importlib.util
 import json
@@ -269,6 +269,36 @@ def test_bench_pairs_alternates_sides_and_gives_a_verdict_per_metric(tmp_path,
         assert metrics["setup_s"]["pairs_won"] == []
         assert metrics["round_s_p50"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 1.0,
                                                      "spread": 0.0}
+
+
+def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
+    args = ["--mode", "supervised", "--steps", "8", "--batch-size", "2", "--m", "2"]
+    run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"), *args],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    quarters = [line.split() for line in run.stdout.splitlines()
+                if line.startswith("quarter ")]
+    assert [q[:4] for q in quarters] == [["quarter", "1", "steps", "0-1"],
+                                         ["quarter", "2", "steps", "2-3"],
+                                         ["quarter", "3", "steps", "4-5"],
+                                         ["quarter", "4", "steps", "6-7"]]
+    assert all(q[4] == "same" and q[6] == "held" and 0 <= float(q[5]) <= 1
+               and 0 <= float(q[7]) <= 1 for q in quarters)
+    assert "ms/step" in run.stdout
+
+    from promptsearch import sampler
+    from promptsearch.model import TinyCausalLM
+    forward, energy_and_grad = TinyCausalLM.forward, sampler.energy_and_grad
+    assert _tool("chain_profile").main(args) == 0
+    assert TinyCausalLM.forward is forward and sampler.energy_and_grad is energy_and_grad
+
+
+def test_chain_profile_refuses_an_unknown_flag_and_a_bad_config():
+    for args in (["--frobnicate", "4"], ["--batch", "4"], ["--steps", "3"], ["--m", "0"]):
+        run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"),
+                              *args], capture_output=True, text=True)
+        assert run.returncode == 2, args
+        assert run.stderr.splitlines()[-1].startswith("chain_profile.py: error:"), args
 
 
 def test_bench_pairs_records_failed_runs_and_exits_1(tmp_path, monkeypatch):
