@@ -25,7 +25,7 @@ from .metrics import prompt_perplexity
 from .model import (SoftPrompt, _label_probs, _read_pass, as_soft_prompt,
                     label_word_distribution)
 from .sampler import ChainRecord
-from .tasks import Example, TaskSpec
+from .tasks import Example, TaskSpec, _is_word
 
 __all__ = [
     "PromptDiagnostics",
@@ -138,7 +138,7 @@ def domain_word_frequency(prompt_text: str, continuations: Sequence[str],
     """
     if not domain_words:
         raise UsageError("domain_words must be nonempty")
-    if any(w.split() != [w] for w in domain_words):
+    if not all(map(_is_word, domain_words)):
         raise UsageError("domain_words must be words, each non-empty and without "
                          f"whitespace, got {list(domain_words)!r}")
     text = "\n".join([prompt_text, *continuations])

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+def _is_word(w: str) -> bool:
+    """Whether ``w`` is a domain word: non-empty and without whitespace."""
+    return w.split() == [w]
+
+
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> str:
     """The text of the user-given file ``path``.  An empty path, or a file
     that cannot be read (missing, a directory, unreadable) or is not UTF-8,
@@ -75,7 +80,7 @@ class TaskSpec:
                 isinstance(w, str) for w in self.domain_words):
             raise TaskSpecError(f"task {self.id!r}: domain_words must be a list of "
                                 "strings")
-        if any(w.split() != [w] for w in self.domain_words):
+        if not all(map(_is_word, self.domain_words)):
             raise TaskSpecError(f"task {self.id!r}: domain_words must be words, each "
                                 "non-empty and without whitespace")
         if self.template.count("{x}") != 1:

@@ -272,7 +272,7 @@ def test_bench_pairs_alternates_sides_and_gives_a_verdict_per_metric(tmp_path,
 
 
 def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
-    args = ["--mode", "supervised", "--steps", "8", "--batch-size", "2", "--m", "2"]
+    args = ["--mode", "supervised", "--steps", "8"]
     run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"), *args],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -294,7 +294,7 @@ def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
 
 
 def test_chain_profile_refuses_an_unknown_flag_and_a_bad_config():
-    for args in (["--frobnicate", "4"], ["--batch", "4"], ["--steps", "3"], ["--m", "0"]):
+    for args in (["--frobnicate", "4"], ["--seed", "4"], ["--steps", "3"], ["--eta", "0"]):
         run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"),
                               *args], capture_output=True, text=True)
         assert run.returncode == 2, args

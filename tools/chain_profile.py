@@ -1,14 +1,14 @@
 """Time one in-process chain and show, by quarter, how often its prompt repeats.
 
     python tools/chain_profile.py [--mode supervised|unsupervised] [--steps N]
-                                  [--eta ETA] [--seed S] [--batch-size B] [--m M]
+                                  [--eta ETA]
 
 Runs one chain of the ``src/`` next to this script, in this process, with
 BLAS at one thread: ``reference:22``, the ``synthetic-2label`` task,
 ``synthetic_dataset(200, seed=100)`` (six-word inputs), the adaptive
 optimizer, beta 1 -> 1e-4 and the energies' default weights, as ``tune``
-runs it.  The defaults are the CLI's 5000 steps, B=16 and M=10, with
-eta 0.3 and seed 3.
+runs it, at seed 3, B=16 and M=10.  The defaults are the CLI's 5000 steps
+and eta 0.3.
 
 It prints the chain's wall time and ms per step, then one line per quarter
 of the chain (``quarter Q steps FIRST-LAST same S held H``) with two shares
@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
+SEED, BATCH_SIZE, PROMPT_LENGTH = 3, 16, 10
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -44,9 +45,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--steps", type=int, default=5000,
                         help="chain steps, at least one per quarter")
     parser.add_argument("--eta", type=float, default=0.3)
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--m", type=int, default=10, help="prompt length")
     return parser
 
 
@@ -113,8 +111,8 @@ def main(argv: list[str]) -> int:
               else EnergyConfig.unsupervised())
     try:
         cfg = SamplerConfig(eta=args.eta, schedule=NoiseSchedule(1.0, 1e-4, args.steps),
-                            steps=args.steps, batch_size=args.batch_size, seed=args.seed,
-                            energy=energy, prompt_length=args.m)
+                            steps=args.steps, batch_size=BATCH_SIZE, seed=SEED,
+                            energy=energy, prompt_length=PROMPT_LENGTH)
     except ConfigurationError as exc:
         parser.error(str(exc))
     return profile(cfg)
