@@ -14,43 +14,50 @@ permutation.
 Prompt once, bodies stacked: on an adapter that extends passes (the
 reference model), each evaluation runs the prompt's own pass once, then one
 stacked ``model.forward`` per distinct rendered body length, each stack
-extending the prompt's pass (grouping by length needs no padding).  The
-gradient takes one ``model.backward_input`` per stack, which also returns
-the gradients w.r.t. the prompt's cached keys and values, one array with a
-member axis, and one over the prompt's pass with those added (exact by
-linearity), one member per example, summed in batch order.
-Other adapters (wrappers overriding ``forward(self, X)``, registered
-adapters) run one full pass over ``prompt + render(task, text)`` per
-example instead.  Either way the readouts see one array of rows: rows
-``m-1 .. L-1`` of each example's pass, in batch order, so they never loop
-over length groups; grouping by length lives only inside the stacked pass,
-and the values of both paths agree bitwise.  The prompt fluency reads rows
-``0 .. m-2``, the causal prefix shared by every example, once per batch; on
-the stacked path row ``m-1``, which predicts each body's first token, is
-the prompt pass's last row too.  ``task_nll`` and ``entropy_loss`` read the
-verbalizer-restricted softmax at each example's last row (the label row),
-and ``domain_nll`` a row-wise log-softmax over every other row, with the
-rows of the whole batch in one call.  When ``domain_nll`` is not weighted,
-nothing reads the other body rows, so the stacks run the model's top layer
-on the label rows only (``forward(..., last_only=True)``).  A combined
-energy sums the weighted hidden-state gradients of its terms into the same
-backwards and adds the direct fluency gradient once.  ``fluency_nll`` is the
-same shared pass with no batch: the prompt's own pass and one backward over
-it, for a one-row prompt too.
+extending the prompt's pass (grouping by length needs no padding).  Every
+term reads per example what it needs: ``task_nll`` and ``entropy_loss`` the
+logits of its last row (the label row) at the verbalizer ids, and
+``domain_nll`` the NLL of each body token, by a row-wise log-softmax over
+the rows before the label row (on the stacked path the first of them, which
+predicts the first body token, is the prompt pass's last row).  The prompt
+fluency reads rows ``0 .. m-2``, the causal prefix shared by every example,
+once per batch.  When ``domain_nll`` is not weighted, nothing reads the
+other body rows, so the stacks run the model's top layer on the label rows
+only (``forward(..., last_only=True)``).
 
-A supervised chain scores each example once per prompt.  ``run_chain``
-hands every example a private memo of its chain (``_ChainMemo``), valid for
-one prompt's token ids, model, task, term weights and batch size.  When
-only ``task`` and ``fluency`` are weighted, an example's label row and its
-key/value gradient depend on nothing else, so the memo keeps both per
-example, and the prompt's own pass.  A step reads the examples the memo
-holds from it and runs stacks of only the others, storing them.  A member's
-backward has the same bits in any stack, and the prompt's pass sums one
-key/value gradient per example in batch order, so every step has every bit
-of a memo-free one, on batches of any lengths.  The memo never serves adapters
-that do not extend passes, unprojected prompts, calls without a gradient,
-or ``entropy`` and ``domain``: the entropy gradient of an example depends
-on the batch mean.
+The gradient is formed per example, by linearity.  Over the label words, the
+gradient w.r.t. an example's label logits sums to zero, for ``task``
+(``p - onehot``) and ``entropy`` alike, so its label row's gradient is
+``sum_{y>=1} c_y (E[v_y] - E[v_0])``.  Each stack takes one
+``model.backward_input`` per direction ``E[v_y] - E[v_0]``, placed at every
+member's label row, and, when ``domain_nll`` is weighted, one more over the
+members' own token-row gradients.  These return the gradients w.r.t. the
+prompt's cached keys and values, one array with a member axis; a member's
+key/value gradient is the sum of its slices times the step's coefficients
+(``c_y``, and ``w_domain / b``).  The prompt's pass takes one backward with
+those added (exact by linearity), one member per example, summed in batch
+order.  Other adapters (wrappers overriding ``forward(self, X)``, registered
+adapters) run one full pass over ``prompt + render(task, text)`` per example
+instead, and one backward per example over its summed row gradients.  Both
+paths read the same rows, so their values agree bitwise.  A combined energy
+sums the weighted gradients of its terms into the same backwards and adds
+the direct fluency gradient once.  ``fluency_nll`` is the same shared pass
+with no batch: the prompt's own pass and one backward over it, for a
+one-row prompt too.
+
+A chain scores each example once per prompt.  ``run_chain`` hands every
+example a private memo of its chain (``_ChainMemo``), valid for one prompt's
+token ids, model, task, term weights and batch size.  It keeps the prompt's
+own pass and fluency readout and, per example, what its stack gave it: its
+label logits, its token terms and its key/value gradients per direction.
+None of these depend on the rest of the batch, and only the coefficients
+that combine them do, so the memo serves every energy.  A step reads the
+examples the memo holds from it and runs stacks of only the others, storing
+them.  A member's backward has the same bits in any stack, and every
+evaluation combines the same per-example arrays in the same way, so every
+step has every bit of a memo-free one, on batches of any lengths.  The memo
+never serves adapters that do not extend passes, unprojected prompts or
+calls without a gradient.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -73,6 +80,7 @@ from .errors import ConfigurationError, DataError, UsageError
 from .model import (
     SoftPrompt,
     _by_length,
+    _exact_matmul,
     _extends,
     _input_matrix,
     _restricted_softmax,
@@ -167,45 +175,46 @@ def _rendered(examples, task: TaskSpec, model, memo=None) -> list[_Rendered]:
             for slot, ex in enumerate(examples)]
 
 
-# A chain memo holds at most this many examples, so a large training set
-# pays at most the memory of this many (about 8 KB each at M=10 on the
-# reference model).
-_MEMO_EXAMPLES = 2048
+# A chain memo holds at most this many floats (15.7 MB): about 2000
+# supervised or 1000 unsupervised examples at M=10 on the reference model.
+_MEMO_FLOATS = 2048 * 960
 
 
 class _ChainMemo:
-    """What one chain's supervised steps computed under its current prompt.
+    """What one chain's steps computed under its current prompt.
 
     Valid for one key: the prompt's token ids, the model, the task, the term
     weights and the batch size; any change to one of them empties it.  It
-    holds the prompt's own pass and, per example slot with a non-empty body,
-    the label-row logits and the gradients w.r.t. the prompt pass's keys and
-    values, one contiguous ``(n_layers, 2, H, m, dh)`` array: a copy of the
-    example's slice of its stack's gradients.  These depend on nothing else
-    when only ``task`` and ``fluency`` are weighted, so a step's stacks run
-    only the examples the memo lacks.
+    holds the prompt's own pass (``head``) and its fluency readout
+    (``prefix``) and, per example slot with a non-empty body, the example's
+    tuple from :func:`_stacked_passes`: its label logits at the verbalizer
+    ids, its token terms and the first one's gradient w.r.t. the prompt
+    pass's last hidden row (none and zeros when ``domain`` is not weighted),
+    and its key/value gradients, one contiguous ``(R, n_layers, 2, H, m,
+    dh)`` array with one per direction.  Every array is its own copy, so no
+    entry keeps its whole stack alive.  None of them depend on the rest of
+    the batch, so a step's stacks run only the examples the memo lacks; the
+    entries hold at most ``_MEMO_FLOATS`` floats.
     """
 
     def __init__(self):
         self.key = None
-        self.head = None
-        self.entries = {}  # slot -> (label-row logits, key/value gradients)
+        self.head = self.prefix = None
+        self.entries = {}  # slot -> (label logits, token terms, first-row gradient, d_kv)
+        self.floats = 0  # the floats the entries hold
 
 
 def _chain_memo(prompt: SoftPrompt, batch, task, model, weights, grad: bool):
     """The memo ``batch``'s examples carry (a chain's examples all carry its
     one memo), emptied unless its key is this evaluation's; None where a
-    memo cannot serve.  It never serves an
-    adapter that does not extend passes, an unprojected prompt, a call
-    without a gradient, or the ``entropy`` and ``domain`` terms, whose
-    per-example gradient depends on the rest of the batch."""
+    memo cannot serve: an adapter that does not extend passes, an
+    unprojected prompt or a call without a gradient."""
     memo = getattr(batch[0], "memo", None) if batch else None
-    if (memo is None or not grad or prompt.token_ids is None or not _extends(model)
-            or weights.keys() - {"task", "fluency"}):
+    if memo is None or not grad or prompt.token_ids is None or not _extends(model):
         return None
     key = (prompt.token_ids, model, task, tuple(weights.items()), len(batch))
     if memo.key != key:
-        memo.key, memo.head, memo.entries = key, None, {}
+        memo.key, memo.head, memo.prefix, memo.entries, memo.floats = key, None, None, {}, 0
     return memo
 
 
@@ -237,83 +246,102 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
 
 
-def _stacked_passes(prompt: SoftPrompt, seqs, model, label_only: bool = False,
+def _stacked_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool, grad: bool,
                     memo: _ChainMemo | None = None, slots=()):
     """The prompt's own pass, then one stacked extension per body length of
-    the examples a memo does not hold.
+    the examples a memo does not hold, each stack read off on its own.
 
-    Returns ``(head, rows, backward)``.  ``head`` is a pass whose first ``m``
-    rows are the prompt's.  ``rows`` holds, in batch order, the logits of
-    rows ``m-1 .. L-1`` of each example's pass: ``len(seq) + 1`` rows, of
-    which the first predicts the first body token and the last is the label
-    row (for an empty body, both are the prompt's last row).  With
-    ``label_only`` the stacks run their top layer on the label rows only,
-    and every other body row of ``rows`` is NaN.
-    ``backward(d_head, d_rows)`` takes gradients w.r.t. ``head``'s first
-    ``m`` hidden rows and w.r.t. the hidden rows behind ``rows``, and returns
-    the gradient w.r.t. the prompt rows.  Grouping by length happens only
-    here: each stack's logits are scattered into ``rows`` and its slice of
-    ``d_rows`` is gathered back.
+    Returns ``(head, labels, terms, backward)``.  ``head`` is the prompt's
+    pass.  ``labels`` holds, in batch order, each example's label-row
+    logits at ``vids``, and ``terms`` one array per example, its token terms
+    with ``domain`` (an empty body has none, and its label row is the
+    prompt's last row).  Without ``domain`` the stacks run their top layer
+    on the label rows only.  ``backward(d_head, d_labels, w_tokens)`` takes
+    the gradients w.r.t. ``head``'s hidden rows and w.r.t.
+    ``labels``, each of whose rows must sum to zero, and the weight of the
+    summed token terms, and returns the gradient w.r.t. the prompt rows.
 
-    ``backward`` takes one key/value gradient per example with a non-empty
-    body, its member slice of its stack's, and the prompt's pass sums them
-    in batch order.  With a ``memo`` (``label_only``, and ``slots`` giving
-    each example's slot), the prompt's pass is the memo's when it holds one,
-    and an example the memo holds takes its label row and key/value gradient
-    from it; the stacks run only the others and store them.  A member's
-    backward has the same bits in any stack, so a held example gives the
-    bits of a fresh one.
+    With ``grad``, each stack takes one backward per direction
+    ``E[v_y] - E[v_0]`` (``y >= 1``) at its members' label rows and, with
+    ``domain``, one over their token terms' gradient, giving each member its
+    key/value gradients ``G_y`` and ``G_dom``.  ``backward`` sums, per
+    example, ``d_labels[y] * G_y`` and ``w_tokens * G_dom``, and the
+    prompt's pass sums those in batch order.  With a ``memo`` (``slots``
+    giving each example's slot), the prompt's pass is the memo's when it
+    holds one, and an example the memo holds takes its tuple from it; the
+    stacks run only the others and store theirs.  A member's backward has
+    the same bits in any stack, so a held example gives the bits of a fresh
+    one.
     """
     table = model.embedding_table().entries
-    m = prompt.length
-    head = memo.head if memo is not None else None
-    if head is None:
-        head = model.forward(prompt.entries)
-    lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
-    firsts = np.cumsum(lens) - lens + np.arange(len(seqs))
-    rows = np.full((len(seqs) + lens.sum(), head.logits.shape[-1]), np.nan)
-    rows[firsts] = head.logits[m - 1]
-    # batch index -> the (label-row logits, key/value gradients) the memo holds
-    held = {} if memo is None else {i: memo.entries[slot] for i, slot in enumerate(slots)
-                                    if lens[i] and slot in memo.entries}
-    for i, (logits, _) in held.items():
-        rows[firsts[i] + lens[i]] = logits
-    stacks = []
-    for idx in _by_length(seqs):
-        idx = [i for i in idx if lens[i] and i not in held]
-        if idx:
-            n = lens[idx[0]]
-            at = firsts[idx, None] + np.arange(n if label_only else 1, n + 1)
-            fw = model.forward(table[np.array([seqs[i] for i in idx])], past=head.cache,
-                               last_only=label_only)
-            rows[at] = fw.logits
-            stacks.append((idx, fw, at))
+    m, b = prompt.length, len(seqs)
+    head = getattr(memo, "head", None) or model.forward(prompt.entries)
+    last = head.logits[m - 1]
+    # batch index -> (label logits, token terms, first token's gradient at the
+    # prompt's last row, key/value gradients per direction)
+    got = {i: (last[vids], np.zeros(0), np.zeros(prompt.dim), None)
+           for i, seq in enumerate(seqs) if not seq}
     if memo is not None:
         memo.head = head
+        got.update((i, memo.entries[slot]) for i, slot in enumerate(slots)
+                   if slot in memo.entries)
+    dirs = table[vids[1:]] - table[vids[:1]]
+    for idx in _by_length(seqs):
+        idx = [i for i in idx if i not in got]
+        if not idx:
+            continue
+        ids = np.array([seqs[i] for i in idx])
+        fw = model.forward(table[ids], past=head.cache, last_only=not domain)
+        rhs = np.zeros((len(dirs) + domain, *fw.hidden.shape))
+        rhs[:len(dirs), :, -1] = dirs[:, None]
+        terms, d_first = np.zeros((len(idx), 0)), np.zeros((len(idx), prompt.dim))
+        if domain:  # the prompt's last row predicts each body's first token
+            rows = np.concatenate([np.broadcast_to(last, (len(idx), 1, len(last))),
+                                   fw.logits[:, :-1]], axis=1)
+            terms, d_tok = _token_readout(rows.reshape(-1, len(last)), ids.ravel(), table)
+            terms, d_tok = terms.reshape(ids.shape), d_tok.reshape(*ids.shape, -1)
+            d_first, rhs[-1, :, :-1] = d_tok[:, 0], d_tok[:, 1:]
+        kv = np.stack([model.backward_input(fw.cache, d_hidden=d)[1] for d in rhs]) \
+            if grad else None
+        for j, i in enumerate(idx):  # copies, so no entry keeps its whole stack alive
+            got[i] = (fw.logits[j, -1][vids], terms[j].copy(), d_first[j].copy(),
+                      kv[:, :, :, j].copy() if grad else None)
+            # a memo serves gradients only, so ``kv`` is there; a batch may
+            # hold one example twice
+            if memo is not None and slots[i] not in memo.entries:
+                size = sum(a.size for a in got[i])
+                if memo.floats + size <= _MEMO_FLOATS:
+                    memo.entries[slots[i]], memo.floats = got[i], memo.floats + size
+    labels = np.array([got[i][0] for i in range(b)]).reshape(b, len(vids))
 
-    def backward(d_head, d_rows):
-        d_head = d_head.copy()
-        d_head[m - 1] += d_rows[firsts].sum(axis=0)
-        d_kv = {i: d for i, (_, d) in held.items()}
-        for idx, fw, at in stacks:
-            _, members = model.backward_input(fw.cache, d_hidden=d_rows[at])
-            for j, i in enumerate(idx):
-                d_kv[i] = members[:, :, j]
-                if memo is not None and len(memo.entries) < _MEMO_EXAMPLES:
-                    # copies, so no entry keeps its whole stack alive
-                    memo.entries[slots[i]] = (fw.logits[j, -1].copy(), d_kv[i].copy())
-        # the head sums one member per example, in batch order
-        d_past = np.stack([d_kv[i] for i in sorted(d_kv)], axis=2) if d_kv else None
+    def backward(d_head, d_labels, w_tokens):
+        empty = [i for i in range(b) if not seqs[i]]
+        full = [i for i in range(b) if seqs[i]]
+        first = w_tokens * np.array([got[i][2] for i in range(b)]).reshape(b, prompt.dim)
+        first[empty] = d_labels[empty] @ table[vids]
+        d_head[m - 1] += first.sum(axis=0)
+        d_past = None
+        if full:  # per example, its coefficient times each of its gradients
+            coeffs = [*d_labels[full, 1:].T, np.full(len(full), w_tokens)]
+            kv = np.stack([got[i][3] for i in full], axis=3)  # (R, n_layers, 2, K, H, m, dh)
+            # zip stops at the directions when ``domain`` is not weighted
+            d_past = sum(c[:, None, None, None] * g for c, g in zip(coeffs, kv))
         return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
 
-    return head, rows, backward
+    return head, labels, [got[i][1] for i in range(b)], backward
 
 
 def _full_passes(prompt: SoftPrompt, seqs, model):
     """One full pass over ``prompt + body`` per example, for adapters that do
-    not extend passes; same contract as :func:`_stacked_passes` without
-    ``label_only`` (every row is filled), with the first example's pass as
-    ``head`` (the prompt's own pass without examples)."""
+    not extend passes, with the first example's pass as ``head`` (the
+    prompt's own pass without examples).
+
+    Returns ``(head, rows, backward)``: ``rows`` holds, in batch order, the
+    logits of rows ``m-1 .. L-1`` of each example's pass (``len(seq) + 1``
+    rows, of which the first predicts the first body token and the last is
+    the label row), and ``backward(d_head, d_rows)`` takes gradients w.r.t.
+    ``head``'s first ``m`` hidden rows and w.r.t. the hidden rows behind
+    ``rows``, and returns the gradient w.r.t. the prompt rows."""
     m = prompt.length
     fws = [model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
     head = fws[0] if fws else model.forward(prompt.entries)
@@ -334,15 +362,40 @@ def _full_passes(prompt: SoftPrompt, seqs, model):
     return head, rows, backward
 
 
+def _read_full_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool):
+    """:func:`_full_passes` read off as :func:`_stacked_passes` returns its
+    examples, with its ``backward``, which needs no zero-sum ``d_labels``."""
+    table = model.embedding_table().entries
+    head, rows, backward_rows = _full_passes(prompt, seqs, model)
+    ends = np.cumsum([len(seq) for seq in seqs], dtype=np.intp)
+    label_at = ends + np.arange(len(seqs))
+    tokens = np.ones(len(rows), dtype=bool)
+    tokens[label_at] = False
+    terms, d_tok = np.zeros(0), None
+    if domain:
+        targets = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp)
+        terms, d_tok = _token_readout(rows[tokens], targets, table)
+
+    def backward(d_head, d_labels, w_tokens):
+        d_rows = np.zeros((len(rows), prompt.dim))
+        d_rows[label_at] = d_labels @ table[vids]
+        if domain:
+            d_rows[tokens] = w_tokens * d_tok
+        return backward_rows(d_head, d_rows)
+
+    return head, rows[label_at][:, vids], np.split(terms, ends[:-1]), backward
+
+
 def _token_readout(rows: np.ndarray, targets: np.ndarray, table: np.ndarray):
     """NLLs of the tokens ``targets``, one per logit row of ``rows``, and their
-    gradient w.r.t. the hidden rows behind ``rows``."""
+    gradient w.r.t. the hidden rows behind ``rows``; each row's bits do not
+    depend on the other rows."""
     lse = logsumexp(rows)
     at = (np.arange(rows.shape[0]), targets)
     terms = lse - rows[at]
     p = np.exp(rows - lse[:, None])
     p[at] -= 1.0
-    return terms, p @ table
+    return terms, _exact_matmul(p, table)
 
 
 def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model,
@@ -358,35 +411,36 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     m, b = prompt.length, len(batch)
     w = {t: weights.get(t, 0.0) for t in ("task", "fluency", "entropy", "domain")}
     seqs = [_token_ids(task, ex, model) for ex in batch]
+    domain = "domain" in weights
+    vids = verbalizer_token_ids(task, model) if weights.keys() & {"task", "entropy"} else []
     memo = _chain_memo(prompt, batch, task, model, weights, grad)
-    if _extends(model):  # only domain_nll reads rows other than the label rows
-        head, rows, backward = _stacked_passes(
-            prompt, seqs, model, label_only="domain" not in weights, memo=memo,
+    if _extends(model):
+        head, labels, tok_terms, backward = _stacked_passes(
+            prompt, seqs, model, vids, domain, grad, memo,
             slots=[ex.slot for ex in batch] if memo is not None else ())
     else:
-        head, rows, backward = _full_passes(prompt, seqs, model)
-    lens = np.array([len(seq) for seq in seqs], dtype=np.intp)
-    label_at = np.cumsum(lens) + np.arange(b)
+        head, labels, tok_terms, backward = _read_full_passes(prompt, seqs, model, vids, domain)
     d_head = np.zeros_like(prompt.entries)
-    d_rows = np.zeros((rows.shape[0], prompt.dim))
+    d_labels = np.zeros_like(labels)
 
     values = {}
     prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
-    if "fluency" in weights or "domain" in weights:
-        prefix_terms, d_prefix, direct = _prefix_readout(prompt, head, table)
+    if "fluency" in weights or domain:
+        prefix = getattr(memo, "prefix", None) or _prefix_readout(prompt, head, table)
+        if memo is not None:
+            memo.prefix = prefix
+        prefix_terms, d_prefix, direct = prefix
         d_head[:m - 1] = (w["fluency"] + w["domain"]) * d_prefix
     if "fluency" in weights:
         values["fluency"] = math.fsum(prefix_terms)
-    if "task" in weights or "entropy" in weights:
-        vids = verbalizer_token_ids(task, model)
-        label_rows = table[vids]
-        probs = _restricted_softmax(rows[label_at], vids)
+    if vids:
+        probs = _restricted_softmax(labels, slice(None))
     if "task" in weights:
         gold = (np.arange(b), [task.labels.index(ex.label) for ex in batch])
         values["task"] = math.fsum(-math.log(p) for p in probs[gold]) / b
         d_label = probs.copy()
         d_label[gold] -= 1.0
-        d_rows[label_at] += (w["task"] / b) * (d_label @ label_rows)
+        d_labels += (w["task"] / b) * d_label
     if "entropy" in weights:
         pbar = np.array([math.fsum(col) / b for col in probs.T])
         values["entropy"] = math.fsum(float(py * math.log(py))
@@ -394,20 +448,14 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
         if grad:
             # d value / d logit_y' through each example's restricted softmax
             log_pbar = np.log(pbar)
-            coeff = probs * (log_pbar - (probs @ log_pbar)[:, None]) / b
-            d_rows[label_at] += w["entropy"] * (coeff @ label_rows)
-    if "domain" in weights:
-        tokens = np.ones(rows.shape[0], dtype=bool)
-        tokens[label_at] = False
-        targets = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp)
-        tok_terms, d_tok = _token_readout(rows[tokens], targets, table)
-        d_rows[tokens] += (w["domain"] / b) * d_tok
-        values["domain"] = math.fsum(
-            math.fsum(np.concatenate([prefix_terms, tok_terms[end - n:end]]))
-            for n, end in zip(lens, np.cumsum(lens))) / b
+            d_labels += w["entropy"] * (probs * (log_pbar - (probs @ log_pbar)[:, None]) / b)
+    if domain:
+        values["domain"] = math.fsum(math.fsum(np.concatenate([prefix_terms, terms]))
+                                     for terms in tok_terms) / b
     if not grad:
         return values, None
-    return values, (w["fluency"] + w["domain"]) * direct + backward(d_head, d_rows)
+    return values, ((w["fluency"] + w["domain"]) * direct
+                    + backward(d_head, d_labels, w["domain"] / max(b, 1)))
 
 
 def _term(prompt, batch, task, model, term: str, grad: bool):

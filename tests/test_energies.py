@@ -430,25 +430,27 @@ def test_stacked_energy_equals_full_passes(model, m, cfg):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_passes_return_each_examples_rows_in_batch_order(model, m):
-    """Stacked and full passes both return rows ``m-1 .. L-1`` of each
-    example's pass, in batch order, though the stacks run by body length."""
-    from promptsearch.energies import _full_passes, _stacked_passes
-    from promptsearch.model import _input_matrix
-    from promptsearch.tasks import render
+def test_passes_return_each_examples_readouts_in_batch_order(model, m):
+    """Stacked and full passes both return each example's label logits at
+    the verbalizer ids and its token terms in batch order, bitwise those of
+    the example's own pass, though the stacks run by body length."""
+    from promptsearch.energies import _read_full_passes, _stacked_passes
+    from promptsearch.model import _input_matrix, _logsumexp
+    from promptsearch.tasks import render, verbalizer_token_ids
 
     prompt = soft(model, 70 + m, m=m)
     seqs = [render(MIXED_TASK, ex.text, model) for ex in MIXED_BATCH]
     assert [len(seq) for seq in seqs] == [2, 0, 1, 3, 1, 3]
-    _, rows, _ = _stacked_passes(prompt, seqs, model)
-    _, rows_full, _ = _full_passes(prompt, seqs, model)
-    assert rows.shape == rows_full.shape == (len(seqs) + 10, model.vocab_size)
-    assert rows.tobytes() == rows_full.tobytes()
-    start = 0
-    for seq in seqs:
+    vids = verbalizer_token_ids(MIXED_TASK, model)
+    _, labels, terms, _ = _stacked_passes(prompt, seqs, model, vids, True, False)
+    _, labels_full, terms_full, _ = _read_full_passes(prompt, seqs, model, vids, True)
+    assert labels.shape == (len(seqs), 2) and len(terms) == len(seqs)
+    assert labels.tobytes() == labels_full.tobytes()
+    for i, seq in enumerate(seqs):
         own = model.forward(_input_matrix(prompt, seq, model)).logits[m - 1:]
-        assert rows[start:start + len(seq) + 1].tobytes() == own.tobytes()
-        start += len(seq) + 1
+        assert labels[i].tobytes() == own[-1, vids].tobytes()
+        want = _logsumexp(own[:-1]) - own[np.arange(len(seq)), seq]
+        assert terms[i].tobytes() == terms_full[i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -520,4 +522,6 @@ def test_energy_and_grad_runs_prompt_once_and_one_stack_per_length(monkeypatch, 
         monkeypatch.setattr(TinyCausalLM, name, functools.wraps(original)(counted))
     energy_and_grad(soft(model, 51, m=4), MIXED_BATCH, MIXED_TASK, model, cfg)
     k = len({len(model.tokenize(ex.text)) for ex in MIXED_BATCH} - {0})
-    assert calls == {"forward": 1 + k, "backward_input": 1 + k}
+    # each stack takes one backward per label direction, one more with ``domain``
+    per_stack = len(MIXED_TASK.labels) - 1 + (cfg.mode == "unsupervised")
+    assert calls == {"forward": 1 + k, "backward_input": 1 + k * per_stack}

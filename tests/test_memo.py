@@ -1,9 +1,10 @@
-"""The chain memo: a supervised chain scores each example once per prompt.
+"""The chain memo: a chain scores each example once per prompt, in both modes.
 
 A batch member already scored under the unchanged prompt reads its label
-row and its key/value gradients from the chain's memo; a step's stacks run
-only the members the memo lacks and store them.  These tests hold the memo
-to the bits of memo-free evaluation, and check where it must stay off.
+logits, its token terms and its key/value gradients per direction from the
+chain's memo; a step's stacks run only the members the memo lacks and store
+them.  These tests hold the memo to the bits of memo-free evaluation,
+supervised and unsupervised, and check where it must stay off.
 """
 
 import functools
@@ -20,16 +21,25 @@ from promptsearch.cli import main
 from promptsearch.energies import (
     EnergyConfig,
     _ChainMemo,
+    _prefix_readout,
     _rendered,
-    domain_nll,
     energy_and_grad,
-    entropy_loss,
     supervised_energy,
 )
 from promptsearch.model import SoftPrompt, TinyCausalLM, prompt_from_ids
 from promptsearch.sampler import NoiseSchedule, SamplerConfig, run_chain
 from promptsearch.synthetic import POOL_A, POOL_B, synthetic_dataset
-from promptsearch.tasks import Example
+from promptsearch.tasks import Example, TaskSpec
+
+UNSUPERVISED = [EnergyConfig.unsupervised(0.003),
+                EnergyConfig.unsupervised(0.003, sign="literal")]
+# no cue after the input, so an input of no words renders an empty body
+BARE = TaskSpec(id="bare", template="{x}", verbalizer={"good": "good", "bad": "bad"},
+                domain_string="this is a review")
+# three labels, so two label directions per example
+THREE_LABELS = TaskSpec(id="three", template="{x} it was",
+                        verbalizer={"good": "good", "bad": "bad", "so-so": "music"},
+                        domain_string="this is a review")
 
 
 def _bits_equal(a, b):
@@ -136,6 +146,49 @@ def test_memo_changes_no_six_word_record_and_full_pass_adapters_run_every_exampl
     assert counting.forwards == 20 * 4 and counting.backwards == 20 * 4
 
 
+def _assert_memo_free_bits(monkeypatch, task, model, cfg, data):
+    """Every step of the chain has the energies and gradient of memo-free
+    evaluation, bit for bit, at least 5 steps ran no forward, and the record
+    is a memo-free chain's."""
+    record, steps = _traced_chain(monkeypatch, task, model, cfg, data)
+    assert len(record.per_step) == cfg.steps and record.fault is None
+    assert sum(step[4] == 0 for step in steps) >= 5, "too few steps served from the memo"
+    for prompt, batch, breakdown, grad, _ in steps:
+        plain = [Example(ex.text, ex.label) for ex in batch]
+        want, want_grad = energy_and_grad(prompt, plain, task, model, cfg.energy)
+        assert breakdown == want
+        _bits_equal(grad, want_grad)
+    assert record.to_dict() == _memo_free(monkeypatch, task, model, cfg, data).to_dict()
+
+
+@pytest.mark.parametrize("energy", UNSUPERVISED, ids=lambda e: e.sign)
+@pytest.mark.parametrize("mixed", [False, True], ids=["six-word", "mixed-length"])
+def test_unsupervised_chain_matches_memo_free_evaluation_bit_for_bit(monkeypatch, model,
+                                                                     task, mixed, energy):
+    """The entropy coefficients depend on the whole batch, yet a held member
+    gives the bits of a fresh one: each gradient combines the same
+    per-example key/value gradients with the step's coefficients.  The
+    mixed-length data has inputs of 0 to 5 words under a template without a
+    cue, so some bodies are empty."""
+    if mixed:
+        task, data = BARE, _mixed_data(12, seed=2)
+        assert any(not ex.text for ex in data)
+    else:
+        data = synthetic_dataset(12, seed=3)
+    _assert_memo_free_bits(monkeypatch, task, model,
+                           _config(steps=60, batch=4, seed=1, energy=energy), data)
+
+
+@pytest.mark.parametrize("energy", [EnergyConfig.supervised(0.003), UNSUPERVISED[0]],
+                         ids=["supervised", "unsupervised"])
+def test_three_label_chain_matches_memo_free_evaluation_bit_for_bit(monkeypatch, model,
+                                                                    energy):
+    """Three labels give each example two label directions."""
+    _assert_memo_free_bits(monkeypatch, THREE_LABELS, model,
+                           _config(steps=60, batch=4, seed=1, energy=energy),
+                           synthetic_dataset(12, seed=3))
+
+
 # -- what empties the memo -------------------------------------------------------
 
 def _evaluate(prompt, items, task, model, energy=None):
@@ -180,13 +233,39 @@ def test_held_batch_runs_no_stack_and_gives_the_same_bits(model, task):
     _bits_equal(served_grad, want_grad)
 
 
-def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, task):
+def test_held_unsupervised_batch_runs_no_forward_and_no_prompt_readout(monkeypatch,
+                                                                      model, task):
+    """All held: one backward, over the prompt's pass, and neither a forward
+    nor a fluency readout over the prompt."""
+    memo = _ChainMemo()
+    items = _rendered(synthetic_dataset(8, seed=4), task, model, memo)
+    prompt = prompt_from_ids([9, 10, 11, 12], model)
+    energy = UNSUPERVISED[0]
+    _evaluate(prompt, items[:4], task, model, energy)
+    _evaluate(prompt, items[4:], task, model, energy)
+    readouts = []
+    monkeypatch.setattr(energies, "_prefix_readout",
+                        lambda *args: readouts.append(args) or _prefix_readout(*args))
+    counting = {"forward": 0, "backward_input": 0}
+    batch = [items[6], items[1], items[4], items[3]]
+    served, served_grad = _counted(counting, lambda: _evaluate(prompt, batch, task, model,
+                                                               energy))
+    assert counting == {"forward": 0, "backward_input": 1} and readouts == []
+    monkeypatch.undo()
+    want, want_grad = _evaluate(prompt, [Example(ex.text, ex.label) for ex in batch],
+                                task, model, energy)
+    assert served == want
+    _bits_equal(served_grad, want_grad)
+
+
+@pytest.mark.parametrize("energy", [None, UNSUPERVISED[0]], ids=["supervised", "unsupervised"])
+def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, task, energy):
     """Mixed lengths: the stacks run the members the memo lacks, and no
     other, and the step keeps the bits of memo-free evaluation."""
     memo = _ChainMemo()
     items = _rendered(_mixed_data(10, seed=4), task, model, memo)
     prompt = prompt_from_ids([9, 10, 11], model)
-    _evaluate(prompt, items[:5], task, model)
+    _evaluate(prompt, items[:5], task, model, energy)
     batch = [items[7], items[1], items[5], items[3], items[9]]
     stacked = []
     original = TinyCausalLM.forward
@@ -197,31 +276,37 @@ def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, ta
         return original(self, X, past=past, **kwargs)
 
     monkeypatch.setattr(TinyCausalLM, "forward", forward)
-    served, served_grad = _evaluate(prompt, batch, task, model)
+    served, served_grad = _evaluate(prompt, batch, task, model, energy)
     monkeypatch.undo()
     table = model.embedding_table().entries
     missed = sorted(table[list(ex.ids)].tobytes() for ex in (items[7], items[5], items[9]))
     assert sorted(x.tobytes() for x in stacked) == missed
     assert sorted(memo.entries) == [0, 1, 2, 3, 4, 5, 7, 9]
     want, want_grad = _evaluate(prompt, [Example(ex.text, ex.label) for ex in batch],
-                                task, model)
+                                task, model, energy)
     assert served == want
     _bits_equal(served_grad, want_grad)
 
 
 
-def test_memo_entries_are_contiguous_copies(model, task):
-    """Each held key/value gradient owns its data, so no entry keeps the
-    array of its whole stack alive."""
+@pytest.mark.parametrize("energy", [None, UNSUPERVISED[0]], ids=["supervised", "unsupervised"])
+def test_memo_entries_are_contiguous_copies(model, task, energy):
+    """Each held array owns its data, so no entry keeps the array of its
+    whole stack alive; the key/value gradients hold one array per label
+    direction, and one more with the domain term."""
     memo = _ChainMemo()
     items = _rendered(_mixed_data(8, seed=2), task, model, memo)
-    _evaluate(prompt_from_ids([5, 6, 7], model), items, task, model)
-    assert memo.entries
-    H = model.n_heads
-    for logits, d_kv in memo.entries.values():
-        assert d_kv.shape == (model.n_layers, 2, H, 3, model.dim // H)
-        assert d_kv.flags.c_contiguous and d_kv.base is None
-        assert logits.base is None
+    _evaluate(prompt_from_ids([5, 6, 7], model), items, task, model, energy)
+    assert len(memo.entries) == 8
+    H, directions = model.n_heads, 1 if energy is None else 2
+    for ex in items:
+        logits, terms, d_first, d_kv = memo.entries[ex.slot]
+        assert logits.shape == (2,) and d_first.shape == (model.dim,)
+        assert terms.shape == ((0,) if energy is None else (len(ex.ids),))
+        assert d_kv.shape == (directions, model.n_layers, 2, H, 3, model.dim // H)
+        for held in (logits, terms, d_first, d_kv):
+            assert held.flags.c_contiguous and held.base is None
+
 
 def _counted(counts, run):
     originals = {name: getattr(TinyCausalLM, name) for name in counts}
@@ -243,17 +328,6 @@ def _counted(counts, run):
 
 # -- where the memo stays off ------------------------------------------------------
 
-def test_memo_is_off_for_unsupervised_energies(model, task):
-    """The entropy term's per-example gradient depends on the batch mean."""
-    memo = _ChainMemo()
-    items = _rendered(synthetic_dataset(4, seed=4), task, model, memo)
-    prompt = prompt_from_ids([5, 6, 7], model)
-    _evaluate(prompt, items, task, model, EnergyConfig.unsupervised(0.003))
-    entropy_loss(prompt, items, task, model, grad=True)
-    domain_nll(prompt, items, task, model, grad=True)
-    assert memo.key is None and memo.head is None and memo.entries == {}
-
-
 def test_memo_is_off_for_adapters_that_do_not_extend_passes(model, task):
     memo = _ChainMemo()
     items = _rendered(synthetic_dataset(4, seed=4), task, model, memo)
@@ -274,14 +348,24 @@ def test_memo_is_off_for_unprojected_prompts_and_value_only_calls(model, task):
     assert memo.key is None and memo.entries == {}
 
 
-def test_memo_holds_at_most_its_bound(monkeypatch, model, task):
-    monkeypatch.setattr(energies, "_MEMO_EXAMPLES", 3)
-    memo = _ChainMemo()
-    items = _rendered(synthetic_dataset(8, seed=4), task, model, memo)
+@pytest.mark.parametrize("energy", [None, UNSUPERVISED[0]], ids=["supervised", "unsupervised"])
+def test_memo_holds_at_most_its_bound(monkeypatch, model, task, energy):
+    """The bound counts floats, so an unsupervised entry, which holds one
+    more key/value gradient and its token terms, counts about twice.  An
+    example a batch holds twice is counted once."""
+    items = _rendered(synthetic_dataset(8, seed=4), task, model, _ChainMemo())
     prompt = prompt_from_ids([5, 6, 7], model)
-    _evaluate(prompt, items[:4], task, model)
-    _evaluate(prompt, items[4:], task, model)
-    assert sorted(memo.entries) == [0, 1, 2]
+    _evaluate(prompt, items[:4] + items[:1], task, model, energy)
+    memo = items[0].memo
+    assert sorted(memo.entries) == [0, 1, 2, 3]
+    assert memo.floats == sum(a.size for entry in memo.entries.values() for a in entry)
+    per_entry = memo.floats // 4  # six-word inputs: every entry holds as many floats
+    monkeypatch.setattr(energies, "_MEMO_FLOATS", 3 * per_entry + per_entry // 2)
+    items = _rendered(items, task, model, _ChainMemo())
+    _evaluate(prompt, items[:4], task, model, energy)
+    _evaluate(prompt, items[4:], task, model, energy)
+    assert sorted(items[0].memo.entries) == [0, 1, 2]
+    assert items[0].memo.floats == 3 * per_entry
 
 
 # -- one memo per chain ---------------------------------------------------------------

@@ -18,7 +18,7 @@ of that quarter's steps:
   prompt's for step 0), i.e. whose update moved no prompt row to another
   token;
 - ``held``: the steps that ran no stacked forward, i.e. whose every example
-  the chain memo held (only supervised chains have a memo).
+  the chain memo held (in either mode).
 
 Stacked forwards are counted by wrapping ``TinyCausalLM.forward`` and
 ``promptsearch.sampler.energy_and_grad`` for the run; both are restored
