@@ -25,39 +25,50 @@ once per batch.  When ``domain_nll`` is not weighted, nothing reads the
 other body rows, so the stacks run the model's top layer on the label rows
 only (``forward(..., last_only=True)``).
 
-The gradient is formed per example, by linearity.  Over the label words, the
-gradient w.r.t. an example's label logits sums to zero, for ``task``
-(``p - onehot``) and ``entropy`` alike, so its label row's gradient is
-``sum_{y>=1} c_y (E[v_y] - E[v_0])``.  Each stack takes one
-``model.backward_input`` per direction ``E[v_y] - E[v_0]``, placed at every
-member's label row, and, when ``domain_nll`` is weighted, one more over the
-members' own token-row gradients.  These return the gradients w.r.t. the
-prompt's cached keys and values, one array with a member axis; a member's
-key/value gradient is the sum of its slices times the step's coefficients
-(``c_y``, and ``w_domain / b``).  The prompt's pass takes one backward with
-those added (exact by linearity), one member per example, summed in batch
-order.  Other adapters (wrappers overriding ``forward(self, X)``, registered
-adapters) run one full pass over ``prompt + render(task, text)`` per example
-instead, and one backward per example over its summed row gradients.  Both
-paths read the same rows, so their values agree bitwise.  A combined energy
-sums the weighted gradients of its terms into the same backwards and adds
-the direct fluency gradient once.  ``fluency_nll`` is the same shared pass
-with no batch: the prompt's own pass and one backward over it, for a
-one-row prompt too.
+The gradient is formed per example, by linearity.  An example's label-row
+gradient has two parts: its own, from ``task`` (``p - onehot``, which
+depends on the example alone), and the batch's, from ``entropy``, whose
+coefficients depend on the batch-mean label distribution.  The batch part
+sums to zero over the label words, so it is ``sum_{y>=1} c_y (E[v_y] -
+E[v_0])``.  Each stack takes one ``model.backward_input`` over its
+right-hand sides, stacked on a leading axis: its members' own gradients
+(with ``domain_nll``'s token-row gradients) and, when a chain memo serves
+an ``entropy`` term, one direction ``E[v_y] - E[v_0]`` per label word after
+the first, at every member's label row.  That returns, per member and
+right-hand side, the gradient w.r.t. the prompt's cached keys and values;
+a member's key/value gradient is its own one plus the directions' times its
+coefficients ``c_y``.  Without a memo the batch part joins the own one, so
+each stack takes one right-hand side.  The prompt's pass takes one backward
+with those added (exact by linearity), one member per example, summed in
+batch order.  Other adapters (wrappers overriding ``forward(self, X)``,
+registered adapters) run one full pass over ``prompt + render(task, text)``
+per example instead, and one backward per example over its summed row
+gradients.  Both paths read the same rows, so their values agree bitwise.
+A combined energy sums the weighted gradients of its terms into the same
+backwards and adds the direct fluency gradient once.  ``fluency_nll`` is
+the same shared pass with no batch: the prompt's own pass and one backward
+over it, for a one-row prompt too.
 
 A chain scores each example once per prompt.  ``run_chain`` hands every
 example a private memo of its chain (``_ChainMemo``), valid for one prompt's
 token ids, model, task, term weights and batch size.  It keeps the prompt's
 own pass and fluency readout and, per example, what its stack gave it: its
-label logits, its token terms and its key/value gradients per direction.
-None of these depend on the rest of the batch, and only the coefficients
-that combine them do, so the memo serves every energy.  A step reads the
-examples the memo holds from it and runs stacks of only the others, storing
-them.  A member's backward has the same bits in any stack, and every
-evaluation combines the same per-example arrays in the same way, so every
-step has every bit of a memo-free one, on batches of any lengths.  The memo
-never serves adapters that do not extend passes, unprojected prompts or
-calls without a gradient.
+label logits, its token terms and its key/value gradients per right-hand
+side.  None of these depend on the rest of the batch, and only the
+coefficients that combine them do, so the memo serves every energy.  A step
+reads the examples the memo holds from it and runs stacks of only the
+others, storing them.  A member's backward has the same bits in any stack,
+and every evaluation under a memo combines the same per-example arrays in
+the same way, so what the memo holds never changes a step's bits, on
+batches of any lengths.  Supervised energies take one right-hand side with
+or without a memo, so their steps also have every bit of memo-free
+evaluation.  With ``entropy`` a missed example costs |Y| right-hand sides
+instead of one, which pays only when examples come back under the same
+prompt.  So the memo serves it only in a chain whose every example it can
+hold, and from a prompt's second step on: a prompt's first step is scored
+as without a memo, and most prompts of a chain's noisy early phase last
+one step.  The memo never serves adapters that do not extend passes,
+unprojected prompts or calls without a gradient.
 
 Sign convention for the unsupervised combination: the ``intent`` mode (the
 default) minimizes ``lambda_calibration * (-H(p_mean)) + lambda_domain *
@@ -70,7 +81,6 @@ prompt).  Records and reports carry the sign used.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -169,14 +179,18 @@ def term_weights(cfg: EnergyConfig) -> dict[str, float]:
 
 def _rendered(examples, task: TaskSpec, model, memo=None) -> list[_Rendered]:
     """``examples`` rendered once, each at its position as ``slot`` and
-    carrying ``memo``; an example rendered earlier keeps its ids."""
+    carrying ``memo``, which learns how many slots there are; an example
+    rendered earlier keeps its ids."""
+    if memo is not None:
+        memo.examples = len(examples)
     return [_Rendered(ex.text, ex.label, ex.ids if isinstance(ex, _Rendered)
                       else tuple(render(task, ex.text, model)), slot, memo)
             for slot, ex in enumerate(examples)]
 
 
 # A chain memo holds at most this many floats (15.7 MB): about 2000
-# supervised or 1000 unsupervised examples at M=10 on the reference model.
+# supervised examples, or 2000 / |Y| unsupervised ones, at M=10 on the
+# reference model.
 _MEMO_FLOATS = 2048 * 960
 
 
@@ -188,16 +202,18 @@ class _ChainMemo:
     holds the prompt's own pass (``head``) and its fluency readout
     (``prefix``) and, per example slot with a non-empty body, the example's
     tuple from :func:`_stacked_passes`: its label logits at the verbalizer
-    ids, its token terms and the first one's gradient w.r.t. the prompt
-    pass's last hidden row (none and zeros when ``domain`` is not weighted),
-    and its key/value gradients, one contiguous ``(R, n_layers, 2, H, m,
-    dh)`` array with one per direction.  Every array is its own copy, so no
-    entry keeps its whole stack alive.  None of them depend on the rest of
-    the batch, so a step's stacks run only the examples the memo lacks; the
-    entries hold at most ``_MEMO_FLOATS`` floats.
+    ids, its token terms and its own gradient w.r.t. the prompt pass's last
+    hidden row (the first token term's, weighted; none and zeros when
+    ``domain`` is not weighted), and its key/value gradients, one contiguous ``(R, n_layers, 2, H, m,
+    dh)`` array with one per right-hand side (``R = |Y|`` with ``entropy``,
+    else 1).  Every array is its own copy, so no entry keeps its whole stack
+    alive.  None of them depend on the rest of the batch, so a step's stacks
+    run only the examples the memo lacks; the entries hold at most
+    ``_MEMO_FLOATS`` floats.  ``examples`` counts the chain's example slots.
     """
 
     def __init__(self):
+        self.examples = 0  # the chain's example slots
         self.key = None
         self.head = self.prefix = None
         self.entries = {}  # slot -> (label logits, token terms, first-row gradient, d_kv)
@@ -208,13 +224,22 @@ def _chain_memo(prompt: SoftPrompt, batch, task, model, weights, grad: bool):
     """The memo ``batch``'s examples carry (a chain's examples all carry its
     one memo), emptied unless its key is this evaluation's; None where a
     memo cannot serve: an adapter that does not extend passes, an
-    unprojected prompt or a call without a gradient."""
+    unprojected prompt, a call without a gradient, and, with an
+    ``entropy`` term, a chain with more examples than the memo can hold or
+    the first evaluation under a key."""
     memo = getattr(batch[0], "memo", None) if batch else None
     if memo is None or not grad or prompt.token_ids is None or not _extends(model):
         return None
     key = (prompt.token_ids, model, task, tuple(weights.items()), len(batch))
-    if memo.key != key:
-        memo.key, memo.head, memo.prefix, memo.entries, memo.floats = key, None, None, {}, 0
+    fresh, memo.key = memo.key != key, key
+    if fresh:
+        memo.head, memo.prefix, memo.entries, memo.floats = None, None, {}, 0
+    # |Y| key/value gradients per example with ``entropy``: they pay only when
+    # examples come back under the same prompt, which needs room for them all
+    # and a prompt that lasts beyond its first step
+    kv = len(task.labels) * 2 * model.n_layers * prompt.entries.size
+    if "entropy" in weights and (fresh or memo.examples * kv > _MEMO_FLOATS):
+        return None
     return memo
 
 
@@ -246,7 +271,7 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
     return terms, np.exp(rows - lse[:, None]) @ table - targets, direct
 
 
-def _stacked_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool, grad: bool,
+def _stacked_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool,
                     memo: _ChainMemo | None = None, slots=()):
     """The prompt's own pass, then one stacked extension per body length of
     the examples a memo does not hold, each stack read off on its own.
@@ -256,134 +281,115 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool, grad: b
     logits at ``vids``, and ``terms`` one array per example, its token terms
     with ``domain`` (an empty body has none, and its label row is the
     prompt's last row).  Without ``domain`` the stacks run their top layer
-    on the label rows only.  ``backward(d_head, d_labels, w_tokens)`` takes
-    the gradients w.r.t. ``head``'s hidden rows and w.r.t.
-    ``labels``, each of whose rows must sum to zero, and the weight of the
-    summed token terms, and returns the gradient w.r.t. the prompt rows.
+    on the label rows only.  ``backward(d_head, d_own, d_batch, w_tokens)``
+    takes the gradients w.r.t. ``head``'s hidden rows and w.r.t. ``labels``,
+    split in two: ``d_own``, whose rows depend on their example alone, and
+    ``d_batch``, whose rows sum to zero (either may be None), and the weight
+    of the token terms; it returns the gradient w.r.t. the prompt rows.
 
-    With ``grad``, each stack takes one backward per direction
-    ``E[v_y] - E[v_0]`` (``y >= 1``) at its members' label rows and, with
-    ``domain``, one over their token terms' gradient, giving each member its
-    key/value gradients ``G_y`` and ``G_dom``.  ``backward`` sums, per
-    example, ``d_labels[y] * G_y`` and ``w_tokens * G_dom``, and the
-    prompt's pass sums those in batch order.  With a ``memo`` (``slots``
-    giving each example's slot), the prompt's pass is the memo's when it
-    holds one, and an example the memo holds takes its tuple from it; the
-    stacks run only the others and store theirs.  A member's backward has
-    the same bits in any stack, so a held example gives the bits of a fresh
-    one.
+    Each stack takes one backward over its right-hand sides: its members'
+    own gradients (``d_own`` at the label rows, ``w_tokens`` times the token
+    terms' gradient) and, with ``d_batch``, the directions ``E[v_y] -
+    E[v_0]`` (``y >= 1``) at the label rows.  That gives each member one
+    key/value gradient per right-hand side, and the prompt's pass takes
+    their sums in batch order, a direction's times its ``d_batch``
+    coefficient.  With a ``memo`` (``slots`` giving each example's slot),
+    the prompt's pass is the memo's when it holds one, and an example the
+    memo holds takes its readouts and gradients from it; the stacks run
+    only the others, and their backward stores them.  A member's backward
+    has the same bits in any stack, so a held example gives the bits of a
+    fresh one.
     """
     table = model.embedding_table().entries
     m, b = prompt.length, len(seqs)
     head = getattr(memo, "head", None) or model.forward(prompt.entries)
     last = head.logits[m - 1]
-    # batch index -> (label logits, token terms, first token's gradient at the
-    # prompt's last row, key/value gradients per direction)
-    got = {i: (last[vids], np.zeros(0), np.zeros(prompt.dim), None)
-           for i, seq in enumerate(seqs) if not seq}
+    # batch index -> (label logits, token terms, own gradient at the prompt's
+    # last row, key/value gradients per right-hand side)
+    got = {i: (last[vids], np.zeros(0), None, None) for i, seq in enumerate(seqs) if not seq}
     if memo is not None:
         memo.head = head
         got.update((i, memo.entries[slot]) for i, slot in enumerate(slots)
                    if slot in memo.entries)
-    dirs = table[vids[1:]] - table[vids[:1]]
+    stacks = []
     for idx in _by_length(seqs):
         idx = [i for i in idx if i not in got]
         if not idx:
             continue
         ids = np.array([seqs[i] for i in idx])
         fw = model.forward(table[ids], past=head.cache, last_only=not domain)
-        rhs = np.zeros((len(dirs) + domain, *fw.hidden.shape))
-        rhs[:len(dirs), :, -1] = dirs[:, None]
-        terms, d_first = np.zeros((len(idx), 0)), np.zeros((len(idx), prompt.dim))
+        terms, d_tok = np.zeros((len(idx), 0)), None
         if domain:  # the prompt's last row predicts each body's first token
             rows = np.concatenate([np.broadcast_to(last, (len(idx), 1, len(last))),
                                    fw.logits[:, :-1]], axis=1)
             terms, d_tok = _token_readout(rows.reshape(-1, len(last)), ids.ravel(), table)
             terms, d_tok = terms.reshape(ids.shape), d_tok.reshape(*ids.shape, -1)
-            d_first, rhs[-1, :, :-1] = d_tok[:, 0], d_tok[:, 1:]
-        kv = np.stack([model.backward_input(fw.cache, d_hidden=d)[1] for d in rhs]) \
-            if grad else None
-        for j, i in enumerate(idx):  # copies, so no entry keeps its whole stack alive
-            got[i] = (fw.logits[j, -1][vids], terms[j].copy(), d_first[j].copy(),
-                      kv[:, :, :, j].copy() if grad else None)
-            # a memo serves gradients only, so ``kv`` is there; a batch may
-            # hold one example twice
-            if memo is not None and slots[i] not in memo.entries:
-                size = sum(a.size for a in got[i])
-                if memo.floats + size <= _MEMO_FLOATS:
-                    memo.entries[slots[i]], memo.floats = got[i], memo.floats + size
+        got.update((i, (fw.logits[j, -1][vids], terms[j])) for j, i in enumerate(idx))
+        stacks.append((idx, fw, d_tok))
     labels = np.array([got[i][0] for i in range(b)]).reshape(b, len(vids))
 
-    def backward(d_head, d_labels, w_tokens):
-        empty = [i for i in range(b) if not seqs[i]]
-        full = [i for i in range(b) if seqs[i]]
-        first = w_tokens * np.array([got[i][2] for i in range(b)]).reshape(b, prompt.dim)
-        first[empty] = d_labels[empty] @ table[vids]
-        d_head[m - 1] += first.sum(axis=0)
-        d_past = None
-        if full:  # per example, its coefficient times each of its gradients
-            coeffs = [*d_labels[full, 1:].T, np.full(len(full), w_tokens)]
+    def backward(d_head, d_own, d_batch, w_tokens):
+        dirs = table[vids[1:]] - table[vids[:1]] if d_batch is not None else table[:0]
+        for idx, fw, d_tok in stacks:
+            rhs = np.zeros((1 + len(dirs), *fw.hidden.shape))
+            rhs[0, :, -1] = _exact_matmul(d_own[idx], table[vids])
+            rhs[1:, :, -1] = dirs[:, None]
+            first = np.zeros((len(idx), prompt.dim))
+            if domain:
+                first, rhs[0, :, :-1] = w_tokens * d_tok[:, 0], w_tokens * d_tok[:, 1:]
+            kv = model.backward_input(fw.cache, d_hidden=rhs)[1]
+            for j, i in enumerate(idx):  # copies, so no entry keeps its whole stack alive
+                got[i] = (got[i][0].copy(), got[i][1].copy(), first[j].copy(),
+                          kv[:, :, :, j].copy())
+                # a batch may hold one example twice
+                if memo is not None and slots[i] not in memo.entries:
+                    size = sum(a.size for a in got[i])
+                    if memo.floats + size <= _MEMO_FLOATS:
+                        memo.entries[slots[i]], memo.floats = got[i], memo.floats + size
+        d_labels = d_own if d_batch is None else d_own + d_batch
+        # an empty body's label row is the prompt's last row
+        first = [got[i][2] if seqs[i] else _exact_matmul(d_labels[i:i + 1], table[vids])[0]
+                 for i in range(b)]
+        d_head[m - 1] += np.sum(first, axis=0)
+        full, d_past = [i for i in range(b) if seqs[i]], None
+        if full:  # per example, its own gradient plus its coefficients times the directions
             kv = np.stack([got[i][3] for i in full], axis=3)  # (R, n_layers, 2, K, H, m, dh)
-            # zip stops at the directions when ``domain`` is not weighted
-            d_past = sum(c[:, None, None, None] * g for c, g in zip(coeffs, kv))
+            coeffs = () if d_batch is None else d_batch[full, 1:].T
+            d_past = sum((c[:, None, None, None] * g for c, g in zip(coeffs, kv[1:])), kv[0])
         return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
 
     return head, labels, [got[i][1] for i in range(b)], backward
 
 
-def _full_passes(prompt: SoftPrompt, seqs, model):
+def _full_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool):
     """One full pass over ``prompt + body`` per example, for adapters that do
-    not extend passes, with the first example's pass as ``head`` (the
-    prompt's own pass without examples).
-
-    Returns ``(head, rows, backward)``: ``rows`` holds, in batch order, the
-    logits of rows ``m-1 .. L-1`` of each example's pass (``len(seq) + 1``
-    rows, of which the first predicts the first body token and the last is
-    the label row), and ``backward(d_head, d_rows)`` takes gradients w.r.t.
-    ``head``'s first ``m`` hidden rows and w.r.t. the hidden rows behind
-    ``rows``, and returns the gradient w.r.t. the prompt rows."""
+    not extend passes, read off as :func:`_stacked_passes` reads its stacks,
+    with the first example's pass as ``head`` (the prompt's own pass without
+    examples); its ``backward`` runs one backward per pass."""
+    table = model.embedding_table().entries
     m = prompt.length
     fws = [model.forward(_input_matrix(prompt, seq, model)) for seq in seqs]
     head = fws[0] if fws else model.forward(prompt.entries)
-    rows = np.concatenate([head.logits[:0], *(fw.logits[m - 1:] for fw in fws)])
+    labels = np.array([fw.logits[-1, vids] for fw in fws]).reshape(len(seqs), len(vids))
+    # row m-1+t of a pass predicts its body's token t
+    reads = [_token_readout(fw.logits[m - 1:-1], np.array(seq, dtype=np.intp), table)
+             if domain else (np.zeros(0), None) for fw, seq in zip(fws, seqs)]
 
-    def backward(d_head, d_rows):
-        total, start = np.zeros_like(prompt.entries), 0
-        for fw in fws or [head]:
+    def backward(d_head, d_own, d_batch, w_tokens):
+        d_labels = d_own if d_batch is None else d_own + d_batch
+        total = np.zeros_like(prompt.entries)
+        for i, fw in enumerate(fws or [head]):
             d_hidden = np.zeros_like(fw.hidden)
-            block = d_rows[start:start + len(fw.hidden) - m + 1]  # none without examples
-            d_hidden[m - 1:m - 1 + len(block)] = block
-            start += len(block)
+            if fws:
+                d_hidden[-1] = d_labels[i] @ table[vids]
+                if domain:
+                    d_hidden[m - 1:-1] = w_tokens * reads[i][1]
             if fw is head:
                 d_hidden[:m] += d_head
             total += model.backward_input(fw.cache, d_hidden=d_hidden)[:m]
         return total
 
-    return head, rows, backward
-
-
-def _read_full_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool):
-    """:func:`_full_passes` read off as :func:`_stacked_passes` returns its
-    examples, with its ``backward``, which needs no zero-sum ``d_labels``."""
-    table = model.embedding_table().entries
-    head, rows, backward_rows = _full_passes(prompt, seqs, model)
-    ends = np.cumsum([len(seq) for seq in seqs], dtype=np.intp)
-    label_at = ends + np.arange(len(seqs))
-    tokens = np.ones(len(rows), dtype=bool)
-    tokens[label_at] = False
-    terms, d_tok = np.zeros(0), None
-    if domain:
-        targets = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp)
-        terms, d_tok = _token_readout(rows[tokens], targets, table)
-
-    def backward(d_head, d_labels, w_tokens):
-        d_rows = np.zeros((len(rows), prompt.dim))
-        d_rows[label_at] = d_labels @ table[vids]
-        if domain:
-            d_rows[tokens] = w_tokens * d_tok
-        return backward_rows(d_head, d_rows)
-
-    return head, rows[label_at][:, vids], np.split(terms, ends[:-1]), backward
+    return head, labels, [terms for terms, _ in reads], backward
 
 
 def _token_readout(rows: np.ndarray, targets: np.ndarray, table: np.ndarray):
@@ -416,12 +422,12 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     memo = _chain_memo(prompt, batch, task, model, weights, grad)
     if _extends(model):
         head, labels, tok_terms, backward = _stacked_passes(
-            prompt, seqs, model, vids, domain, grad, memo,
+            prompt, seqs, model, vids, domain, memo,
             slots=[ex.slot for ex in batch] if memo is not None else ())
     else:
-        head, labels, tok_terms, backward = _read_full_passes(prompt, seqs, model, vids, domain)
+        head, labels, tok_terms, backward = _full_passes(prompt, seqs, model, vids, domain)
     d_head = np.zeros_like(prompt.entries)
-    d_labels = np.zeros_like(labels)
+    d_own, d_batch = np.zeros_like(labels), None
 
     values = {}
     prefix_terms, direct = np.zeros(0), np.zeros_like(prompt.entries)
@@ -440,7 +446,7 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
         values["task"] = math.fsum(-math.log(p) for p in probs[gold]) / b
         d_label = probs.copy()
         d_label[gold] -= 1.0
-        d_labels += (w["task"] / b) * d_label
+        d_own = (w["task"] / b) * d_label
     if "entropy" in weights:
         pbar = np.array([math.fsum(col) / b for col in probs.T])
         values["entropy"] = math.fsum(float(py * math.log(py))
@@ -448,14 +454,16 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
         if grad:
             # d value / d logit_y' through each example's restricted softmax
             log_pbar = np.log(pbar)
-            d_labels += w["entropy"] * (probs * (log_pbar - (probs @ log_pbar)[:, None]) / b)
+            d_batch = w["entropy"] * (probs * (log_pbar - (probs @ log_pbar)[:, None]) / b)
     if domain:
         values["domain"] = math.fsum(math.fsum(np.concatenate([prefix_terms, terms]))
                                      for terms in tok_terms) / b
     if not grad:
         return values, None
+    if memo is None and d_batch is not None:  # nothing to hold: one right-hand side
+        d_own, d_batch = d_own + d_batch, None
     return values, ((w["fluency"] + w["domain"]) * direct
-                    + backward(d_head, d_labels, w["domain"] / max(b, 1)))
+                    + backward(d_head, d_own, d_batch, w["domain"] / max(b, 1)))
 
 
 def _term(prompt, batch, task, model, term: str, grad: bool):

@@ -413,7 +413,10 @@ class TinyCausalLM:
         Passing that ``d_past`` to the extended pass's own backward completes
         the gradient (exact by linearity), with the bits of summing it over
         the stack first.  A stack's cache takes no ``d_past``: that is a
-        ``ConfigurationError``.
+        ``ConfigurationError``.  An extension's ``d_hidden`` may also stack
+        ``R`` gradients on a leading axis, ``(R, *hidden.shape)``; both
+        results then lead with that axis, and each of the ``R`` has the bits
+        of its own call.
 
         On a ``last_only`` cache the rows the top layer did not run past its
         keys and values get no gradient through its queries and outputs.
@@ -425,18 +428,21 @@ class TinyCausalLM:
         H, dh = self.n_heads, self.dim // self.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        def rows(y):  # (..., H, n, dh) -> (rows, d)
-            return y.swapaxes(-2, -3).reshape(-1, self.dim)
+        def rows(y):  # (..., H, n, dh) -> (*sides, rows, d)
+            return y.swapaxes(-2, -3).reshape(*sides, -1, self.dim)
 
         # a layer's queries per body: n, or 1 for the top layer of a last_only pass
         queries = [lc["q"].shape[-2] for lc in cache["layers"]]
         d_hidden = np.ascontiguousarray(d_hidden, dtype=np.float64)
-        if d_hidden.shape != (*lead, queries[-1], self.dim):
+        own = (*lead, queries[-1], self.dim)
+        sides = d_hidden.shape[:d_hidden.ndim - len(own)]  # (R,) with R gradients
+        if (d_hidden.shape[len(sides):] != own
+                or len(sides) > (start > 0 and d_past is None)):
             raise ConfigurationError(
                 f"d_hidden has shape {d_hidden.shape}, the pass returned hidden "
-                f"states of shape {(*lead, queries[-1], self.dim)}"
+                f"states of shape {own}"
             )
-        dx = _layernorm_backward(d_hidden.reshape(-1, self.dim), cache["lnf"])
+        dx = _layernorm_backward(d_hidden.reshape(*sides, -1, self.dim), cache["lnf"])
 
         d_past_in = d_past if d_past is not None else [None] * self.n_layers
         d_past_out = []
@@ -447,7 +453,7 @@ class TinyCausalLM:
             df = _exact_matmul(dz1, lw["W1T"])
             dx = dx + _layernorm_backward(df, lc["ln2"])
 
-            do = _exact_matmul(dx, lw["WoT"]).reshape(*lead, nq, H, dh).swapaxes(-2, -3)
+            do = _exact_matmul(dx, lw["WoT"]).reshape(*sides, *lead, nq, H, dh).swapaxes(-2, -3)
             A, q, k, v = lc["A"], lc["q"], lc["k"], lc["v"]
             dA = do @ v.swapaxes(-1, -2)
             dv = A.swapaxes(-1, -2) @ do
@@ -465,17 +471,18 @@ class TinyCausalLM:
             da = (da_q + _exact_matmul(rows(dk), lw["WkT"])
                   + _exact_matmul(rows(dv), lw["WvT"]))
             dx = dx + _layernorm_backward(da, lc["ln1"])
-        dx = dx.reshape(*lead, n, self.dim)
+        dx = dx.reshape(*sides, *lead, n, self.dim)
         if start:
             d_past = np.stack([np.stack(kv) for kv in d_past_out[::-1]])
-            return dx, d_past.reshape(self.n_layers, 2, -1, H, start, dh)
+            d_past = d_past.reshape(self.n_layers, 2, *sides, -1, H, start, dh)
+            return dx, np.moveaxis(d_past, 2, 0) if sides else d_past
         return dx
 
 
 def _spread(last, n):
-    """Rows ``(G, d)`` placed as the last of every ``n`` rows, zeros elsewhere."""
-    out = np.zeros((len(last) * n, last.shape[-1]))
-    out[n - 1::n] = last
+    """Rows ``(..., G, d)`` placed as the last of every ``n`` rows, zeros elsewhere."""
+    out = np.zeros((*last.shape[:-2], last.shape[-2] * n, last.shape[-1]))
+    out[..., n - 1::n, :] = last
     return out
 
 

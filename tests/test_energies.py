@@ -434,7 +434,7 @@ def test_passes_return_each_examples_readouts_in_batch_order(model, m):
     """Stacked and full passes both return each example's label logits at
     the verbalizer ids and its token terms in batch order, bitwise those of
     the example's own pass, though the stacks run by body length."""
-    from promptsearch.energies import _read_full_passes, _stacked_passes
+    from promptsearch.energies import _full_passes, _stacked_passes
     from promptsearch.model import _input_matrix, _logsumexp
     from promptsearch.tasks import render, verbalizer_token_ids
 
@@ -442,8 +442,8 @@ def test_passes_return_each_examples_readouts_in_batch_order(model, m):
     seqs = [render(MIXED_TASK, ex.text, model) for ex in MIXED_BATCH]
     assert [len(seq) for seq in seqs] == [2, 0, 1, 3, 1, 3]
     vids = verbalizer_token_ids(MIXED_TASK, model)
-    _, labels, terms, _ = _stacked_passes(prompt, seqs, model, vids, True, False)
-    _, labels_full, terms_full, _ = _read_full_passes(prompt, seqs, model, vids, True)
+    _, labels, terms, _ = _stacked_passes(prompt, seqs, model, vids, True)
+    _, labels_full, terms_full, _ = _full_passes(prompt, seqs, model, vids, True)
     assert labels.shape == (len(seqs), 2) and len(terms) == len(seqs)
     assert labels.tobytes() == labels_full.tobytes()
     for i, seq in enumerate(seqs):
@@ -522,6 +522,5 @@ def test_energy_and_grad_runs_prompt_once_and_one_stack_per_length(monkeypatch, 
         monkeypatch.setattr(TinyCausalLM, name, functools.wraps(original)(counted))
     energy_and_grad(soft(model, 51, m=4), MIXED_BATCH, MIXED_TASK, model, cfg)
     k = len({len(model.tokenize(ex.text)) for ex in MIXED_BATCH} - {0})
-    # each stack takes one backward per label direction, one more with ``domain``
-    per_stack = len(MIXED_TASK.labels) - 1 + (cfg.mode == "unsupervised")
-    assert calls == {"forward": 1 + k, "backward_input": 1 + k * per_stack}
+    # each stack takes one backward, over all its right-hand sides
+    assert calls == {"forward": 1 + k, "backward_input": 1 + k}

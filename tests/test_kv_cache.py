@@ -79,6 +79,42 @@ def test_2d_extension_backward_equals_a_stack_of_one(model, last_only):
     assert d_past.tobytes() == s_past.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3,), (1,), (4, 3), (1, 1), (5, 1)])
+@pytest.mark.parametrize("last_only", [False, True])
+def test_an_extension_backward_over_stacked_gradients_keeps_each_ones_bits(model, shape,
+                                                                         last_only):
+    """``R`` gradients on a leading axis: both results lead with that axis,
+    and each slice has the bits of its own call."""
+    rng = np.random.default_rng(8)
+    head = model.forward(rng.normal(size=(4, model.dim)))
+    fw = model.forward(rng.normal(size=(*shape, model.dim)), past=head.cache,
+                       last_only=last_only)
+    d_hidden = rng.normal(size=(3, *fw.hidden.shape))
+    d_rows, d_past = model.backward_input(fw.cache, d_hidden=d_hidden)
+    H = model.n_heads
+    members = shape[0] if len(shape) == 2 else 1
+    assert d_rows.shape == (3, *shape, model.dim)
+    assert d_past.shape == (3, model.n_layers, 2, members, H, 4, model.dim // H)
+    for r in range(3):
+        own_rows, own_past = model.backward_input(fw.cache, d_hidden=d_hidden[r])
+        assert d_rows[r].tobytes() == own_rows.tobytes()
+        assert np.ascontiguousarray(d_past[r]).tobytes() == own_past.tobytes()
+
+
+def test_stacked_gradients_need_an_extension_without_d_past(model):
+    rng = np.random.default_rng(11)
+    head = model.forward(rng.normal(size=(4, model.dim)))
+    fw = model.forward(rng.normal(size=(2, model.dim)), past=head.cache)
+    after = model.forward(rng.normal(size=(2, model.dim)), past=fw.cache)
+    _, d_past = model.backward_input(after.cache, d_hidden=np.ones_like(after.hidden))
+    model.backward_input(fw.cache, d_hidden=np.ones_like(fw.hidden), d_past=d_past)
+    with pytest.raises(ConfigurationError, match="d_hidden has shape"):
+        model.backward_input(head.cache, d_hidden=np.ones((2, *head.hidden.shape)))
+    with pytest.raises(ConfigurationError, match="d_hidden has shape"):
+        model.backward_input(fw.cache, d_hidden=np.ones((2, *fw.hidden.shape)),
+                             d_past=d_past)
+
+
 def test_d_past_on_a_stacked_cache_is_refused(model):
     rng = np.random.default_rng(9)
     head = model.forward(rng.normal(size=(2, 3, model.dim)))

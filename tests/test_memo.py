@@ -1,8 +1,8 @@
 """The chain memo: a chain scores each example once per prompt, in both modes.
 
 A batch member already scored under the unchanged prompt reads its label
-logits, its token terms and its key/value gradients per direction from the
-chain's memo; a step's stacks run only the members the memo lacks and store
+logits, its token terms and its key/value gradients per right-hand side from
+the chain's memo; a step's stacks run only the members the memo lacks and store
 them.  These tests hold the memo to the bits of memo-free evaluation,
 supervised and unsupervised, and check where it must stay off.
 """
@@ -89,9 +89,34 @@ def _traced_chain(monkeypatch, task, model, cfg, data):
 
 
 def _memo_free(monkeypatch, task, model, cfg, data):
+    """The chain run with a memo that holds nothing: every step is scored
+    afresh, by the rules of the chain's memo."""
+    chain_memo = energies._chain_memo
+
+    def nothing_held(*args):
+        memo = chain_memo(*args)
+        if memo is not None:
+            memo.head = memo.prefix = None
+            memo.entries, memo.floats = {}, 0
+        return memo
+
     with monkeypatch.context() as patch:
-        patch.setattr(energies, "_chain_memo", lambda *args: None)
+        patch.setattr(energies, "_chain_memo", nothing_held)
         return run_chain(task, model, cfg, data)
+
+
+def _afresh(prompt, batch, task, model, energy, examples, repeat=True):
+    """``batch`` scored afresh by the rules of a chain's memo for
+    ``examples`` examples, under a memo that holds nothing; with
+    ``repeat``, as a prompt's later step, after a step under the same key."""
+    memo = _ChainMemo()
+    items = _rendered([Example(ex.text, ex.label) for ex in batch], task, model, memo)
+    memo.examples = examples
+    if repeat:
+        energy_and_grad(prompt, items, task, model, energy)
+        memo.head = memo.prefix = None
+        memo.entries, memo.floats = {}, 0
+    return energy_and_grad(prompt, items, task, model, energy)
 
 
 # -- exactness ------------------------------------------------------------------
@@ -147,17 +172,26 @@ def test_memo_changes_no_six_word_record_and_full_pass_adapters_run_every_exampl
 
 
 def _assert_memo_free_bits(monkeypatch, task, model, cfg, data):
-    """Every step of the chain has the energies and gradient of memo-free
-    evaluation, bit for bit, at least 5 steps ran no forward, and the record
-    is a memo-free chain's."""
+    """Every step of the chain has the energies and gradient of the same
+    step scored afresh (as a prompt's first or later step), bit for bit, at
+    least 5 steps ran no forward, and the record is that of a chain whose
+    memo holds nothing.  Plain evaluation, without a memo, gives the same
+    energies and a gradient within rounding."""
     record, steps = _traced_chain(monkeypatch, task, model, cfg, data)
     assert len(record.per_step) == cfg.steps and record.fault is None
     assert sum(step[4] == 0 for step in steps) >= 5, "too few steps served from the memo"
+    before = None
     for prompt, batch, breakdown, grad, _ in steps:
-        plain = [Example(ex.text, ex.label) for ex in batch]
-        want, want_grad = energy_and_grad(prompt, plain, task, model, cfg.energy)
+        want, want_grad = _afresh(prompt, batch, task, model, cfg.energy, len(data),
+                                  repeat=prompt.token_ids == before)
+        before = prompt.token_ids
         assert breakdown == want
         _bits_equal(grad, want_grad)
+        plain = [Example(ex.text, ex.label) for ex in batch]
+        plain_value, plain_grad = energy_and_grad(prompt, plain, task, model, cfg.energy)
+        assert plain_value == breakdown
+        np.testing.assert_allclose(grad, plain_grad, rtol=1e-12,
+                                   atol=1e-14 * np.abs(plain_grad).max())
     assert record.to_dict() == _memo_free(monkeypatch, task, model, cfg, data).to_dict()
 
 
@@ -241,6 +275,7 @@ def test_held_unsupervised_batch_runs_no_forward_and_no_prompt_readout(monkeypat
     items = _rendered(synthetic_dataset(8, seed=4), task, model, memo)
     prompt = prompt_from_ids([9, 10, 11, 12], model)
     energy = UNSUPERVISED[0]
+    _evaluate(prompt, items[4:], task, model, energy)  # a prompt's first step: no memo
     _evaluate(prompt, items[:4], task, model, energy)
     _evaluate(prompt, items[4:], task, model, energy)
     readouts = []
@@ -252,8 +287,7 @@ def test_held_unsupervised_batch_runs_no_forward_and_no_prompt_readout(monkeypat
                                                                energy))
     assert counting == {"forward": 0, "backward_input": 1} and readouts == []
     monkeypatch.undo()
-    want, want_grad = _evaluate(prompt, [Example(ex.text, ex.label) for ex in batch],
-                                task, model, energy)
+    want, want_grad = _afresh(prompt, batch, task, model, energy, len(items))
     assert served == want
     _bits_equal(served_grad, want_grad)
 
@@ -265,6 +299,8 @@ def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, ta
     memo = _ChainMemo()
     items = _rendered(_mixed_data(10, seed=4), task, model, memo)
     prompt = prompt_from_ids([9, 10, 11], model)
+    if energy is not None:  # a prompt's first unsupervised step holds nothing
+        _evaluate(prompt, items[5:], task, model, energy)
     _evaluate(prompt, items[:5], task, model, energy)
     batch = [items[7], items[1], items[5], items[3], items[9]]
     stacked = []
@@ -282,28 +318,33 @@ def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, ta
     missed = sorted(table[list(ex.ids)].tobytes() for ex in (items[7], items[5], items[9]))
     assert sorted(x.tobytes() for x in stacked) == missed
     assert sorted(memo.entries) == [0, 1, 2, 3, 4, 5, 7, 9]
-    want, want_grad = _evaluate(prompt, [Example(ex.text, ex.label) for ex in batch],
-                                task, model, energy)
+    want, want_grad = _afresh(prompt, batch, task, model, energy or EnergyConfig.supervised(),
+                              len(items))
     assert served == want
     _bits_equal(served_grad, want_grad)
 
 
 
+@pytest.mark.parametrize("labels", [2, 3])
 @pytest.mark.parametrize("energy", [None, UNSUPERVISED[0]], ids=["supervised", "unsupervised"])
-def test_memo_entries_are_contiguous_copies(model, task, energy):
+def test_memo_entries_are_contiguous_copies(model, task, energy, labels):
     """Each held array owns its data, so no entry keeps the array of its
-    whole stack alive; the key/value gradients hold one array per label
-    direction, and one more with the domain term."""
+    whole stack alive.  The key/value gradients hold one array per
+    right-hand side: the example's own (its task and domain terms, whose
+    coefficients depend on it alone) and, with the entropy term, one per
+    label direction."""
+    task = task if labels == 2 else THREE_LABELS
     memo = _ChainMemo()
     items = _rendered(_mixed_data(8, seed=2), task, model, memo)
-    _evaluate(prompt_from_ids([5, 6, 7], model), items, task, model, energy)
+    for _ in range(2):  # a prompt's first unsupervised step holds nothing
+        _evaluate(prompt_from_ids([5, 6, 7], model), items, task, model, energy)
     assert len(memo.entries) == 8
-    H, directions = model.n_heads, 1 if energy is None else 2
+    H, sides = model.n_heads, 1 if energy is None else labels
     for ex in items:
         logits, terms, d_first, d_kv = memo.entries[ex.slot]
-        assert logits.shape == (2,) and d_first.shape == (model.dim,)
+        assert logits.shape == (labels,) and d_first.shape == (model.dim,)
         assert terms.shape == ((0,) if energy is None else (len(ex.ids),))
-        assert d_kv.shape == (directions, model.n_layers, 2, H, 3, model.dim // H)
+        assert d_kv.shape == (sides, model.n_layers, 2, H, 3, model.dim // H)
         for held in (logits, terms, d_first, d_kv):
             assert held.flags.c_contiguous and held.base is None
 
@@ -348,24 +389,60 @@ def test_memo_is_off_for_unprojected_prompts_and_value_only_calls(model, task):
     assert memo.key is None and memo.entries == {}
 
 
-@pytest.mark.parametrize("energy", [None, UNSUPERVISED[0]], ids=["supervised", "unsupervised"])
-def test_memo_holds_at_most_its_bound(monkeypatch, model, task, energy):
-    """The bound counts floats, so an unsupervised entry, which holds one
-    more key/value gradient and its token terms, counts about twice.  An
-    example a batch holds twice is counted once."""
+def test_memo_holds_at_most_its_bound(monkeypatch, model, task):
+    """The bound counts floats; an example a batch holds twice is counted
+    once."""
     items = _rendered(synthetic_dataset(8, seed=4), task, model, _ChainMemo())
     prompt = prompt_from_ids([5, 6, 7], model)
-    _evaluate(prompt, items[:4] + items[:1], task, model, energy)
+    _evaluate(prompt, items[:4] + items[:1], task, model)
     memo = items[0].memo
     assert sorted(memo.entries) == [0, 1, 2, 3]
     assert memo.floats == sum(a.size for entry in memo.entries.values() for a in entry)
     per_entry = memo.floats // 4  # six-word inputs: every entry holds as many floats
     monkeypatch.setattr(energies, "_MEMO_FLOATS", 3 * per_entry + per_entry // 2)
     items = _rendered(items, task, model, _ChainMemo())
-    _evaluate(prompt, items[:4], task, model, energy)
-    _evaluate(prompt, items[4:], task, model, energy)
+    _evaluate(prompt, items[:4], task, model)
+    _evaluate(prompt, items[4:], task, model)
     assert sorted(items[0].memo.entries) == [0, 1, 2]
     assert items[0].memo.floats == 3 * per_entry
+
+
+@pytest.mark.parametrize("labels", [2, 3])
+def test_unsupervised_memo_serves_from_a_prompts_second_step_in_chains_it_holds_whole(
+        monkeypatch, model, task, labels):
+    """With ``entropy`` an entry holds |Y| key/value gradients, which pay
+    only when the example comes back under the same prompt.  So the memo
+    serves only a chain whose every example it can hold, and only from a
+    prompt's second step on; otherwise each stack takes one right-hand side,
+    with the bits of evaluation without a memo, and nothing is stored."""
+    task = task if labels == 2 else THREE_LABELS
+    energy = UNSUPERVISED[0]
+    prompt = prompt_from_ids([5, 6, 7], model)
+    # per example: |Y| times two layers' keys and values over the prompt
+    kv = labels * 2 * model.n_layers * 3 * model.dim
+    sides = []
+    backward_input = TinyCausalLM.backward_input
+
+    def counted(self, cache, d_hidden, **kwargs):
+        if cache["start"]:  # a stack: its right-hand sides lead
+            sides.append(len(d_hidden))
+        return backward_input(self, cache, d_hidden, **kwargs)
+
+    monkeypatch.setattr(TinyCausalLM, "backward_input", counted)
+    for bound, served in ((8 * kv, True), (8 * kv - 1, False)):
+        monkeypatch.setattr(energies, "_MEMO_FLOATS", bound)
+        items = _rendered(synthetic_dataset(8, seed=4), task, model, _ChainMemo())
+        memo = items[0].memo
+        plain = [Example(ex.text, ex.label) for ex in items[:4]]
+        want, want_grad = _evaluate(prompt, plain, task, model, energy)
+        for step in range(2):
+            sides.clear()
+            got, got_grad = _evaluate(prompt, items[:4], task, model, energy)
+            assert sides == [labels if served and step else 1]
+            assert got == want
+            if not (served and step):
+                _bits_equal(got_grad, want_grad)
+            assert sorted(memo.entries) == ([0, 1, 2, 3] if served and step else [])
 
 
 # -- one memo per chain ---------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_bench_pairs_alternates_sides_and_gives_a_verdict_per_metric(tmp_path,
 
 
 def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
-    args = ["--mode", "supervised", "--steps", "8"]
+    args = ["--mode", "supervised", "--steps", "8", "--examples", "40", "--task", "agnews"]
     run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"), *args],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -283,8 +283,9 @@ def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
                                          ["quarter", "3", "steps", "4-5"],
                                          ["quarter", "4", "steps", "6-7"]]
     assert all(q[4] == "same" and q[6] == "held" and 0 <= float(q[5]) <= 1
-               and 0 <= float(q[7]) <= 1 for q in quarters)
-    assert "ms/step" in run.stdout
+               and 0 <= float(q[7]) <= 1 and q[8] == "ms" and float(q[9]) > 0
+               for q in quarters)
+    assert "ms/step" in run.stdout and "agnews, 40 examples" in run.stdout
 
     from promptsearch import sampler
     from promptsearch.model import TinyCausalLM
@@ -294,7 +295,8 @@ def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
 
 
 def test_chain_profile_refuses_an_unknown_flag_and_a_bad_config():
-    for args in (["--frobnicate", "4"], ["--seed", "4"], ["--steps", "3"], ["--eta", "0"]):
+    for args in (["--frobnicate", "4"], ["--seed", "4"], ["--steps", "3"], ["--eta", "0"],
+                 ["--examples", "0"], ["--task", "sst2"]):
         run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"),
                               *args], capture_output=True, text=True)
         assert run.returncode == 2, args
