@@ -49,6 +49,7 @@ import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -321,13 +322,17 @@ def _tune_worker(task, model_spec: str, cfg: SamplerConfig, data) -> ChainRecord
 
 def _chain_records(task, model, cfgs: list[SamplerConfig], data, n_jobs: int):
     """Each configuration's chain record in grid order, yielded as it returns,
-    with at most one worker process per chain."""
+    with at most one worker process per chain.  Where a worker process dies,
+    the records stop before the first chain that did not return."""
     n_jobs = min(n_jobs, len(cfgs))
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            yield from pool.map(_tune_worker, itertools.repeat(task),
-                                [cfg.model_spec for cfg in cfgs], cfgs,
-                                itertools.repeat(data))
+            try:
+                yield from pool.map(_tune_worker, itertools.repeat(task),
+                                    [cfg.model_spec for cfg in cfgs], cfgs,
+                                    itertools.repeat(data))
+            except BrokenProcessPool:
+                return
     else:
         for cfg in cfgs:
             yield run_chain(task, model, cfg, data)
@@ -407,7 +412,11 @@ def cmd_tune(ns: argparse.Namespace) -> int:
                 "chains": manifest_chains}
     _write_json_atomic(out_dir / "manifest.json", manifest)
     print(f"wrote {len(manifest_chains)} chains + manifest to {out_dir}")
-    return 1 if any_fault else 0
+    lost = [fname for fname, _ in jobs_spec[len(manifest_chains):]]
+    if lost:
+        print(f"fault: a worker process died; chains not written: {', '.join(lost)}",
+              file=sys.stderr)
+    return 1 if any_fault or lost else 0
 
 
 def _load_chains(chains_dir: str, task, model_spec: str) -> dict[Path, ChainRecord]:

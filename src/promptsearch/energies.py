@@ -52,15 +52,16 @@ over it, for a one-row prompt too.
 A chain scores each example once per prompt.  ``run_chain`` hands every
 example a private memo of its chain (``_ChainMemo``), valid for one prompt's
 token ids, model, task, term weights and batch size.  It keeps the prompt's
-own pass and fluency readout and, per example, what its stack gave it: its
-label logits, its token terms and its key/value gradients per right-hand
-side.  None of these depend on the rest of the batch, and only the
-coefficients that combine them do, so the memo serves every energy.  A step
-reads the examples the memo holds from it and runs stacks of only the
-others, storing them.  A member's backward has the same bits in any stack,
-and every evaluation under a memo combines the same per-example arrays in
-the same way, so what the memo holds never changes a step's bits, on
-batches of any lengths.  Supervised energies take one right-hand side with
+own pass and fluency readout and, in arrays indexed by each example's slot
+in the chain's data, what its stack gave it: its label logits, its token
+terms and its key/value gradients per right-hand side.  None of these
+depend on the rest of the batch, and only the coefficients that combine
+them do, so the memo serves every energy.  A step gathers its batch from
+those arrays with one index, after stacks of only the examples the memo
+lacks have scattered theirs in.  A member's backward has the same bits in
+any stack, and every evaluation under a memo combines the same per-example
+arrays in the same way, so what the memo holds never changes a step's
+bits, on batches of any lengths.  Supervised energies take one right-hand side with
 or without a memo, so their steps also have every bit of memo-free
 evaluation.  With ``entropy`` a missed example costs |Y| right-hand sides
 instead of one, which pays only when examples come back under the same
@@ -195,65 +196,79 @@ _MEMO_FLOATS = 2048 * 960
 
 
 class _ChainMemo:
-    """What one chain's steps computed under its current prompt.
+    """What one chain's steps computed under its current prompt, by example slot.
 
     Valid for one key: the prompt's token ids, the model, the task, the term
     weights and the batch size; any change to one of them empties it.  It
     holds the prompt's own pass (``head``) and its fluency readout
-    (``prefix``) and, per example slot with a non-empty body, the example's
-    tuple from :func:`_stacked_passes`: its label logits at the verbalizer
-    ids, its token terms and its own gradient w.r.t. the prompt pass's last
-    hidden row (the first token term's, weighted; none and zeros when
-    ``domain`` is not weighted), and its key/value gradients, one contiguous ``(R, n_layers, 2, H, m,
-    dh)`` array with one per right-hand side (``R = |Y|`` with ``entropy``,
-    else 1).  Every array is its own copy, so no entry keeps its whole stack
-    alive.  None of them depend on the rest of the batch, so a step's stacks
-    run only the examples the memo lacks; the entries hold at most
-    ``_MEMO_FLOATS`` floats.  ``examples`` counts the chain's example slots.
+    (``prefix``) and, in rows of arrays, what each example's stack gave it
+    (see :func:`_stacked_passes`): its label logits at the verbalizer ids
+    (``labels``, ``(rows, |Y|)``), its own gradient w.r.t. the prompt
+    pass's last hidden row (``first``, ``(rows, d)``: the first token
+    term's, weighted; zeros when ``domain`` is not weighted), its key/value
+    gradients, one per right-hand side (``kv``, ``(rows, R, n_layers, 2, H,
+    m, dh)``, ``R = |Y|`` with ``entropy``, else 1), its token terms
+    (``terms``) and whether the row holds them (``held``).  None of these
+    depend on the rest of the batch, so a step's stacks run only the
+    examples the memo lacks.  The first ``capacity`` rows are the chain's
+    first example slots, at most ``_MEMO_FLOATS`` floats besides the token
+    terms; a batch member whose slot is past them takes the row after them
+    at its batch position, which holds nothing from step to step.
+    ``examples`` counts the chain's example slots.
     """
 
     def __init__(self):
         self.examples = 0  # the chain's example slots
-        self.key = None
-        self.head = self.prefix = None
-        self.entries = {}  # slot -> (label logits, token terms, first-row gradient, d_kv)
-        self.floats = 0  # the floats the entries hold
+        self.key = self.head = self.prefix = self.held = self.shapes = None
 
 
-def _chain_memo(prompt: SoftPrompt, batch, task, model, weights, grad: bool):
-    """The memo ``batch``'s examples carry (a chain's examples all carry its
-    one memo), emptied unless its key is this evaluation's; None where a
-    memo cannot serve: an adapter that does not extend passes, an
-    unprojected prompt, a call without a gradient, and, with an
-    ``entropy`` term, a chain with more examples than the memo can hold or
-    the first evaluation under a key."""
-    memo = getattr(batch[0], "memo", None) if batch else None
-    if memo is None or not grad or prompt.token_ids is None or not _extends(model):
-        return None
-    key = (prompt.token_ids, model, task, tuple(weights.items()), len(batch))
-    fresh, memo.key = memo.key != key, key
-    if fresh:
-        memo.head, memo.prefix, memo.entries, memo.floats = None, None, {}, 0
-    # |Y| key/value gradients per example with ``entropy``: they pay only when
-    # examples come back under the same prompt, which needs room for them all
-    # and a prompt that lasts beyond its first step
-    kv = len(task.labels) * 2 * model.n_layers * prompt.entries.size
-    if "entropy" in weights and (fresh or memo.examples * kv > _MEMO_FLOATS):
-        return None
-    return memo
+def _chain_memo(prompt: SoftPrompt, batch, task, model, weights, grad: bool, labels: int):
+    """The store ``batch``'s evaluation on an adapter that extends passes
+    reads and writes, and each member's row in it.
+
+    That is the memo ``batch``'s examples carry (a chain's examples all
+    carry its one memo), emptied unless its key is this evaluation's, or,
+    where a memo cannot serve, a throwaway store of one row per member with
+    one right-hand side: without a memo, for an unprojected prompt or a
+    call without a gradient, and, with an ``entropy`` term, in a chain with
+    more examples than the memo can hold or at the first evaluation under a
+    key.  ``labels`` is |Y|."""
+    memo, b = getattr(batch[0], "memo", None) if batch else None, len(batch)
+    sides = labels if "entropy" in weights else 1
+    floats = sides * 2 * model.n_layers * prompt.entries.size  # key/value gradients per slot
+    served = memo is not None and grad and prompt.token_ids is not None
+    if served:
+        key = (prompt.token_ids, model, task, tuple(weights.items()), b)
+        fresh, memo.key = memo.key != key, key
+        if fresh:
+            memo.head = memo.prefix = memo.held = None
+        # |Y| key/value gradients per example with ``entropy``: they pay only
+        # when examples come back under the same prompt, which needs room for
+        # them all and a prompt that lasts beyond its first step
+        served = "entropy" not in weights or not (fresh or memo.examples * floats > _MEMO_FLOATS)
+    if not served:  # no slot has a row of its own
+        memo, sides = _ChainMemo(), 1
+    if memo.held is None:  # empty: no row holds anything
+        cap = memo.capacity = min(memo.examples, _MEMO_FLOATS // (labels + prompt.dim + floats))
+        memo.held, memo.terms, H = np.zeros(cap + b, dtype=bool), {}, model.n_heads
+        shapes = ((cap + b, labels), (cap + b, prompt.dim),
+                  (cap + b, sides, model.n_layers, 2, H, prompt.length, prompt.dim // H))
+        if memo.shapes != shapes:  # the arrays of an earlier key serve a later one
+            memo.shapes, (memo.labels, memo.first, memo.kv) = shapes, map(np.empty, shapes)
+    return memo, np.array([ex.slot if served and ex.slot < memo.capacity else memo.capacity + i
+                           for i, ex in enumerate(batch)], dtype=np.intp)
 
 
 def _check_batch(batch, task: TaskSpec, need_labels: bool):
     if not batch:
         raise UsageError("batch must be nonempty")
     if need_labels:
+        labels = task.labels
         for ex in batch:
             if ex.label is None:
                 raise DataError(f"unlabeled example in labeled batch: {ex.text!r}")
-            if ex.label not in task.labels:
-                raise DataError(
-                    f"label {ex.label!r} outside task labels {list(task.labels)}"
-                )
+            if ex.label not in labels:
+                raise DataError(f"label {ex.label!r} outside task labels {list(labels)}")
 
 
 def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
@@ -272,7 +287,7 @@ def _prefix_readout(prompt: SoftPrompt, fw, table: np.ndarray):
 
 
 def _stacked_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool,
-                    memo: _ChainMemo | None = None, slots=()):
+                    memo: _ChainMemo, rows):
     """The prompt's own pass, then one stacked extension per body length of
     the examples a memo does not hold, each stack read off on its own.
 
@@ -293,72 +308,69 @@ def _stacked_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool,
     E[v_0]`` (``y >= 1``) at the label rows.  That gives each member one
     key/value gradient per right-hand side, and the prompt's pass takes
     their sums in batch order, a direction's times its ``d_batch``
-    coefficient.  With a ``memo`` (``slots`` giving each example's slot),
-    the prompt's pass is the memo's when it holds one, and an example the
-    memo holds takes its readouts and gradients from it; the stacks run
-    only the others, and their backward stores them.  A member's backward
-    has the same bits in any stack, so a held example gives the bits of a
-    fresh one.
+    coefficient.  ``memo`` is the store from :func:`_chain_memo`, and
+    ``rows`` each example's row in it: every stack scatters what it gives
+    its members into their rows with one assignment, and the batch is
+    gathered from them with one index.  The prompt's pass is the memo's when
+    it holds one, and the stacks run only the examples whose rows it does
+    not hold.  A member's backward has the same bits in any stack, so a
+    held example gives the bits of a fresh one.  With one right-hand side
+    per stack, ``d_batch`` joins ``d_own``.
     """
     table = model.embedding_table().entries
     m, b = prompt.length, len(seqs)
-    head = getattr(memo, "head", None) or model.forward(prompt.entries)
+    head = memo.head = memo.head or model.forward(prompt.entries)
     last = head.logits[m - 1]
-    # batch index -> (label logits, token terms, own gradient at the prompt's
-    # last row, key/value gradients per right-hand side)
-    got = {i: (last[vids], np.zeros(0), None, None) for i, seq in enumerate(seqs) if not seq}
-    if memo is not None:
-        memo.head = head
-        got.update((i, memo.entries[slot]) for i, slot in enumerate(slots)
-                   if slot in memo.entries)
+    full = np.array([len(seq) > 0 for seq in seqs], dtype=bool)
+    missed = (full & ~memo.held[rows]).tolist()
     stacks = []
     for idx in _by_length(seqs):
-        idx = [i for i in idx if i not in got]
+        idx = [i for i in idx if missed[i]]
         if not idx:
             continue
         ids = np.array([seqs[i] for i in idx])
         fw = model.forward(table[ids], past=head.cache, last_only=not domain)
-        terms, d_tok = np.zeros((len(idx), 0)), None
+        memo.labels[rows[idx]] = fw.logits[:, -1, vids]
+        d_tok = None
         if domain:  # the prompt's last row predicts each body's first token
-            rows = np.concatenate([np.broadcast_to(last, (len(idx), 1, len(last))),
+            cols = np.concatenate([np.broadcast_to(last, (len(idx), 1, len(last))),
                                    fw.logits[:, :-1]], axis=1)
-            terms, d_tok = _token_readout(rows.reshape(-1, len(last)), ids.ravel(), table)
-            terms, d_tok = terms.reshape(ids.shape), d_tok.reshape(*ids.shape, -1)
-        got.update((i, (fw.logits[j, -1][vids], terms[j])) for j, i in enumerate(idx))
+            terms, d_tok = _token_readout(cols.reshape(-1, len(last)), ids.ravel(), table)
+            d_tok = d_tok.reshape(*ids.shape, -1)
+            memo.terms.update(zip(rows[idx].tolist(), terms.reshape(ids.shape)))
         stacks.append((idx, fw, d_tok))
-    labels = np.array([got[i][0] for i in range(b)]).reshape(b, len(vids))
+    labels = memo.labels[rows]
+    labels[~full] = last[vids]
 
     def backward(d_head, d_own, d_batch, w_tokens):
-        dirs = table[vids[1:]] - table[vids[:1]] if d_batch is not None else table[:0]
+        d_labels = d_own if d_batch is None else d_own + d_batch
+        # with one right-hand side per stack, the batch part joins the own one
+        own, dirs = ((d_own, table[vids[1:]] - table[vids[:1]]) if memo.kv.shape[1] > 1
+                     else (d_labels, table[:0]))
         for idx, fw, d_tok in stacks:
             rhs = np.zeros((1 + len(dirs), *fw.hidden.shape))
-            rhs[0, :, -1] = _exact_matmul(d_own[idx], table[vids])
+            rhs[0, :, -1] = _exact_matmul(own[idx], table[vids])
             rhs[1:, :, -1] = dirs[:, None]
-            first = np.zeros((len(idx), prompt.dim))
             if domain:
-                first, rhs[0, :, :-1] = w_tokens * d_tok[:, 0], w_tokens * d_tok[:, 1:]
-            kv = model.backward_input(fw.cache, d_hidden=rhs)[1]
-            for j, i in enumerate(idx):  # copies, so no entry keeps its whole stack alive
-                got[i] = (got[i][0].copy(), got[i][1].copy(), first[j].copy(),
-                          kv[:, :, :, j].copy())
-                # a batch may hold one example twice
-                if memo is not None and slots[i] not in memo.entries:
-                    size = sum(a.size for a in got[i])
-                    if memo.floats + size <= _MEMO_FLOATS:
-                        memo.entries[slots[i]], memo.floats = got[i], memo.floats + size
-        d_labels = d_own if d_batch is None else d_own + d_batch
-        # an empty body's label row is the prompt's last row
-        first = [got[i][2] if seqs[i] else _exact_matmul(d_labels[i:i + 1], table[vids])[0]
-                 for i in range(b)]
-        d_head[m - 1] += np.sum(first, axis=0)
-        full, d_past = [i for i in range(b) if seqs[i]], None
-        if full:  # per example, its own gradient plus its coefficients times the directions
-            kv = np.stack([got[i][3] for i in full], axis=3)  # (R, n_layers, 2, K, H, m, dh)
-            coeffs = () if d_batch is None else d_batch[full, 1:].T
-            d_past = sum((c[:, None, None, None] * g for c, g in zip(coeffs, kv[1:])), kv[0])
-        return model.backward_input(head.cache, d_hidden=d_head, d_past=d_past)
+                rhs[0, :, :-1] = w_tokens * d_tok[:, 1:]
+            at = rows[idx]
+            memo.first[at] = w_tokens * d_tok[:, 0] if domain else 0.0
+            kv = model.backward_input(fw.cache, d_hidden=rhs)  # (R, n_layers, 2, G, H, m, dh)
+            memo.kv[at], memo.held[at] = kv.transpose(3, 0, 1, 2, 4, 5, 6), True
+        memo.held[memo.capacity:] = False  # rows past capacity hold nothing
+        first = memo.first[rows]  # an empty body's label row is the prompt's last row
+        first[~full] = _exact_matmul(d_labels[~full], table[vids])
+        d_head[m - 1] += first.sum(axis=0)
+        # per example, its own gradient plus its coefficients times the directions
+        kv = memo.kv[rows[full]].swapaxes(0, 1)  # (R, K, n_layers, 2, H, m, dh)
+        coeffs = () if d_batch is None else d_batch[full, 1:].T[..., None, None, None, None, None]
+        d_past = sum((c * g for c, g in zip(coeffs, kv[1:])), kv[0]).transpose(1, 2, 0, 3, 4, 5)
+        return model.backward_input(head.cache, d_hidden=d_head,
+                                    d_past=d_past if full.any() else None)
 
-    return head, labels, [got[i][1] for i in range(b)], backward
+    terms = ([memo.terms[r] if seq else np.zeros(0) for r, seq in zip(rows.tolist(), seqs)]
+             if domain else [])
+    return head, labels, terms, backward
 
 
 def _full_passes(prompt: SoftPrompt, seqs, model, vids, domain: bool):
@@ -419,13 +431,11 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
     seqs = [_token_ids(task, ex, model) for ex in batch]
     domain = "domain" in weights
     vids = verbalizer_token_ids(task, model) if weights.keys() & {"task", "entropy"} else []
-    memo = _chain_memo(prompt, batch, task, model, weights, grad)
-    if _extends(model):
-        head, labels, tok_terms, backward = _stacked_passes(
-            prompt, seqs, model, vids, domain, memo,
-            slots=[ex.slot for ex in batch] if memo is not None else ())
-    else:
-        head, labels, tok_terms, backward = _full_passes(prompt, seqs, model, vids, domain)
+    memo, rows = (_chain_memo(prompt, batch, task, model, weights, grad, len(vids))
+                  if _extends(model) else (None, None))
+    head, labels, tok_terms, backward = (
+        _stacked_passes(prompt, seqs, model, vids, domain, memo, rows) if memo is not None
+        else _full_passes(prompt, seqs, model, vids, domain))
     d_head = np.zeros_like(prompt.entries)
     d_own, d_batch = np.zeros_like(labels), None
 
@@ -438,30 +448,29 @@ def _shared_pass(prompt: SoftPrompt, batch: list[Example], task: TaskSpec, model
         prefix_terms, d_prefix, direct = prefix
         d_head[:m - 1] = (w["fluency"] + w["domain"]) * d_prefix
     if "fluency" in weights:
-        values["fluency"] = math.fsum(prefix_terms)
+        values["fluency"] = math.fsum(prefix_terms.tolist())
     if vids:
         probs = _restricted_softmax(labels, slice(None))
     if "task" in weights:
-        gold = (np.arange(b), [task.labels.index(ex.label) for ex in batch])
-        values["task"] = math.fsum(-math.log(p) for p in probs[gold]) / b
+        order = task.labels
+        gold = (np.arange(b), [order.index(ex.label) for ex in batch])
+        values["task"] = math.fsum([-math.log(p) for p in probs[gold].tolist()]) / b
         d_label = probs.copy()
         d_label[gold] -= 1.0
         d_own = (w["task"] / b) * d_label
     if "entropy" in weights:
-        pbar = np.array([math.fsum(col) / b for col in probs.T])
-        values["entropy"] = math.fsum(float(py * math.log(py))
-                                      for py in pbar if py > 0.0)
+        pbar = [math.fsum(col) / b for col in probs.T.tolist()]
+        values["entropy"] = math.fsum([py * math.log(py) for py in pbar if py > 0.0])
         if grad:
             # d value / d logit_y' through each example's restricted softmax
             log_pbar = np.log(pbar)
             d_batch = w["entropy"] * (probs * (log_pbar - (probs @ log_pbar)[:, None]) / b)
     if domain:
-        values["domain"] = math.fsum(math.fsum(np.concatenate([prefix_terms, terms]))
-                                     for terms in tok_terms) / b
+        prefix_list = prefix_terms.tolist()
+        values["domain"] = math.fsum([math.fsum(prefix_list + terms.tolist())
+                                      for terms in tok_terms]) / b
     if not grad:
         return values, None
-    if memo is None and d_batch is not None:  # nothing to hold: one right-hand side
-        d_own, d_batch = d_own + d_batch, None
     return values, ((w["fluency"] + w["domain"]) * direct
                     + backward(d_head, d_own, d_batch, w["domain"] / max(b, 1)))
 

@@ -213,13 +213,14 @@ def _layernorm_backward(dy, cache):
 # The backward runs its six dense products the same way, on contiguous
 # transposed copies of the weights built once (on a transposed view, a row's
 # bits would depend on how many rows its product has).  Its attention
-# products run per body and head.  So a member's backward rows and key/value
-# gradients have the same bits in any stack, a stack of one included.
+# products run per body and head.  So a member's key/value gradients have the
+# same bits in any stack, a stack of one included.
 # The backward of an extension returns its key and value gradients as one array
 # with the stack as its member axis (the third), and a full pass sums a
-# ``d_past`` over that axis: numpy adds the slices of a contiguous array's
-# member axis one after another, whether the axis leads or not, so per-member
-# gradients held apart and stacked again later sum to the same bits.
+# ``d_past`` over that axis: numpy adds the slices of a member axis with the
+# largest stride one after another, whether the axis leads or not, so
+# per-member gradients held apart and gathered again later, in a contiguous
+# array or a view that moves its member axis, sum to the same bits.
 
 def _exact_matmul(a, b):
     """``a @ b``, with a one-row left operand run on two copies of its row."""
@@ -406,17 +407,18 @@ class TinyCausalLM:
         member axis one after another, in order.  An extension of this pass
         returns such a ``d_past``.
 
-        On the cache of an extension it returns ``(d_rows, d_past)``: the
-        gradient w.r.t. the rows it ran, and the gradients w.r.t. the keys
-        and values of the extended pass, one per member, as one array
-        ``(n_layers, 2, G, H, start, dh)`` (``G = 1`` for a 2-D extension).
-        Passing that ``d_past`` to the extended pass's own backward completes
-        the gradient (exact by linearity), with the bits of summing it over
-        the stack first.  A stack's cache takes no ``d_past``: that is a
-        ``ConfigurationError``.  An extension's ``d_hidden`` may also stack
-        ``R`` gradients on a leading axis, ``(R, *hidden.shape)``; both
-        results then lead with that axis, and each of the ``R`` has the bits
-        of its own call.
+        On the cache of an extension it returns only the gradients w.r.t.
+        the keys and values of the extended pass, one per member, as one
+        array ``(n_layers, 2, G, H, start, dh)`` (``G = 1`` for a 2-D
+        extension): the rows an extension runs are data, so their own
+        gradient is never formed, and the backward stops at layer 0's keys
+        and values.  Passing that ``d_past`` to the extended pass's own
+        backward completes the gradient (exact by linearity), with the bits
+        of summing it over the stack first.  A stack's cache takes no
+        ``d_past``: that is a ``ConfigurationError``.  An extension's
+        ``d_hidden`` may also stack ``R`` gradients on a leading axis,
+        ``(R, *hidden.shape)``; the result then leads with that axis, and
+        each of the ``R`` has the bits of its own call.
 
         On a ``last_only`` cache the rows the top layer did not run past its
         keys and values get no gradient through its queries and outputs.
@@ -444,10 +446,11 @@ class TinyCausalLM:
             )
         dx = _layernorm_backward(d_hidden.reshape(*sides, -1, self.dim), cache["lnf"])
 
-        d_past_in = d_past if d_past is not None else [None] * self.n_layers
-        d_past_out = []
-        for lw, lc, dp, nq in zip(reversed(self._layers), reversed(cache["layers"]),
-                                  reversed(d_past_in), reversed(queries)):
+        if start:  # the extended pass's key and value gradients, layer by layer
+            d_kv = np.empty((*sides, self.n_layers, 2, *lead, H, start, dh))
+            by_layer = d_kv.transpose(1, 2, 0, *range(3, d_kv.ndim)) if sides else d_kv
+        for i in reversed(range(self.n_layers)):
+            lw, lc, nq = self._layers[i], cache["layers"][i], queries[i]
             dg1v = _exact_matmul(dx, lw["W2T"])
             dz1 = dg1v * _gelu_prime(lc["z1"], lc["gate"])
             df = _exact_matmul(dz1, lw["W1T"])
@@ -458,25 +461,22 @@ class TinyCausalLM:
             dA = do @ v.swapaxes(-1, -2)
             dv = A.swapaxes(-1, -2) @ do
             dscores = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
-            dq = dscores @ k * scale
             dk = dscores.swapaxes(-1, -2) @ q * scale
-            if dp is not None:
-                dk, dv = dk + dp[0].sum(axis=0), dv + dp[1].sum(axis=0)
+            if d_past is not None:
+                dk, dv = dk + d_past[i][0].sum(axis=0), dv + d_past[i][1].sum(axis=0)
             if start:
-                d_past_out.append((dk[..., :start, :], dv[..., :start, :]))
+                by_layer[i, 0], by_layer[i, 1] = dk[..., :start, :], dv[..., :start, :]
+                if i == 0:  # the extension's rows are data: nothing reads their gradient
+                    return d_kv.reshape(*sides, self.n_layers, 2, -1, H, start, dh)
                 dk, dv = dk[..., start:, :], dv[..., start:, :]
+            dq = dscores @ k * scale
             da_q = _exact_matmul(rows(dq), lw["WqT"])
             if nq < n:  # back from each body's last row to every row
                 dx, da_q = _spread(dx, n), _spread(da_q, n)
             da = (da_q + _exact_matmul(rows(dk), lw["WkT"])
                   + _exact_matmul(rows(dv), lw["WvT"]))
             dx = dx + _layernorm_backward(da, lc["ln1"])
-        dx = dx.reshape(*sides, *lead, n, self.dim)
-        if start:
-            d_past = np.stack([np.stack(kv) for kv in d_past_out[::-1]])
-            d_past = d_past.reshape(self.n_layers, 2, *sides, -1, H, start, dh)
-            return dx, np.moveaxis(d_past, 2, 0) if sides else d_past
-        return dx
+        return dx.reshape(*lead, n, self.dim)
 
 
 def _spread(last, n):

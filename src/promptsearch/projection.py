@@ -40,7 +40,9 @@ def project_subset(prompt: SoftPrompt, table: EmbeddingTable,
         raise ConfigurationError(
             f"prompt dim {prompt.dim} does not match table dim {table.dim}"
         )
-    allowed = np.unique(np.asarray(list(allowed_ids), dtype=np.intp))
+    if not isinstance(allowed_ids, np.ndarray):  # a set or a generator, say
+        allowed_ids = list(allowed_ids)
+    allowed = np.unique(np.asarray(allowed_ids, dtype=np.intp))
     if allowed.size == 0:
         raise ConfigurationError("allowed_ids must be nonempty")
     if allowed[0] < 0 or allowed[-1] >= table.rows:

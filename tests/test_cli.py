@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,41 @@ def test_tune_jobs_opens_at_most_one_worker_per_chain(data_files, tmp_path, pool
     assert len(records) == int(seeds)
     for f in records:
         assert f.read_bytes() == (jobs / f.name).read_bytes()
+
+
+def _worker_that_dies_on_seed_2(task, model_spec, cfg, data):
+    """``tune``'s worker, except that its process exits on seed 2, after a
+    second, by when the short chains of seeds 0 and 1 have returned."""
+    from promptsearch.model import load_adapter
+    from promptsearch.sampler import run_chain
+
+    if cfg.seed == 2:
+        time.sleep(1.0)
+        os._exit(1)
+    return run_chain(task, load_adapter(model_spec), cfg, data)
+
+
+def test_tune_keeps_the_records_of_a_grid_whose_worker_died(data_files, tmp_path,
+                                                           monkeypatch, capsys):
+    """A dead ``--jobs`` worker costs its own chains, not the grid: the
+    records already written stay, with a manifest of them, and one
+    ``fault:`` line names the chains not written (exit 1)."""
+    from promptsearch import cli
+
+    serial = tmp_path / "serial"
+    assert main(tune_args(data_files, serial, seeds="2")) == 0
+    monkeypatch.setattr(cli, "_tune_worker", _worker_that_dies_on_seed_2)
+    out = tmp_path / "jobs"
+    capsys.readouterr()
+    assert main(tune_args(data_files, out, seeds="3", jobs="2")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "fault: a worker process died; chains not written: chain_000_seed2.json"]
+    kept = ["chain_000_seed0.json", "chain_000_seed1.json"]
+    assert sorted(f.name for f in out.glob("chain_*.json")) == kept
+    for name in kept:
+        assert (out / name).read_bytes() == (serial / name).read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [entry["file"] for entry in manifest["chains"]] == kept
 
 
 def test_tune_init_text_flag(data_files, tmp_path):

@@ -434,7 +434,7 @@ def test_passes_return_each_examples_readouts_in_batch_order(model, m):
     """Stacked and full passes both return each example's label logits at
     the verbalizer ids and its token terms in batch order, bitwise those of
     the example's own pass, though the stacks run by body length."""
-    from promptsearch.energies import _full_passes, _stacked_passes
+    from promptsearch.energies import _chain_memo, _full_passes, _stacked_passes
     from promptsearch.model import _input_matrix, _logsumexp
     from promptsearch.tasks import render, verbalizer_token_ids
 
@@ -442,7 +442,9 @@ def test_passes_return_each_examples_readouts_in_batch_order(model, m):
     seqs = [render(MIXED_TASK, ex.text, model) for ex in MIXED_BATCH]
     assert [len(seq) for seq in seqs] == [2, 0, 1, 3, 1, 3]
     vids = verbalizer_token_ids(MIXED_TASK, model)
-    _, labels, terms, _ = _stacked_passes(prompt, seqs, model, vids, True)
+    store = _chain_memo(prompt, MIXED_BATCH, MIXED_TASK, model, {"domain": 1.0}, False,
+                        len(vids))  # a throwaway store, one row per example
+    _, labels, terms, _ = _stacked_passes(prompt, seqs, model, vids, True, *store)
     _, labels_full, terms_full, _ = _full_passes(prompt, seqs, model, vids, True)
     assert labels.shape == (len(seqs), 2) and len(terms) == len(seqs)
     assert labels.tobytes() == labels_full.tobytes()

@@ -95,10 +95,8 @@ def test_last_only_backward_matches_the_full_cache(model, stack, n):
     head = model.forward(prompt)
     full = model.forward(bodies, past=head.cache)
     last = model.forward(bodies, past=head.cache, last_only=True)
-    d_rows, d_past = model.backward_input(last.cache, d_hidden=w_last)
-    want_rows, want_past = model.backward_input(full.cache, d_hidden=_padded(w_last, n))
-    assert d_rows.shape == bodies.shape
-    assert _rel(d_rows, want_rows) < 1e-12
+    d_past = model.backward_input(last.cache, d_hidden=w_last)
+    want_past = model.backward_input(full.cache, d_hidden=_padded(w_last, n))
     for (dk, dv), (want_k, want_v) in zip(d_past, want_past):
         assert _rel(dk, want_k) < 1e-12
         assert _rel(dv, want_v) < 1e-12
@@ -135,14 +133,11 @@ def test_last_only_backward_matches_fd(model):
     w_stack = rng.normal(size=(2, 1, model.dim))
     head = model.forward(prompt)
     fw = model.forward(bodies, past=head.cache, last_only=True)
-    d_bodies, d_past = model.backward_input(fw.cache, d_hidden=w_stack)
+    d_past = model.backward_input(fw.cache, d_hidden=w_stack)
     d_prompt = model.backward_input(head.cache, d_hidden=w_head, d_past=d_past)
     fd_prompt = fd_grad(lambda x: _last_row_objective(model, x, bodies, w_head, w_stack),
                         prompt)
-    fd_bodies = fd_grad(lambda x: _last_row_objective(model, prompt, x, w_head, w_stack),
-                        bodies)
     assert max_rel_err(d_prompt, fd_prompt) < 1e-5
-    assert max_rel_err(d_bodies, fd_bodies) < 1e-5
 
 
 @pytest.fixture

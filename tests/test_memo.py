@@ -29,7 +29,7 @@ from promptsearch.energies import (
 from promptsearch.model import SoftPrompt, TinyCausalLM, prompt_from_ids
 from promptsearch.sampler import NoiseSchedule, SamplerConfig, run_chain
 from promptsearch.synthetic import POOL_A, POOL_B, synthetic_dataset
-from promptsearch.tasks import Example, TaskSpec
+from promptsearch.tasks import Example, TaskSpec, verbalizer_token_ids
 
 UNSUPERVISED = [EnergyConfig.unsupervised(0.003),
                 EnergyConfig.unsupervised(0.003, sign="literal")]
@@ -88,17 +88,21 @@ def _traced_chain(monkeypatch, task, model, cfg, data):
     return record, steps
 
 
+def _held(memo):
+    """The slots whose rows ``memo`` holds."""
+    return [] if memo.held is None else np.flatnonzero(memo.held[:memo.capacity]).tolist()
+
+
 def _memo_free(monkeypatch, task, model, cfg, data):
     """The chain run with a memo that holds nothing: every step is scored
     afresh, by the rules of the chain's memo."""
     chain_memo = energies._chain_memo
 
     def nothing_held(*args):
-        memo = chain_memo(*args)
-        if memo is not None:
-            memo.head = memo.prefix = None
-            memo.entries, memo.floats = {}, 0
-        return memo
+        memo, rows = chain_memo(*args)
+        memo.head = memo.prefix = None
+        memo.held[:] = False
+        return memo, rows
 
     with monkeypatch.context() as patch:
         patch.setattr(energies, "_chain_memo", nothing_held)
@@ -114,8 +118,7 @@ def _afresh(prompt, batch, task, model, energy, examples, repeat=True):
     memo.examples = examples
     if repeat:
         energy_and_grad(prompt, items, task, model, energy)
-        memo.head = memo.prefix = None
-        memo.entries, memo.floats = {}, 0
+        memo.head = memo.prefix = memo.held = None
     return energy_and_grad(prompt, items, task, model, energy)
 
 
@@ -163,8 +166,13 @@ def test_memo_changes_no_six_word_record_and_full_pass_adapters_run_every_exampl
     data = synthetic_dataset(12, seed=3)
     cfg = _config(steps=20, batch=4, seed=1)
     counting = CountingModel(model)
+    chain_memo = energies._chain_memo
+
+    def no_memo(prompt, batch, *args):  # examples that carry no memo
+        return chain_memo(prompt, [Example(ex.text, ex.label) for ex in batch], *args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(energies, "_chain_memo", lambda *args: None)
+        patch.setattr(energies, "_chain_memo", no_memo)
         with_memo_off = run_chain(task, model, cfg, data)
     assert with_memo_off.to_dict() == run_chain(task, model, cfg, data).to_dict()
     run_chain(task, counting, cfg, data)  # an adapter that does not extend passes
@@ -234,21 +242,23 @@ def test_a_changed_prompt_weight_or_batch_size_empties_the_memo(model, task):
     items = _rendered(synthetic_dataset(8, seed=4), task, model, memo)
     prompt = prompt_from_ids([5, 6, 7], model)
     _evaluate(prompt, items[:4], task, model)
-    assert sorted(memo.entries) == [0, 1, 2, 3] and memo.head is not None
+    assert _held(memo) == [0, 1, 2, 3] and memo.head is not None
     _evaluate(prompt, items[4:], task, model)  # same key: the memo grows
-    assert sorted(memo.entries) == list(range(8))
+    assert _held(memo) == list(range(8))
     head = memo.head
     _evaluate(prompt, items[2:6], task, model)  # all held: nothing new
-    assert sorted(memo.entries) == list(range(8)) and memo.head is head
+    assert _held(memo) == list(range(8)) and memo.head is head
 
+    kv = memo.kv
     _evaluate(prompt_from_ids([5, 6, 8], model), items[:4], task, model)
-    assert sorted(memo.entries) == [0, 1, 2, 3] and memo.head is not head
+    assert _held(memo) == [0, 1, 2, 3] and memo.head is not head
+    assert memo.kv is kv  # arrays of the same shapes serve the next key
     _evaluate(prompt_from_ids([5, 6, 8], model), items[4:], task, model,
               EnergyConfig.supervised(0.1))
-    assert sorted(memo.entries) == [4, 5, 6, 7]
+    assert _held(memo) == [4, 5, 6, 7]
     _evaluate(prompt_from_ids([5, 6, 8], model), items[:3], task, model,
               EnergyConfig.supervised(0.1))
-    assert sorted(memo.entries) == [0, 1, 2]
+    assert _held(memo) == [0, 1, 2] and memo.kv.shape[0] == 8 + 3
 
 
 def test_held_batch_runs_no_stack_and_gives_the_same_bits(model, task):
@@ -317,7 +327,7 @@ def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, ta
     table = model.embedding_table().entries
     missed = sorted(table[list(ex.ids)].tobytes() for ex in (items[7], items[5], items[9]))
     assert sorted(x.tobytes() for x in stacked) == missed
-    assert sorted(memo.entries) == [0, 1, 2, 3, 4, 5, 7, 9]
+    assert _held(memo) == [0, 1, 2, 3, 4, 5, 7, 9]
     want, want_grad = _afresh(prompt, batch, task, model, energy or EnergyConfig.supervised(),
                               len(items))
     assert served == want
@@ -327,26 +337,33 @@ def test_partly_held_batch_stacks_only_the_missed_members(monkeypatch, model, ta
 
 @pytest.mark.parametrize("labels", [2, 3])
 @pytest.mark.parametrize("energy", [None, UNSUPERVISED[0]], ids=["supervised", "unsupervised"])
-def test_memo_entries_are_contiguous_copies(model, task, energy, labels):
-    """Each held array owns its data, so no entry keeps the array of its
-    whole stack alive.  The key/value gradients hold one array per
-    right-hand side: the example's own (its task and domain terms, whose
-    coefficients depend on it alone) and, with the entropy term, one per
-    label direction."""
+def test_memo_rows_hold_each_examples_arrays_by_slot(model, task, energy, labels):
+    """One row per slot, and one per batch member for slots past capacity.
+    The key/value gradients hold one array per right-hand side: the
+    example's own (its task and domain terms, whose coefficients depend on
+    it alone) and, with the entropy term, one per label direction.  A held
+    row has the bits of a stack of one."""
     task = task if labels == 2 else THREE_LABELS
     memo = _ChainMemo()
     items = _rendered(_mixed_data(8, seed=2), task, model, memo)
+    prompt = prompt_from_ids([5, 6, 7], model)
     for _ in range(2):  # a prompt's first unsupervised step holds nothing
-        _evaluate(prompt_from_ids([5, 6, 7], model), items, task, model, energy)
-    assert len(memo.entries) == 8
+        _evaluate(prompt, items, task, model, energy)
+    full = [ex.slot for ex in items if ex.ids]
+    assert _held(memo) == full and memo.capacity == 8
+    assert not memo.held[8:].any()
     H, sides = model.n_heads, 1 if energy is None else labels
+    assert memo.labels.shape == (16, labels) and memo.first.shape == (16, model.dim)
+    assert memo.kv.shape == (16, sides, model.n_layers, 2, H, 3, model.dim // H)
+    vids = verbalizer_token_ids(task, model)
+    head = model.forward(prompt.entries)
     for ex in items:
-        logits, terms, d_first, d_kv = memo.entries[ex.slot]
-        assert logits.shape == (labels,) and d_first.shape == (model.dim,)
-        assert terms.shape == ((0,) if energy is None else (len(ex.ids),))
-        assert d_kv.shape == (sides, model.n_layers, 2, H, 3, model.dim // H)
-        for held in (logits, terms, d_first, d_kv):
-            assert held.flags.c_contiguous and held.base is None
+        if ex.ids:
+            one = model.forward(model.embedding_table().entries[list(ex.ids)][None],
+                                past=head.cache)
+            _bits_equal(memo.labels[ex.slot], one.logits[0, -1, vids])
+            if energy is not None:
+                assert memo.terms[ex.slot].shape == (len(ex.ids),)
 
 
 def _counted(counts, run):
@@ -376,7 +393,7 @@ def test_memo_is_off_for_adapters_that_do_not_extend_passes(model, task):
     for _ in range(2):
         _evaluate(prompt_from_ids([5, 6, 7], model), items, task, counting)
     assert counting.forwards == 8 and counting.backwards == 8
-    assert memo.key is None and memo.entries == {}
+    assert memo.key is None and memo.held is None
 
 
 def test_memo_is_off_for_unprojected_prompts_and_value_only_calls(model, task):
@@ -386,25 +403,36 @@ def test_memo_is_off_for_unprojected_prompts_and_value_only_calls(model, task):
     _evaluate(soft, items, task, model)
     supervised_energy(prompt_from_ids([5, 6, 7], model), items, task, model,
                       EnergyConfig.supervised())
-    assert memo.key is None and memo.entries == {}
+    assert memo.key is None and memo.held is None
 
 
 def test_memo_holds_at_most_its_bound(monkeypatch, model, task):
-    """The bound counts floats; an example a batch holds twice is counted
-    once."""
+    """The bound counts each slot's label logits, first-row gradient and
+    key/value gradients.  A slot past capacity takes its batch member's row,
+    which holds nothing, so it is scored afresh on every step; an example a
+    batch holds twice takes one row."""
     items = _rendered(synthetic_dataset(8, seed=4), task, model, _ChainMemo())
     prompt = prompt_from_ids([5, 6, 7], model)
     _evaluate(prompt, items[:4] + items[:1], task, model)
     memo = items[0].memo
-    assert sorted(memo.entries) == [0, 1, 2, 3]
-    assert memo.floats == sum(a.size for entry in memo.entries.values() for a in entry)
-    per_entry = memo.floats // 4  # six-word inputs: every entry holds as many floats
-    monkeypatch.setattr(energies, "_MEMO_FLOATS", 3 * per_entry + per_entry // 2)
+    assert _held(memo) == [0, 1, 2, 3] and memo.capacity == 8
+    per_slot = memo.labels[0].size + memo.first[0].size + memo.kv[0].size
+    monkeypatch.setattr(energies, "_MEMO_FLOATS", 3 * per_slot + per_slot // 2)
     items = _rendered(items, task, model, _ChainMemo())
     _evaluate(prompt, items[:4], task, model)
     _evaluate(prompt, items[4:], task, model)
-    assert sorted(items[0].memo.entries) == [0, 1, 2]
-    assert items[0].memo.floats == 3 * per_entry
+    memo = items[0].memo
+    assert memo.capacity == 3 and _held(memo) == [0, 1, 2]
+    assert len(memo.labels) == len(memo.first) == len(memo.kv) == 3 + 4
+    counting = {"forward": 0, "backward_input": 0}
+    for _ in range(2):  # slot 3: one stack of one member, every time
+        served, served_grad = _counted(counting, lambda: _evaluate(prompt, items[:4], task,
+                                                                   model))
+    assert counting == {"forward": 2, "backward_input": 4}
+    want, want_grad = _evaluate(prompt, [Example(ex.text, ex.label) for ex in items[:4]],
+                                task, model)
+    assert served == want
+    _bits_equal(served_grad, want_grad)
 
 
 @pytest.mark.parametrize("labels", [2, 3])
@@ -442,7 +470,7 @@ def test_unsupervised_memo_serves_from_a_prompts_second_step_in_chains_it_holds_
             assert got == want
             if not (served and step):
                 _bits_equal(got_grad, want_grad)
-            assert sorted(memo.entries) == ([0, 1, 2, 3] if served and step else [])
+            assert _held(memo) == ([0, 1, 2, 3] if served and step else [])
 
 
 # -- one memo per chain ---------------------------------------------------------------
@@ -486,7 +514,7 @@ def test_every_chain_gets_a_fresh_memo_even_from_rendered_items(monkeypatch, mod
         refs = _chain_memos(monkeypatch, task, model, cfg, items)
         assert len(refs) == 1
         memos.append(refs[0])
-    assert given.entries == {}
+    assert given.held is None
     assert all(ref() is None for ref in memos)
     plain = run_chain(task, model, cfg, synthetic_dataset(8, seed=3))
     assert run_chain(task, model, cfg, items).to_dict() == plain.to_dict()

@@ -69,6 +69,21 @@ def test_project_subset_agrees_with_restricted_scan(model):
     assert set(got.token_ids) <= {int(a) for a in allowed}
 
 
+def test_project_subset_reads_every_form_of_allowed_ids(model):
+    """An ndarray, list, tuple, range or set of the same ids, in any order
+    and with repeats, gives the same projection."""
+    table = model.embedding_table()
+    prompt = random_prompt(np.random.default_rng(5), 12, table.dim, scale=0.3)
+    ids = list(range(7, 40, 3))
+    want = project_subset(prompt, table, np.array(ids))
+    assert set(want.token_ids) <= set(ids)
+    for form in (ids, ids[::-1] + ids[:2], tuple(ids), range(7, 40, 3), set(ids),
+                 np.array(ids[::-1], dtype=np.int32)):
+        got = project_subset(prompt, table, form)
+        assert got.token_ids == want.token_ids
+        assert np.array_equal(got.entries, want.entries)
+
+
 def test_project_subset_validation(model):
     table = model.embedding_table()
     prompt = random_prompt(np.random.default_rng(4), 2, table.dim)

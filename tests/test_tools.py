@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -294,9 +296,27 @@ def test_chain_profile_prints_a_share_pair_per_quarter_and_restores_the_model():
     assert TinyCausalLM.forward is forward and sampler.energy_and_grad is energy_and_grad
 
 
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+def test_chain_profile_beta_end_1_runs_an_all_miss_chain(mode):
+    """At constant beta 1 the prompt moves on every step of this chain, so
+    no step repeats a prompt and none is held; the default ends at 1e-4."""
+    tool = [sys.executable, str(_ROOT / "tools" / "chain_profile.py"), "--mode", mode,
+            "--steps", "8", "--examples", "40"]
+    run = subprocess.run([*tool, "--beta-end", "1"], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "beta 1 -> 1, seed 3" in run.stdout
+    quarters = [line.split() for line in run.stdout.splitlines()
+                if line.startswith("quarter ")]
+    assert len(quarters) == 4
+    assert all(q[5] == "0.000" and q[7] == "0.000" for q in quarters)
+    default = subprocess.run(tool, capture_output=True, text=True)
+    assert default.returncode == 0 and "beta 1 -> 0.0001, seed 3" in default.stdout
+
+
 def test_chain_profile_refuses_an_unknown_flag_and_a_bad_config():
     for args in (["--frobnicate", "4"], ["--seed", "4"], ["--steps", "3"], ["--eta", "0"],
-                 ["--examples", "0"], ["--task", "sst2"]):
+                 ["--examples", "0"], ["--task", "sst2"], ["--beta-end", "0"],
+                 ["--beta-end", "2"], ["--beta-end", "x"]):
         run = subprocess.run([sys.executable, str(_ROOT / "tools" / "chain_profile.py"),
                               *args], capture_output=True, text=True)
         assert run.returncode == 2, args

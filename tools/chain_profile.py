@@ -1,16 +1,19 @@
 """Time one in-process chain and show, by quarter, how often its prompt repeats.
 
     python tools/chain_profile.py [--mode supervised|unsupervised] [--steps N]
-                                  [--eta ETA] [--examples N]
+                                  [--eta ETA] [--beta-end B] [--examples N]
                                   [--task synthetic-2label|agnews]
 
 Runs one chain of the ``src/`` next to this script, in this process, with
 BLAS at one thread: ``reference:22``, the ``synthetic-2label`` task,
 ``synthetic_dataset(200, seed=100)`` (six-word inputs), the adaptive
-optimizer, beta 1 -> 1e-4 and the energies' default weights, as ``tune``
-runs it, at seed 3, B=16 and M=10.  The defaults are the CLI's 5000 steps
-and eta 0.3.  ``--examples`` sets the dataset's size; ``--task agnews``
-runs the built-in four-label task on the same inputs, labelled in turn.
+optimizer, beta 1 -> ``--beta-end`` and the energies' default weights, as
+``tune`` runs it, at seed 3, B=16 and M=10.  The defaults are the CLI's 5000
+steps, eta 0.3 and beta end 1e-4.  ``--beta-end 1`` keeps beta at 1, so the
+prompt moves on almost every step and almost no step is held: the chain's
+noisy early phase, all of it.  ``--examples`` sets the dataset's size;
+``--task agnews`` runs the built-in four-label task on the same inputs,
+labelled in turn.
 
 It prints the chain's wall time and ms per step, then one line per quarter
 of the chain (``quarter Q steps FIRST-LAST same S held H ms T``) with two
@@ -47,6 +50,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--steps", type=int, default=5000,
                         help="chain steps, at least one per quarter")
     parser.add_argument("--eta", type=float, default=0.3)
+    parser.add_argument("--beta-end", type=float, default=1e-4,
+                        help="the noise schedule's last beta; it starts at 1")
     parser.add_argument("--examples", type=int, default=200,
                         help="dataset size, at least one")
     parser.add_argument("--task", choices=("synthetic-2label", "agnews"),
@@ -95,7 +100,8 @@ def profile(cfg, examples: int = 200, task_id: str = "synthetic-2label") -> int:
 
     n = cfg.steps
     print(f"{cfg.energy.mode} chain on reference:22, {task.id}, {len(data)} examples: "
-          f"{n} steps, eta {cfg.eta}, seed {cfg.seed}, B={cfg.batch_size}, "
+          f"{n} steps, eta {cfg.eta}, beta 1 -> {cfg.schedule.beta_end:g}, "
+          f"seed {cfg.seed}, B={cfg.batch_size}, "
           f"M={cfg.prompt_length}")
     if record.fault is not None:
         print(f"fault after {len(record.per_step)} steps: {record.fault}", file=sys.stderr)
@@ -127,7 +133,8 @@ def main(argv: list[str]) -> int:
     energy = (EnergyConfig.supervised() if args.mode == "supervised"
               else EnergyConfig.unsupervised())
     try:
-        cfg = SamplerConfig(eta=args.eta, schedule=NoiseSchedule(1.0, 1e-4, args.steps),
+        cfg = SamplerConfig(eta=args.eta,
+                            schedule=NoiseSchedule(1.0, args.beta_end, args.steps),
                             steps=args.steps, batch_size=BATCH_SIZE, seed=SEED,
                             energy=energy, prompt_length=PROMPT_LENGTH)
     except ConfigurationError as exc:
